@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,37 +52,10 @@ HISTORY_NAME = "history.tsv"
 SCORES_NAME = "scores.txt"
 METRICS_NAME = "metrics.tsv"
 
-_INT_KEYS = {"l", "h", "experts", "kernels", "batch", "max_epochs", "seed", "embed_dim", "tower_hidden"}
-_FLOAT_KEYS = {"epsilon", "lr0", "lr_min", "val_fraction", "dropout_rate"}
-_BOOL_KEYS = {"scale", "clip"}
-_STR_KEYS = {"variant", "dtype"}
-_OPT_INT_KEYS = {"early_stop_patience"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _OPT_INT_KEYS
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
-        if key in _OPT_INT_KEYS:
-            return None if value.lower() in ("none", "off") else int(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
 
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -110,10 +84,13 @@ def make_train_config(config_path=None, overrides=()) -> TrainConfig:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         raw[key.strip()] = value.strip()
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = TrainConfig(**{k: _coerce(k, v) for k, v in raw.items()})
+    try:
+        cfg = TrainConfig.from_text(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cfg.validate()
     return cfg
 
@@ -402,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--entities", default="all")
     p_eval.add_argument("--mode", default="all", help="raw, pa, kpa or all")
     p_eval.add_argument("--k", default="10,20,30", help="comma list of kpa delay budgets")
-    p_eval.add_argument("--best-f1", action="store_true", default=True,
-                        help="sweep all thresholds (default)")
     p_eval.add_argument("--threshold", type=float, help="fixed threshold instead of the sweep")
     p_eval.add_argument("--output", help="metrics file to write (single-entity mode)")
     p_eval.set_defaults(func=cmd_eval)

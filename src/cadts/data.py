@@ -76,7 +76,8 @@ def _looks_like_header(line: str) -> bool:
 
 
 def _diagnose_csv(path: Path, lines: list[str], first_data_line: int) -> None:
-    """Slow re-parse to locate the offending cell; always raises."""
+    """Slow re-parse to locate the offending cell (ragged, non-numeric or
+    non-finite); always raises."""
     expected = None
     for lineno, line in enumerate(lines, start=1):
         if lineno < first_data_line or not line.strip():
@@ -90,11 +91,14 @@ def _diagnose_csv(path: Path, lines: list[str], first_data_line: int) -> None:
             )
         for col, cell in enumerate(cells, start=1):
             try:
-                float(cell)
+                finite = np.isfinite(float(cell))
             except ValueError:
+                finite = False
+            if not finite:
                 raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} at line {lineno}, column {col}"
-                ) from None
+                    f"{path}: value {cell.strip()!r} at line {lineno}, column {col}"
+                    " is not a finite number"
+                )
     raise DataError(f"{path}: unparseable CSV")
 
 
@@ -114,6 +118,8 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
     try:
         values = np.loadtxt(path, delimiter=",", skiprows=skip, dtype=np.float64, ndmin=2)
     except ValueError:
+        _diagnose_csv(path, lines, first_data_line=skip + 1)
+    if not np.isfinite(values).all():
         _diagnose_csv(path, lines, first_data_line=skip + 1)
 
     labels = None

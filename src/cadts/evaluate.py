@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Scaler, SeriesMatrix, apply_minmax, make_windows
 from .errors import DataError
-from .model import CadModel
+from .model import CadModel, window_errors
 
 MODES = ("raw", "pa", "kpa")
 
@@ -74,13 +74,7 @@ def score_series(
     series = apply_minmax(scaler, test) if scaler is not None else test
     cfg = model.config
     windows = make_windows(series, cfg.l, cfg.h)
-    genuine = np.empty(len(windows), dtype=np.float64)
-    for start in range(0, len(windows), batch):
-        xb = windows.windows[start : start + batch]
-        yb = windows.targets[start : start + batch].astype(cfg.np_dtype)
-        pred = model.forward_batch(xb, mode="eval")
-        err = pred.data - yb
-        genuine[start : start + len(xb)] = (err * err).mean(axis=1)
+    genuine = window_errors(model, windows.windows, windows.targets, batch)
 
     valid_from = cfg.l + cfg.h - 1
     scores = np.empty(test.shape[0], dtype=np.float64)

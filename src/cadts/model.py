@@ -23,7 +23,9 @@ a handful of batched matrix products.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -44,6 +46,29 @@ from .numcore import (
 VARIANTS = ("full", "no_gate", "no_selection", "no_sgate", "no_pgate", "no_conv", "single_task")
 
 EMBED_DIM = 128
+
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
+
+
+def parse_value(kind, key: str, text: str):
+    """``text`` as a value of the annotated type ``kind``: ``int``, ``float``,
+    ``str``, ``bool`` (true/1/yes/on or false/0/no/off) or ``X | None``
+    (none/off). Raises ValueError naming ``key`` if the text does not parse."""
+    lowered = text.strip().lower()
+    options = get_args(kind)
+    if type(None) in options:
+        if lowered in ("none", "off"):
+            return None
+        (kind,) = set(options) - {type(None)}
+    try:
+        if kind is not bool:
+            return kind(text)
+        if lowered in _TRUE or lowered in _FALSE:
+            return lowered in _TRUE
+        raise ValueError(text)
+    except ValueError:
+        raise ValueError(f"bad value {text!r} for key {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,6 +114,13 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
+
+    @classmethod
+    def from_text(cls, raw: Mapping[str, str]):
+        """An instance from ``field name -> text``, each value parsed by its
+        field's annotation (``parse_value``); unset fields keep defaults."""
+        hints = get_type_hints(cls)
+        return cls(**{key: parse_value(hints[key], key, text) for key, text in raw.items()})
 
 
 @dataclass
@@ -256,6 +288,17 @@ class CadModel:
         else:  # no_sgate
             logits = transpose(matmul(pers_in, gates.personalized), (1, 0, 2))
         return softmax(logits, axis=-1)
+
+
+def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, batch: int) -> np.ndarray:
+    """Eval-mode mean squared prediction error of each window, float64 (S,);
+    forwards ``batch`` windows at a time to bound memory."""
+    errors = np.empty(len(windows), dtype=np.float64)
+    for start in range(0, len(windows), batch):
+        pred = model.forward_batch(windows[start : start + batch], mode="eval")
+        err = pred.data - targets[start : start + batch].astype(model.config.np_dtype)
+        errors[start : start + len(err)] = (err * err).mean(axis=1)
+    return errors
 
 
 # --- public single-window operations -----------------------------------------

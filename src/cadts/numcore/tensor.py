@@ -57,7 +57,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""

@@ -1,8 +1,9 @@
 """Mini-batch training (Adam + cosine LR + early stopping) and checkpoints.
 
 The checkpoint wire format is fixed: magic ``CADCKPT1``, a u64-length-
-prefixed UTF-8 key=value header (version, hyperparameters, variant, seed,
-scaler arrays), then each parameter as u64-length-prefixed name, u64 rank,
+prefixed UTF-8 key=value header (version, metric count, one line per
+``ModelConfig`` field, seed, parameter count, scaler arrays; read in any
+order), then each parameter as u64-length-prefixed name, u64 rank,
 u64 extents, and raw little-endian float32 values in row-major order.
 """
 
@@ -11,13 +12,13 @@ from __future__ import annotations
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import Scaler, WindowSet
 from .errors import ConfigError, DataError, NumericError
-from .model import CadModel, ModelConfig, build_model
+from .model import CadModel, ModelConfig, build_model, parse_value, window_errors
 from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
@@ -25,15 +26,10 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Training hyperparameters; defaults are the reference SMD settings."""
+class TrainConfig(ModelConfig):
+    """Model plus training hyperparameters; defaults are the reference SMD
+    settings."""
 
-    l: int = 16
-    h: int = 3
-    experts: int = 5
-    kernels: int = 16
-    epsilon: float = 0.7
-    variant: str = "full"
     lr0: float = 0.001
     lr_min: float = 0.0
     batch: int = 128
@@ -43,27 +39,12 @@ class TrainConfig:
     seed: int = 0
     scale: bool = True
     clip: bool = True
-    embed_dim: int = 128
-    tower_hidden: int = 32
-    dropout_rate: float = 0.1
-    dtype: str = "float32"
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            l=self.l,
-            h=self.h,
-            experts=self.experts,
-            kernels=self.kernels,
-            epsilon=self.epsilon,
-            variant=self.variant,
-            embed_dim=self.embed_dim,
-            tower_hidden=self.tower_hidden,
-            dropout_rate=self.dropout_rate,
-            dtype=self.dtype,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def validate(self) -> None:
-        self.model_config().validate()
+        super().validate()
         bad = []
         if self.lr0 <= 0:
             bad.append(f"lr0={self.lr0} (need > 0)")
@@ -103,18 +84,6 @@ def mse_loss(y, yhat) -> Tensor:
     if y.shape != yhat.shape:
         raise ValueError(f"shape mismatch: y {y.shape} vs yhat {yhat.shape}")
     return tmean(square(sub(y, yhat)))
-
-
-def _eval_loss(model: CadModel, windows: np.ndarray, targets: np.ndarray, batch: int) -> float:
-    """Mean per-sample loss in eval mode, chunked to bound memory."""
-    total = 0.0
-    for start in range(0, len(windows), batch):
-        xb = windows[start : start + batch]
-        yb = targets[start : start + batch].astype(model.config.np_dtype)
-        pred = model.forward_batch(xb, mode="eval")
-        err = pred.data - yb
-        total += float((err * err).mean(axis=1).sum())
-    return total / len(windows)
 
 
 def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[CadModel, TrainHistory]:
@@ -168,7 +137,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
             step += 1
             loss_sum += loss_value * len(idx)
 
-        val_loss = _eval_loss(model, val_x, val_y, cfg.batch) if n_val else None
+        val_loss = float(window_errors(model, val_x, val_y, cfg.batch).mean()) if n_val else None
         history.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -214,20 +183,9 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None) -> str:
-    c = model.config
-    pairs = [
-        ("version", CHECKPOINT_VERSION),
-        ("variant", c.variant),
-        ("n_metrics", model.n_metrics),
-        ("l", c.l),
-        ("h", c.h),
-        ("experts", c.experts),
-        ("kernels", c.kernels),
-        ("epsilon", repr(c.epsilon)),
-        ("embed_dim", c.embed_dim),
-        ("tower_hidden", c.tower_hidden),
-        ("dropout_rate", repr(c.dropout_rate)),
-        ("dtype", c.dtype),
+    pairs = [("version", CHECKPOINT_VERSION), ("n_metrics", model.n_metrics)]
+    pairs += [(f.name, getattr(model.config, f.name)) for f in fields(ModelConfig)]
+    pairs += [
         ("seed", cfg.seed if cfg is not None else model.seed),
         ("params", len(model.named_parameters())),
     ]
@@ -265,7 +223,15 @@ def _read_exact(fh, n: int, path) -> bytes:
     return buf
 
 
-def _parse_header(text: str, path) -> dict[str, str]:
+def _read_header(fh, path) -> dict[str, str]:
+    """Check the magic bytes and return the key=value header block."""
+    if _read_exact(fh, len(CHECKPOINT_MAGIC), path) != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: bad magic bytes, not a checkpoint")
+    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+    try:
+        text = _read_exact(fh, header_len, path).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: checkpoint header is not UTF-8") from None
     header: dict[str, str] = {}
     for line in text.splitlines():
         if not line:
@@ -280,49 +246,33 @@ def _parse_header(text: str, path) -> dict[str, str]:
 def read_checkpoint_header(path) -> dict[str, str]:
     """The raw key=value hyperparameter block (inspection helper)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC), path)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: bad magic bytes, not a checkpoint")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        return _parse_header(_read_exact(fh, header_len, path).decode("utf-8"), path)
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """Rebuild the model and overwrite its parameters with the stored values."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC), path)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: bad magic bytes, not a checkpoint")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        header = _parse_header(_read_exact(fh, header_len, path).decode("utf-8"), path)
+        header = _read_header(fh, path)
         try:
-            version = int(header["version"])
+            version = parse_value(int, "version", header["version"])
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
-            config = ModelConfig(
-                l=int(header["l"]),
-                h=int(header["h"]),
-                experts=int(header["experts"]),
-                kernels=int(header["kernels"]),
-                epsilon=float(header["epsilon"]),
-                variant=header["variant"],
-                embed_dim=int(header["embed_dim"]),
-                tower_hidden=int(header["tower_hidden"]),
-                dropout_rate=float(header["dropout_rate"]),
-                dtype=header["dtype"],
+            config = ModelConfig.from_text({f.name: header[f.name] for f in fields(ModelConfig)})
+            n_metrics, n_params, seed = (
+                parse_value(int, key, header[key]) for key in ("n_metrics", "params", "seed")
             )
-            n_metrics = int(header["n_metrics"])
-            n_params = int(header["params"])
-            seed = int(header["seed"])
             scaler = None
             if header["scaler"] == "minmax":
-                scaler = Scaler(
-                    mins=np.array([float(v) for v in header["scaler_min"].split(",")]),
-                    maxs=np.array([float(v) for v in header["scaler_max"].split(",")]),
-                    clip=bool(int(header["scaler_clip"])),
+                mins, maxs = (
+                    np.array([parse_value(float, key, v) for v in header[key].split(",")])
+                    for key in ("scaler_min", "scaler_max")
                 )
+                clip = parse_value(bool, "scaler_clip", header["scaler_clip"])
+                scaler = Scaler(mins=mins, maxs=maxs, clip=clip)
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint header missing key {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}: checkpoint header: {exc}") from None
 
         model = build_model(config, n_metrics=n_metrics, rng_seed=seed)
         expected = dict(model.named_parameters())

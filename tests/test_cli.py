@@ -1,5 +1,7 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError
 from cadts.evaluate import best_f1, read_metrics, read_scores, score_series
 from cadts.model import build_model
-from cadts.train import load_checkpoint, read_checkpoint_header, train_model
+from cadts.train import load_checkpoint, read_checkpoint_header, save_checkpoint, train_model
 
 from _synth import make_sines
 
@@ -42,7 +44,7 @@ def test_eval_separable_scores(tmp_path, capsys):
     scores.write_text("0.1\n0.9\n0.2\n")
     labels.write_text("0\n1\n0\n")
     rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
-               "--mode", "pa", "--best-f1", "--entity", "toy"])
+               "--mode", "pa", "--entity", "toy"])
     assert rc == 0
     out = capsys.readouterr().out
     row = out.splitlines()[1].split("\t")
@@ -221,6 +223,41 @@ def test_checkpoint_header_records_config(tmp_path, capsys):
     header = read_checkpoint_header(out / "e1" / "checkpoint.cadckpt")
     assert header["experts"] == "2"
     assert header["scaler"] == "minmax"
+
+
+def replace_header_value(path, key, value):
+    """Rewrite one key=value line of a checkpoint header, keeping the
+    length prefix consistent so only the value itself is corrupt."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    lines = blob[16 : 16 + n].decode("utf-8").splitlines()
+    assert any(line.startswith(f"{key}=") for line in lines)
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+    header = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n :])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("l", "1x"), ("epsilon", "abc"), ("scaler_clip", "x"), ("scaler_min", "oops"), ("params", "")],
+)
+def test_score_corrupt_header_value_exits_2(tmp_path, capsys, key, value):
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
+    series = make_sines(60, 3, seed=12)
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    checkpoint = tmp_path / "model.cadckpt"
+    save_checkpoint(model, fit_minmax(series), checkpoint, cfg)
+    test_csv = tmp_path / "test.csv"
+    np.savetxt(test_csv, series.values, fmt="%.17g", delimiter=",")
+    argv = ["score", "--checkpoint", str(checkpoint), "--input", str(test_csv),
+            "--output", str(tmp_path / "scores.txt")]
+    assert main(argv) == 0
+
+    replace_header_value(checkpoint, key, value)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and repr(key) in err and repr(value) in err
 
 
 # --- export-embeddings ------------------------------------------------------------

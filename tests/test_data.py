@@ -65,6 +65,13 @@ def test_non_numeric_cell_reports_row_and_column(tmp_path):
         load_series(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_reports_row_and_column(tmp_path, cell):
+    p = write(tmp_path, "bad.csv", f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(DataError, match=rf"bad\.csv: value '{cell}' at line 3, column 2"):
+        load_series(p)
+
+
 def test_label_length_mismatch(tmp_path):
     p = write(tmp_path, "test.csv", "1\n2\n3\n")
     lp = write(tmp_path, "test_label.csv", "0\n1\n")

@@ -1,5 +1,7 @@
 """Loss, training loop, early stopping and checkpoint persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,27 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     tampered.write_bytes(blob.replace(b"version=1", b"version=9", 1))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(tampered)
+
+
+def test_checkpoint_rejects_non_utf8_header(tmp_path):
+    _, _, path = trained_pair(tmp_path)
+    blob = path.read_bytes()
+    tampered = tmp_path / "bytes.ckpt"
+    tampered.write_bytes(blob.replace(b"variant=full", b"variant=\xff\xfeul", 1))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_checkpoint(tampered)
+
+
+def test_checkpoint_header_line_order_is_free(tmp_path):
+    # earlier writers put the header keys in another order
+    model, scaler, path = trained_pair(tmp_path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    lines = blob[16 : 16 + n].decode("utf-8").splitlines()
+    reordered = tmp_path / "reordered.ckpt"
+    reordered.write_bytes(blob[:16] + "".join(f"{x}\n" for x in reversed(lines)).encode() + blob[16 + n :])
+    loaded, loaded_scaler = load_checkpoint(reordered)
+    assert loaded.config == model.config
+    np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
+    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
