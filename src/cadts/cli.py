@@ -157,7 +157,10 @@ def cmd_train(args) -> int:
 def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
     model, scaler = load_checkpoint(checkpoint)
     series = load_series(input_csv)
-    scored = score_series(model, series, scaler)
+    try:
+        scored = score_series(model, series, scaler)
+    except NumericError as exc:
+        raise NumericError(f"{input_csv}: {exc}") from None
     Path(output).parent.mkdir(parents=True, exist_ok=True)
     write_scores(output, scored)
     return f"scored {Path(input_csv).parent.name or input_csv}: {len(scored)} timestamps -> {output}"

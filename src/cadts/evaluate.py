@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Scaler, SeriesMatrix, apply_minmax, make_windows
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import CadModel, window_errors
 
 MODES = ("raw", "pa", "kpa")
@@ -66,7 +66,8 @@ def score_series(
     scaler: Scaler | None = None,
     batch: int = 1024,
 ) -> ScoreSeries:
-    """Eval-mode prediction error at every predictable timestamp."""
+    """Eval-mode prediction error at every predictable timestamp; a
+    non-finite one raises NumericError naming the first such timestamp."""
     if test.shape[1] != model.n_metrics:
         raise DataError(
             f"series has {test.shape[1]} metrics but model expects {model.n_metrics}"
@@ -77,6 +78,9 @@ def score_series(
     genuine = window_errors(model, windows.windows, windows.targets, batch)
 
     valid_from = cfg.l + cfg.h - 1
+    bad = np.flatnonzero(~np.isfinite(genuine))
+    if bad.size:
+        raise NumericError(f"non-finite prediction error at timestamp {bad[0] + valid_from}")
     scores = np.empty(test.shape[0], dtype=np.float64)
     scores[valid_from:] = genuine
     scores[:valid_from] = genuine[0]

@@ -16,15 +16,17 @@ Variant wiring (ablations, selectable at build time):
     single_task   one isolated expert+tower per metric, input is only
                   that metric's own window
 
-Forward passes are vectorized over the batch; towers and personalized gate
-matrices are stored stacked along the metric axis so the per-metric work is
-a handful of batched matrix products.
+Forward passes are vectorized over the batch. Experts are stored stacked
+along an expert axis (the MMoE layout), towers and personalized gate
+matrices along the metric axis, so every variant runs its experts, gates and
+towers as a handful of batched matrix products; single_task is the same
+expert path with one expert per metric, each reading only its metric's row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -38,7 +40,6 @@ from .numcore import (
     relu,
     reshape,
     softmax,
-    stack,
     tmean,
     transpose,
 )
@@ -124,14 +125,15 @@ class ModelConfig:
 
 
 @dataclass
-class ExpertNet:
-    """Conv layer (absent for no_conv) + two dense layers -> embedding."""
+class ExpertBank:
+    """Experts stacked along a leading expert axis E: a conv layer (absent
+    for no_conv), then two dense layers -> embedding."""
 
-    kernels: Tensor | None
-    ff1_w: Tensor
-    ff1_b: Tensor
-    ff2_w: Tensor
-    ff2_b: Tensor
+    kernels: Tensor | None  # (E, N, l)
+    ff1_w: Tensor  # (E, ff1 input, W)
+    ff1_b: Tensor  # (E, 1, W)
+    ff2_w: Tensor  # (E, W, W)
+    ff2_b: Tensor  # (E, 1, W)
 
 
 @dataclass
@@ -161,49 +163,33 @@ class _Init:
         self.rng = np.random.default_rng(seed)
         self.dtype = dtype
 
-    def __call__(self, shape: tuple[int, ...], fan_in: int, name: str) -> Tensor:
+    def draw(self, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+        """float64 draws; the caller casts them to the model dtype."""
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(self.rng.uniform(-bound, bound, size=shape).astype(self.dtype), name=name)
+        return self.rng.uniform(-bound, bound, size=shape)
 
-
-def _embed_batch(expert: ExpertNet, win: Tensor, batch: int) -> Tensor:
-    """Embedding (B, W) of windows (B, rows, l); geometry read off the expert."""
-    if expert.kernels is None:
-        flat = reshape(win, (batch, expert.ff1_w.shape[0]))
-    else:
-        conv = relu(conv_rows(win, expert.kernels))  # (B, rows, N)
-        flat = reshape(conv, (batch, expert.ff1_w.shape[0]))
-    hidden = relu(matmul(flat, expert.ff1_w) + expert.ff1_b)
-    return matmul(hidden, expert.ff2_w) + expert.ff2_b
+    def __call__(self, shape: tuple[int, ...], fan_in: int, name: str) -> Tensor:
+        return Tensor(self.draw(shape, fan_in).astype(self.dtype), name=name)
 
 
 @dataclass
 class CadModel:
     config: ModelConfig
     n_metrics: int
-    experts: list[ExpertNet]
+    experts: ExpertBank
     gates: GateBank | None
     towers: TowerBank
     seed: int = 0
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """``bank.field`` -> tensor for every present tensor field, in a fixed
+        order: experts, gates, towers."""
         out = []
-        for i, ex in enumerate(self.experts):
-            if ex.kernels is not None:
-                out.append((f"expert.{i}.kernels", ex.kernels))
-            out.append((f"expert.{i}.ff1_w", ex.ff1_w))
-            out.append((f"expert.{i}.ff1_b", ex.ff1_b))
-            out.append((f"expert.{i}.ff2_w", ex.ff2_w))
-            out.append((f"expert.{i}.ff2_b", ex.ff2_b))
-        if self.gates is not None:
-            if self.gates.shared is not None:
-                out.append(("gate.shared", self.gates.shared))
-            if self.gates.personalized is not None:
-                out.append(("gate.personalized", self.gates.personalized))
-        out.append(("tower.w1", self.towers.w1))
-        out.append(("tower.b1", self.towers.b1))
-        out.append(("tower.w2", self.towers.w2))
-        out.append(("tower.b2", self.towers.b2))
+        for prefix, bank in (("expert", self.experts), ("gate", self.gates), ("tower", self.towers)):
+            for f in fields(bank) if bank is not None else ():
+                value = getattr(bank, f.name)
+                if isinstance(value, Tensor):
+                    out.append((f"{prefix}.{f.name}", value))
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -228,31 +214,22 @@ class CadModel:
         cfg = self.config
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        windows = np.asarray(windows)
-        if windows.ndim != 3 or windows.shape[1:] != (self.n_metrics, cfg.l):
-            raise ValueError(
-                f"windows must have shape (B, {self.n_metrics}, {cfg.l}), got {windows.shape}"
-            )
+        win = self._as_windows(windows)
         use_dropout = mode == "train" and cfg.dropout_rate > 0.0
         if use_dropout and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        win = Tensor(np.ascontiguousarray(windows, dtype=cfg.np_dtype))
-        batch = windows.shape[0]
+        batch = win.shape[0]
 
+        # expert outputs are computed once and reused across all metrics
+        embeddings = self._embed(win)  # (E, B, W)
         if cfg.variant == "single_task":
-            mixed = self._isolated_embeddings(win, batch)  # (K, B, W)
+            mixed = embeddings  # expert k is metric k's own
+        elif cfg.variant == "no_gate":
+            mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the K towers
         else:
-            # expert outputs are computed once and reused across all metrics
-            embeddings = stack(
-                [_embed_batch(ex, win, batch) for ex in self.experts], axis=1
-            )  # (B, M, W)
-            if cfg.variant == "no_gate":
-                mean_embed = tmean(embeddings, axis=1)  # (B, W)
-                mixed = reshape(mean_embed, (1, batch, cfg.embed_dim))
-            else:
-                gate = self._gate_weights_batch(win, batch)  # (B, K, M)
-                blended = matmul(gate, embeddings)  # (B, K, W)
-                mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
+            gate = self._gate_weights_batch(win, batch)  # (B, K, M)
+            blended = matmul(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
+            mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
 
         hidden = relu(matmul(mixed, self.towers.w1) + self.towers.b1)  # (K, B, hidden)
         if use_dropout:
@@ -260,13 +237,28 @@ class CadModel:
         raw = matmul(hidden, self.towers.w2) + self.towers.b2  # (K, B, 1)
         return transpose(reshape(raw, (self.n_metrics, batch)), (1, 0))
 
-    def _isolated_embeddings(self, win: Tensor, batch: int) -> Tensor:
-        """single_task: expert k sees only metric k's (1, l) window."""
-        per_metric = []
-        for k, expert in enumerate(self.experts):
-            metric_win = Tensor(win.data[:, k : k + 1, :])
-            per_metric.append(_embed_batch(expert, metric_win, batch))
-        return stack(per_metric, axis=0)  # (K, B, W)
+    def _as_windows(self, windows) -> Tensor:
+        """``windows`` as a (B, K, l) tensor in the model dtype."""
+        windows = np.asarray(windows)
+        if windows.ndim != 3 or windows.shape[1:] != (self.n_metrics, self.config.l):
+            raise ValueError(
+                f"windows must have shape (B, {self.n_metrics}, {self.config.l}), got {windows.shape}"
+            )
+        return Tensor(np.ascontiguousarray(windows, dtype=self.config.np_dtype))
+
+    def _embed(self, win: Tensor) -> Tensor:
+        """Embeddings (E, B, W) of windows (B, K, l), all experts at once."""
+        batch, k, l = win.shape
+        bank = self.experts
+        if self.config.variant == "single_task":
+            rows = transpose(win, (1, 0, 2))  # (K, B, l): expert k reads metric k's row
+        else:
+            rows = reshape(win, (batch * k, l))  # every expert reads every row
+        if bank.kernels is not None:
+            rows = relu(conv_rows(rows, bank.kernels))  # (E, B*K, N) or (K, B, N)
+        flat = reshape(rows, (-1, batch, bank.ff1_w.shape[1]))  # (E or 1, B, ff1 input)
+        hidden = relu(matmul(flat, bank.ff1_w) + bank.ff1_b)
+        return matmul(hidden, bank.ff2_w) + bank.ff2_b
 
     def _gate_weights_batch(self, win: Tensor, batch: int) -> Tensor:
         cfg = self.config
@@ -304,50 +296,13 @@ def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, bat
 # --- public single-window operations -----------------------------------------
 
 
-def expert_forward(expert: ExpertNet, window: np.ndarray) -> Tensor:
-    """Embedding (embed_dim,) of one window; traced if a tape is active.
-
-    The window must match the expert's geometry: (rows, kernel width) for
-    convolutional experts, any (rows, l) flattening to ff1's input size
-    otherwise.
-    """
-    window = np.asarray(window)
-    if window.ndim != 2:
-        raise ValueError(f"window must be 2-D, got shape {window.shape}")
-    flat_in = expert.ff1_w.shape[0]
-    if expert.kernels is not None:
-        n, width = expert.kernels.shape
-        rows = flat_in // n
-        if window.shape != (rows, width):
-            raise ValueError(f"window must have shape ({rows}, {width}), got {window.shape}")
-    elif window.size != flat_in:
-        raise ValueError(f"window must flatten to {flat_in} values, got {window.shape}")
-    win = Tensor(window[None].astype(expert.ff1_w.dtype))
-    out = _embed_batch(expert, win, 1)
-    return reshape(out, (out.shape[1],))
-
-
 def expert_embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
     """Eval-mode embeddings, shape (n_windows, n_experts, embed_dim).
 
-    For single_task models expert k embeds only metric k's rows, matching
+    For single_task models expert k embeds only metric k's row, matching
     the forward pass.
     """
-    cfg = model.config
-    windows = np.asarray(windows)
-    if windows.ndim != 3 or windows.shape[1:] != (model.n_metrics, cfg.l):
-        raise ValueError(
-            f"windows must have shape (B, {model.n_metrics}, {cfg.l}), got {windows.shape}"
-        )
-    batch = np.ascontiguousarray(windows, dtype=cfg.np_dtype)
-    out = np.empty((len(batch), len(model.experts), cfg.embed_dim), dtype=cfg.np_dtype)
-    for idx, expert in enumerate(model.experts):
-        if cfg.variant == "single_task":
-            win = Tensor(batch[:, idx : idx + 1, :])
-        else:
-            win = Tensor(batch)
-        out[:, idx, :] = _embed_batch(expert, win, len(batch)).data
-    return out
+    return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
 
 
 def gate_weights(gates: GateBank, metric_window: np.ndarray, k: int) -> np.ndarray:
@@ -398,28 +353,23 @@ def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadMo
     init = _Init(rng_seed, config.np_dtype)
     k, l, m, n, w = n_metrics, config.l, config.experts, config.kernels, config.embed_dim
 
-    def make_expert(idx: int, conv: bool, in_rows: int) -> ExpertNet:
-        prefix = f"expert.{idx}"
-        if conv:
-            kernels = init((n, l), fan_in=l, name=f"{prefix}.kernels")
-            flat_in = in_rows * n
-        else:
-            kernels = None
-            flat_in = in_rows * l
-        return ExpertNet(
-            kernels=kernels,
-            ff1_w=init((flat_in, w), fan_in=flat_in, name=f"{prefix}.ff1_w"),
-            ff1_b=init((w,), fan_in=flat_in, name=f"{prefix}.ff1_b"),
-            ff2_w=init((w, w), fan_in=w, name=f"{prefix}.ff2_w"),
-            ff2_b=init((w,), fan_in=w, name=f"{prefix}.ff2_b"),
-        )
-
-    if config.variant == "single_task":
-        experts = [make_expert(i, conv=True, in_rows=1) for i in range(k)]
-    else:
-        experts = [
-            make_expert(i, conv=(config.variant != "no_conv"), in_rows=k) for i in range(m)
-        ]
+    conv = config.variant != "no_conv"
+    count, rows = (k, 1) if config.variant == "single_task" else (m, k)
+    flat_in = rows * (n if conv else l)
+    specs = {"kernels": ((n, l), l)} if conv else {}
+    specs.update(
+        ff1_w=((flat_in, w), flat_in), ff1_b=((1, w), flat_in), ff2_w=((w, w), w), ff2_b=((1, w), w)
+    )
+    banks = {
+        name: Tensor(np.empty((count, *shape), config.np_dtype), name=f"expert.{name}")
+        for name, (shape, _) in specs.items()
+    }
+    # all of expert 0's tensors, then expert 1's, ...: the order of the
+    # unstacked layout, so a seed keeps drawing the same parameter values
+    for e in range(count):
+        for name, (shape, fan_in) in specs.items():
+            banks[name].data[e] = init.draw(shape, fan_in)
+    experts = ExpertBank(**{"kernels": None, **banks})
 
     gates: GateBank | None = None
     if config.variant not in ("no_gate", "single_task"):

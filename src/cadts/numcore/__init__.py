@@ -14,7 +14,6 @@ from .tensor import (
     reshape,
     softmax,
     square,
-    stack,
     sub,
     tmean,
     transpose,
@@ -38,7 +37,6 @@ __all__ = [
     "reshape",
     "softmax",
     "square",
-    "stack",
     "sub",
     "tmean",
     "transpose",

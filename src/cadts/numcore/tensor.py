@@ -363,23 +363,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return mul(tsum(a, axis), 1.0 / n)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-    tape = _active_tape()
-    if tape is not None:
-        needs = [tape.tracks(t) for t in tensors]
-        if any(needs):
-            parents = tuple(t for t, n in zip(tensors, needs) if n)
-            idx = [i for i, n in enumerate(needs) if n]
-
-            def bwd(g):
-                slices = np.moveaxis(g, axis, 0)
-                return tuple(slices[i] for i in idx)
-
-            tape._record(out, parents, bwd)
-    return out
-
-
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: keep with prob 1-rate, scale kept units by 1/(1-rate).
 
@@ -399,16 +382,19 @@ def conv_rows(window, kernels) -> Tensor:
 
     Kernel width must equal the window length, so each (metric, kernel)
     pair collapses to a single dot product and the whole layer is
-    ``window @ kernels.T``. Accepts a leading batch axis on ``window``.
+    ``window @ kernels.T``. Leading axes broadcast as in ``matmul``: a batch
+    axis on ``window``, an expert axis on ``kernels`` (experts, count, width).
     """
     window = window if isinstance(window, Tensor) else Tensor(window)
     kernels = kernels if isinstance(kernels, Tensor) else Tensor(kernels)
-    if kernels.ndim != 2:
-        raise ValueError(f"kernels must be 2-D (count, width), got shape {kernels.shape}")
+    if kernels.ndim not in (2, 3):
+        raise ValueError(
+            f"kernels must be (count, width) or (experts, count, width), got shape {kernels.shape}"
+        )
     if window.ndim < 2:
         raise ValueError(f"window must be at least 2-D, got shape {window.shape}")
     if window.shape[-1] != kernels.shape[-1]:
         raise ValueError(
             f"kernel width {kernels.shape[-1]} != window length {window.shape[-1]}"
         )
-    return matmul(window, transpose(kernels, (1, 0)))
+    return matmul(window, transpose(kernels, (1, 0) if kernels.ndim == 2 else (0, 2, 1)))

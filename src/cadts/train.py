@@ -1,14 +1,19 @@
 """Mini-batch training (Adam + cosine LR + early stopping) and checkpoints.
 
-The checkpoint wire format is fixed: magic ``CADCKPT1``, a u64-length-
-prefixed UTF-8 key=value header (version, metric count, one line per
-``ModelConfig`` field, seed, parameter count, scaler arrays; read in any
-order), then each parameter as u64-length-prefixed name, u64 rank,
-u64 extents, and raw little-endian float32 values in row-major order.
+The checkpoint wire format: magic ``CADCKPT1``, a u64-length-prefixed
+UTF-8 key=value header (version, metric count, one line per ``ModelConfig``
+field, seed, parameter record count, scaler arrays; read in any order), then
+each parameter as a u64-length-prefixed UTF-8 name, u64 rank, u64 extents,
+and raw little-endian values in row-major order. Version 2 stores the values
+in the model dtype (``<f4`` or ``<f8``) under the stacked names
+(``expert.kernels`` with a leading expert axis, ...). Version 1 (``<f4``, one
+``expert.{i}.*`` record per expert) is still read. Every length is checked
+against the bytes left in the file before it is read.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -22,7 +27,7 @@ from .model import CadModel, ModelConfig, build_model, parse_value, window_error
 from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -203,33 +208,41 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
     """Write the checkpoint atomically (no partial file on failure)."""
     header = _header_text(model, scaler, cfg).encode("utf-8")
     blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
+    wire = model.config.np_dtype.newbyteorder("<")
     for name, tensor in model.named_parameters():
         encoded = name.encode("utf-8")
         blob.append(struct.pack("<Q", len(encoded)))
         blob.append(encoded)
         blob.append(struct.pack("<Q", tensor.ndim))
         blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-        blob.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(b"".join(blob))
     os.replace(tmp, path)
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _read_exact(fh, n: int, path) -> bytearray:
+    """``n`` bytes, writable; a length past the end of the file is a
+    truncation, found before anything is allocated for it."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated checkpoint")
+    buf = bytearray(n)
+    if fh.readinto(buf) != n:
         raise DataError(f"{path}: truncated checkpoint")
     return buf
+
+
+def _read_u64(fh, path) -> int:
+    return struct.unpack("<Q", _read_exact(fh, 8, path))[0]
 
 
 def _read_header(fh, path) -> dict[str, str]:
     """Check the magic bytes and return the key=value header block."""
     if _read_exact(fh, len(CHECKPOINT_MAGIC), path) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic bytes, not a checkpoint")
-    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
     try:
-        text = _read_exact(fh, header_len, path).decode("utf-8")
+        text = _read_exact(fh, _read_u64(fh, path), path).decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path}: checkpoint header is not UTF-8") from None
     header: dict[str, str] = {}
@@ -255,7 +268,7 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         header = _read_header(fh, path)
         try:
             version = parse_value(int, "version", header["version"])
-            if version != CHECKPOINT_VERSION:
+            if version not in (1, CHECKPOINT_VERSION):
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
             config = ModelConfig.from_text({f.name: header[f.name] for f in fields(ModelConfig)})
             n_metrics, n_params, seed = (
@@ -267,38 +280,77 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
                     np.array([parse_value(float, key, v) for v in header[key].split(",")])
                     for key in ("scaler_min", "scaler_max")
                 )
+                if not len(mins) == len(maxs) == n_metrics:
+                    raise DataError(
+                        f"{path}: scaler has {len(mins)} mins and {len(maxs)} maxs"
+                        f" for {n_metrics} metrics"
+                    )
                 clip = parse_value(bool, "scaler_clip", header["scaler_clip"])
                 scaler = Scaler(mins=mins, maxs=maxs, clip=clip)
+            elif header["scaler"] != "none":
+                raise DataError(f"{path}: unknown scaler {header['scaler']!r} (none or minmax)")
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint header missing key {exc}") from None
         except ValueError as exc:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
+        try:
+            model = build_model(config, n_metrics=n_metrics, rng_seed=seed)
+        except ConfigError as exc:
+            raise DataError(f"{path}: checkpoint header: {exc}") from None
 
-        model = build_model(config, n_metrics=n_metrics, rng_seed=seed)
-        expected = dict(model.named_parameters())
-        if n_params != len(expected):
-            raise DataError(
-                f"{path}: header promises {n_params} parameters,"
-                f" model has {len(expected)}"
-            )
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-            name = _read_exact(fh, name_len, path).decode("utf-8")
-            if name not in expected:
-                raise DataError(f"{path}: unexpected parameter {name!r}")
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-            extents = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
-            tensor = expected.pop(name)
-            if extents != tensor.shape:
-                raise DataError(
-                    f"{path}: parameter {name!r} has shape {extents},"
-                    f" expected {tensor.shape}"
-                )
-            count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-            raw = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-            tensor.data = raw.reshape(extents).astype(config.np_dtype)
-        if expected:
-            raise DataError(f"{path}: missing parameters {sorted(expected)}")
+        wire = np.dtype("<f4") if version == 1 else config.np_dtype.newbyteorder("<")
+        stored = dict(_read_record(fh, path, wire.itemsize) for _ in range(n_params))
         if fh.read(1):
             raise DataError(f"{path}: trailing data after last parameter")
+    if version == 1:
+        stored = _stack_v1_experts(stored, path)
+
+    expected = dict(model.named_parameters())
+    if stored.keys() - expected.keys():
+        raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - expected.keys())}")
+    if expected.keys() - stored.keys():
+        raise DataError(f"{path}: missing parameters {sorted(expected.keys() - stored.keys())}")
+    for name, tensor in expected.items():
+        extents, raw = stored[name]
+        if extents != tensor.shape:
+            raise DataError(
+                f"{path}: parameter {name!r} has shape {extents}, expected {tensor.shape}"
+            )
+        # a view of the record's own buffer when the wire is the native dtype
+        values = np.frombuffer(raw, dtype=wire).reshape(extents)
+        tensor.data = values.astype(config.np_dtype, copy=False)
     return model, scaler
+
+
+def _read_record(fh, path, itemsize: int) -> tuple[str, tuple[tuple[int, ...], bytearray]]:
+    """One stored parameter: its name, extents and undecoded values."""
+    try:
+        name = _read_exact(fh, _read_u64(fh, path), path).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: parameter name is not UTF-8") from None
+    rank = _read_u64(fh, path)
+    extents = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
+    return name, (extents, _read_exact(fh, itemsize * math.prod(extents), path))
+
+
+def _stack_v1_experts(stored: dict, path) -> dict:
+    """Version 1 kept one ``expert.{i}.{field}`` record per expert: stack
+    them into the bank's ``expert.{field}``, a 1-D bias (W,) becoming (1, W).
+    Stacking equal-shaped row-major arrays concatenates their bytes."""
+    out, per_field = {}, {}
+    for name, record in stored.items():
+        prefix, index, field = (name.split(".", 2) + ["", ""])[:3]
+        if prefix == "expert" and field:
+            per_field.setdefault(field, {})[index] = record
+        else:
+            out[name] = record
+    for field, parts in per_field.items():
+        records = [parts.get(str(i)) for i in range(len(parts))]
+        if None in records or len({extents for extents, _ in records}) != 1:
+            raise DataError(
+                f"{path}: expert.*.{field} records are not numbered 0..{len(parts) - 1} with one shape"
+            )
+        extents = records[0][0]
+        stacked = (len(records), *((1,) * (2 - len(extents))), *extents)
+        out[f"expert.{field}"] = (stacked, bytearray().join(raw for _, raw in records))
+    return out

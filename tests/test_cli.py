@@ -237,20 +237,26 @@ def replace_header_value(path, key, value):
     path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n :])
 
 
+def score_argv(tmp_path, model=None):
+    """A saved untrained checkpoint (or ``model``) and the argv that scores
+    a 3-metric series with it."""
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
+    series = make_sines(60, 3, seed=12)
+    model = model or build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    checkpoint = tmp_path / "model.cadckpt"
+    save_checkpoint(model, fit_minmax(series), checkpoint, cfg)
+    test_csv = tmp_path / "test.csv"
+    np.savetxt(test_csv, series.values, fmt="%.17g", delimiter=",")
+    return checkpoint, ["score", "--checkpoint", str(checkpoint), "--input", str(test_csv),
+                        "--output", str(tmp_path / "scores.txt")]
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("l", "1x"), ("epsilon", "abc"), ("scaler_clip", "x"), ("scaler_min", "oops"), ("params", "")],
 )
 def test_score_corrupt_header_value_exits_2(tmp_path, capsys, key, value):
-    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
-    series = make_sines(60, 3, seed=12)
-    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    checkpoint = tmp_path / "model.cadckpt"
-    save_checkpoint(model, fit_minmax(series), checkpoint, cfg)
-    test_csv = tmp_path / "test.csv"
-    np.savetxt(test_csv, series.values, fmt="%.17g", delimiter=",")
-    argv = ["score", "--checkpoint", str(checkpoint), "--input", str(test_csv),
-            "--output", str(tmp_path / "scores.txt")]
+    checkpoint, argv = score_argv(tmp_path)
     assert main(argv) == 0
 
     replace_header_value(checkpoint, key, value)
@@ -258,6 +264,32 @@ def test_score_corrupt_header_value_exits_2(tmp_path, capsys, key, value):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(checkpoint) in err and repr(key) in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [("l", "0", "l=0"), ("epsilon", "0.3", "epsilon=0.3"), ("variant", "fUll", "fUll"),
+     ("scaler", "linmax", "linmax"), ("scaler_max", "1.0,2.0", "2 maxs for 3 metrics")],
+)
+def test_score_invalid_header_value_exits_2(tmp_path, capsys, key, value, reason):
+    # the values parse, but no model (or scaler) has them
+    checkpoint, argv = score_argv(tmp_path)
+    replace_header_value(checkpoint, key, value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and reason in err
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_non_finite_prediction_exits_3(tmp_path, capsys):
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    model.towers.b2.data[1] = np.inf
+    checkpoint, argv = score_argv(tmp_path, model)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "timestamp 8" in err and "test.csv" in err
+    assert not (tmp_path / "scores.txt").exists()
 
 
 # --- export-embeddings ------------------------------------------------------------
@@ -275,7 +307,7 @@ def test_export_embeddings_row_counts(tmp_path, capsys):
     lines = emb.read_text().splitlines()
     model, scaler = load_checkpoint(out / "e1" / "checkpoint.cadckpt")
     n_windows = len(range(0, 160 - 8 - 1 + 1, 16))
-    assert len(lines) == n_windows * len(model.experts)
+    assert len(lines) == n_windows * model.experts.ff1_w.shape[0]
     first = lines[0].split("\t")
     assert first[0] == "0" and first[1] == "0"
     assert len(first) == 2 + model.config.embed_dim

@@ -262,12 +262,12 @@ def test_score_series_matches_hand_rolled_forward():
     series = SeriesMatrix(values=rng.random((8, 1)))
     out = score_series(model, series)
 
-    ex, tw = model.experts[0], model.towers
+    ex, tw = model.experts, model.towers
     for t in range(2, 8):
         window = series.values[t - 2 : t]  # rows t-2, t-1; target row t (h=1)
-        conv = np.maximum(window.T @ ex.kernels.data.T, 0.0).reshape(-1)
-        hid = np.maximum(conv @ ex.ff1_w.data + ex.ff1_b.data, 0.0)
-        embed = hid @ ex.ff2_w.data + ex.ff2_b.data
+        conv = np.maximum(window.T @ ex.kernels.data[0].T, 0.0).reshape(-1)
+        hid = np.maximum(conv @ ex.ff1_w.data[0] + ex.ff1_b.data[0, 0], 0.0)
+        embed = hid @ ex.ff2_w.data[0] + ex.ff2_b.data[0, 0]
         hid2 = np.maximum(embed @ tw.w1.data[0] + tw.b1.data[0, 0], 0.0)
         pred = hid2 @ tw.w2.data[0, :, 0] + tw.b2.data[0, 0, 0]
         want = (pred - series.values[t, 0]) ** 2

@@ -10,7 +10,6 @@ from cadts.model import (
     ModelConfig,
     build_model,
     expert_embeddings,
-    expert_forward,
     gate_weights,
     model_forward,
 )
@@ -26,24 +25,27 @@ def tiny_config(**kw):
 
 
 def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
-    """Plain-numpy re-composition, expert embeddings recomputed per metric."""
+    """Plain-numpy re-composition, expert embeddings recomputed per metric,
+    one expert at a time."""
     cfg = model.config
-    gates, towers = model.gates, model.towers
+    bank, gates, towers = model.experts, model.gates, model.towers
 
-    def embed(ex):
-        if ex.kernels is None:
-            flat = window.reshape(-1)
+    def embed(e, rows):
+        if bank.kernels is None:
+            flat = rows.reshape(-1)
         else:
-            flat = np.maximum(window @ ex.kernels.data.T, 0.0).reshape(-1)
-        hid = np.maximum(flat @ ex.ff1_w.data + ex.ff1_b.data, 0.0)
-        return hid @ ex.ff2_w.data + ex.ff2_b.data
+            flat = np.maximum(rows @ bank.kernels.data[e].T, 0.0).reshape(-1)
+        hid = np.maximum(flat @ bank.ff1_w.data[e] + bank.ff1_b.data[e, 0], 0.0)
+        return hid @ bank.ff2_w.data[e] + bank.ff2_b.data[e, 0]
 
     preds = []
     for k in range(model.n_metrics):
-        embeds = [embed(ex) for ex in model.experts]  # recomputed per metric
-        if cfg.variant == "no_gate":
-            mixed = np.mean(embeds, axis=0)
+        if cfg.variant == "single_task":
+            mixed = embed(k, window[k : k + 1])  # metric k's own expert, own row
+        elif cfg.variant == "no_gate":
+            mixed = np.mean([embed(e, window) for e in range(cfg.experts)], axis=0)
         else:
+            embeds = [embed(e, window) for e in range(cfg.experts)]  # recomputed per metric
             gate_in = window.reshape(-1) if cfg.variant == "no_selection" else window[k]
             logits = np.zeros(cfg.experts)
             if gates.shared is not None and gates.personalized is not None:
@@ -68,26 +70,26 @@ def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
 def test_expert_embedding_has_width_128():
     model = build_model(ModelConfig(l=16, dtype="float64"), n_metrics=7, rng_seed=0)
     window = np.random.default_rng(0).normal(size=(7, 16))
-    assert expert_forward(model.experts[0], window).shape == (128,)
+    assert expert_embeddings(model, window[None])[0, 0].shape == (128,)
 
 
 def test_expert_forward_deterministic_in_eval():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=1)
     window = np.random.default_rng(1).normal(size=(4, 6))
-    first = expert_forward(model.experts[1], window).data
-    second = expert_forward(model.experts[1], window).data
+    first = expert_embeddings(model, window[None])[0, 1]
+    second = expert_embeddings(model, window[None])[0, 1]
     assert np.array_equal(first, second)
 
 
 def test_expert_gradient_wrt_kernels():
     model = build_model(tiny_config(embed_dim=16), n_metrics=3, rng_seed=2)
-    expert = model.experts[0]
+    bank = model.experts
     window = np.random.default_rng(2).normal(size=(3, 6))
-    readout = Tensor(np.random.default_rng(3).normal(size=(16,)))
-    params = [expert.kernels, expert.ff1_w, expert.ff1_b, expert.ff2_w, expert.ff2_b]
+    readout = Tensor(np.random.default_rng(3).normal(size=(3, 1, 16)))
+    params = [bank.kernels, bank.ff1_w, bank.ff1_b, bank.ff2_w, bank.ff2_b]
 
     def forward():
-        return tsum(mul(expert_forward(expert, window), readout))
+        return tsum(mul(model._embed(Tensor(window[None])), readout))
 
     with Tape() as tape:
         tape.watch(*params)
@@ -103,16 +105,16 @@ def test_expert_embeddings_batch_matches_single_windows():
     stacked = expert_embeddings(model, windows)
     assert stacked.shape == (7, 3, 16)
     for i in (0, 3, 6):
-        for m, expert in enumerate(model.experts):
+        for m in range(3):
             np.testing.assert_allclose(
-                stacked[i, m], expert_forward(expert, windows[i]).data, atol=1e-12
+                stacked[i, m], expert_embeddings(model, windows[i : i + 1])[0, m], atol=1e-12
             )
 
 
 def test_expert_rejects_wrong_window_shape():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=0)
     with pytest.raises(ValueError, match="shape"):
-        expert_forward(model.experts[0], np.zeros((4, 5)))
+        expert_embeddings(model, np.zeros((1, 4, 5)))
 
 
 # --- gates --------------------------------------------------------------------
@@ -173,7 +175,7 @@ def test_single_expert_forces_unit_gate():
     window = np.random.default_rng(8).normal(size=(3, 6))
     assert np.array_equal(gate_weights(model.gates, window[0], 0), [1.0])
     # prediction reduces to Tower_k(f_1(w)) directly
-    embed = expert_forward(model.experts[0], window).data
+    embed = expert_embeddings(model, window[None])[0, 0]
     towers = model.towers
     for k in range(3):
         hid = np.maximum(embed @ towers.w1.data[k] + towers.b1.data[k, 0], 0.0)
@@ -317,7 +319,7 @@ def test_train_mode_dropout_changes_outputs_eval_does_not():
     assert np.array_equal(eval_out, model.forward_batch(windows).data)
 
 
-@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "single_task"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_vectorized_forward_matches_per_metric_recompute(variant):
     """Sharing expert outputs across metrics == recomputing them per metric."""
     model = build_model(tiny_config(variant=variant), n_metrics=5, rng_seed=15)

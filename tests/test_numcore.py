@@ -22,7 +22,6 @@ from cadts.numcore import (
     reshape,
     softmax,
     square,
-    stack,
     sub,
     tmean,
     transpose,
@@ -201,16 +200,16 @@ def _primitive_cases():
         r = Tensor(rng.normal(size=(2,)))
         return [a], lambda: tsum(mul(tmean(a, axis=0), r))
 
-    def case_stack(rng):
-        a = Tensor(rng.normal(size=(2, 3)), name="a")
-        b = Tensor(rng.normal(size=(2, 3)), name="b")
-        r = Tensor(rng.normal(size=(2, 2, 3)))
-        return [a, b], lambda: tsum(mul(stack([a, b], axis=1), r))
-
     def case_conv_rows(rng):
         w = Tensor(rng.normal(size=(4, 6)), name="w")
         k = Tensor(rng.normal(size=(3, 6)), name="k")
         r = Tensor(rng.normal(size=(4, 3)))
+        return [w, k], lambda: tsum(mul(conv_rows(w, k), r))
+
+    def case_conv_rows_experts(rng):
+        w = Tensor(rng.normal(size=(4, 6)), name="w")
+        k = Tensor(rng.normal(size=(2, 3, 6)), name="k")
+        r = Tensor(rng.normal(size=(2, 4, 3)))
         return [w, k], lambda: tsum(mul(conv_rows(w, k), r))
 
     return [
@@ -226,8 +225,8 @@ def _primitive_cases():
         case_reshape_transpose,
         case_sum_axis,
         case_mean,
-        case_stack,
         case_conv_rows,
+        case_conv_rows_experts,
     ]
 
 
@@ -356,6 +355,18 @@ def test_conv_rows_equals_matrix_product_exactly():
     kernels = rng.normal(size=(4, 9))
     got = conv_rows(Tensor(window), Tensor(kernels)).data
     assert np.array_equal(got, window @ kernels.T)
+
+
+def test_conv_rows_expert_axis_matches_each_expert():
+    rng = np.random.default_rng(7)
+    window = rng.normal(size=(7, 9))
+    kernels = rng.normal(size=(3, 4, 9))
+    got = conv_rows(Tensor(window), Tensor(kernels)).data
+    assert got.shape == (3, 7, 4)
+    for e in range(3):
+        np.testing.assert_allclose(got[e], window @ kernels[e].T, rtol=1e-12)
+    with pytest.raises(ValueError, match="kernels"):
+        conv_rows(Tensor(window), Tensor(kernels[None]))
 
 
 def test_conv_rows_width_mismatch_rejected():

@@ -1,14 +1,16 @@
 """Loss, training loop, early stopping and checkpoint persistence."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cadts.data import Scaler, SeriesMatrix, make_windows
 from cadts.errors import DataError, NumericError
 from cadts.evaluate import score_series
-from cadts.model import ModelConfig, build_model
+from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.numcore import Tape, Tensor, adam_step, AdamState
 from cadts.train import (
     TrainConfig,
@@ -196,9 +198,9 @@ def test_history_file_deterministic(tmp_path):
 # --- checkpoints -----------------------------------------------------------------
 
 
-def trained_pair(tmp_path, seed=12):
+def trained_pair(tmp_path, seed=12, dtype="float32"):
     series = make_sines(t=300, n_metrics=3, seed=seed)
-    cfg = small_cfg(seed=seed)
+    cfg = small_cfg(seed=seed, dtype=dtype)
     model = build_for(cfg, 3)
     train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
     scaler = Scaler(mins=np.array([0.0, 0.1, -1.5]), maxs=np.array([1.0, 2.0, 3.5]), clip=True)
@@ -208,24 +210,28 @@ def trained_pair(tmp_path, seed=12):
 
 
 def test_checkpoint_roundtrip_scores_bitwise(tmp_path):
-    model, _, path = trained_pair(tmp_path)
-    loaded, _ = load_checkpoint(path)
-    rng = np.random.default_rng(52)
-    test = SeriesMatrix(values=rng.random((40, 3)))
-    original = score_series(model, test)
-    restored = score_series(loaded, test)
-    assert np.array_equal(original.scores, restored.scores)
+    for dtype in ("float32", "float64"):
+        model, _, path = trained_pair(tmp_path, dtype=dtype)
+        loaded, _ = load_checkpoint(path)
+        rng = np.random.default_rng(52)
+        test = SeriesMatrix(values=rng.random((40, 3)))
+        original = score_series(model, test)
+        restored = score_series(loaded, test)
+        assert np.array_equal(original.scores, restored.scores), dtype
 
 
 def test_checkpoint_roundtrip_parameters_bitwise(tmp_path):
-    model, scaler, path = trained_pair(tmp_path)
-    loaded, loaded_scaler = load_checkpoint(path)
-    for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
-        assert name_a == name_b
-        np.testing.assert_array_equal(a.data, b.data)
-    np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
-    np.testing.assert_array_equal(loaded_scaler.maxs, scaler.maxs)
-    assert loaded_scaler.clip == scaler.clip
+    for dtype in ("float32", "float64"):
+        model, scaler, path = trained_pair(tmp_path, dtype=dtype)
+        loaded, loaded_scaler = load_checkpoint(path)
+        assert loaded.config.dtype == dtype
+        for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert name_a == name_b
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
+        np.testing.assert_array_equal(loaded_scaler.maxs, scaler.maxs)
+        assert loaded_scaler.clip == scaler.clip
 
 
 def test_checkpoint_save_is_idempotent(tmp_path):
@@ -277,8 +283,6 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 
 
 def test_checkpoint_roundtrip_every_variant(tmp_path):
-    from cadts.model import VARIANTS
-
     rng = np.random.default_rng(53)
     windows = rng.normal(size=(4, 3, 8)).astype(np.float32)
     for variant in VARIANTS:
@@ -296,7 +300,7 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
     tampered = tmp_path / "v9.ckpt"
-    tampered.write_bytes(blob.replace(b"version=1", b"version=9", 1))
+    tampered.write_bytes(blob.replace(b"version=2", b"version=9", 1))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(tampered)
 
@@ -323,3 +327,101 @@ def test_checkpoint_header_line_order_is_free(tmp_path):
     np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
     for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+# --- version 1 checkpoints --------------------------------------------------------
+
+V1_FIXTURES = Path(__file__).parent / "fixtures" / "v1"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_v1_checkpoint_loads_into_the_expert_bank(variant):
+    """fixtures/v1 holds checkpoints written by the version-1 writer (one
+    ``expert.{i}.*`` record per expert, ``<f4`` values, commit 713db7b) from
+    ``build_model(ModelConfig(l=4, h=1, experts=2, kernels=3, embed_dim=8,
+    tower_hidden=4, variant=variant), n_metrics=3, rng_seed=7)`` with a minmax
+    scaler, untrained; outputs.npz holds ``windows``
+    (``default_rng(2026).normal(size=(5, 3, 4))``) and that writer's eval-mode
+    ``forward_batch`` output for each variant."""
+    model, scaler = load_checkpoint(V1_FIXTURES / f"{variant}.cadckpt")
+    assert (model.config.variant, model.n_metrics, model.seed) == (variant, 3, 7)
+    np.testing.assert_array_equal(scaler.mins, [0.0, -1.0, 2.5])
+    # the same seed still draws the same parameters, now stacked
+    fresh = build_model(model.config, n_metrics=3, rng_seed=7)
+    assert [n for n, _ in model.named_parameters()] == [n for n, _ in fresh.named_parameters()]
+    for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+    recorded = np.load(V1_FIXTURES / "outputs.npz")
+    got = model.forward_batch(recorded["windows"]).data
+    # single_task's conv is now one batched product instead of per-window
+    # vector products, so its float32 outputs may differ by a rounding step
+    np.testing.assert_allclose(got, recorded[variant], rtol=0, atol=4 * np.finfo(np.float32).eps)
+
+
+def test_v1_checkpoint_rejects_gaps_in_expert_numbering(tmp_path):
+    blob = (V1_FIXTURES / "full.cadckpt").read_bytes()
+    assert blob.count(b"expert.1.ff2_b") == 1
+    gapped = tmp_path / "gapped.ckpt"
+    gapped.write_bytes(blob.replace(b"expert.1.ff2_b", b"expert.2.ff2_b"))
+    with pytest.raises(DataError, match="numbered"):
+        load_checkpoint(gapped)
+
+
+# --- the loader under corruption ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """Bytes of a tiny minmax-scaled checkpoint, and a path to write
+    corrupted copies to."""
+    cfg = TrainConfig(l=4, h=1, experts=2, kernels=3, embed_dim=8, tower_hidden=4, seed=1)
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    scaler = Scaler(mins=np.array([0.0, 0.1, -1.5]), maxs=np.array([1.0, 2.0, 3.5]), clip=True)
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    save_checkpoint(model, scaler, path, cfg)
+    return path.read_bytes(), path.with_name("corrupt.ckpt")
+
+
+def _byte_offset(blob: bytes, field: str) -> int:
+    """Byte offset of ``field`` in ``blob``; for a u64 length, the offset of
+    its top byte, where one flipped bit asks for exabytes."""
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    record = 16 + header_len  # first parameter: name length, name, rank
+    name_len = struct.unpack("<Q", blob[record : record + 8])[0]
+    return {
+        "start": 0,
+        "header_len": 8 + 7,
+        "name_len": record + 7,
+        "name": record + 8,
+        "rank": record + 8 + name_len + 7,
+        "l": blob.index(b"\nl=") + 3,
+        "scaler": blob.index(b"\nscaler=") + 8,
+    }[field]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.just("start"), bit=st.integers(0, 2**16), truncate=st.booleans())
+@example(field="header_len", bit=6, truncate=False)
+@example(field="name_len", bit=6, truncate=False)
+@example(field="name", bit=7, truncate=False)  # a byte that is not UTF-8
+@example(field="rank", bit=6, truncate=False)
+@example(field="l", bit=2, truncate=False)  # l=4 -> l=0
+@example(field="scaler", bit=0, truncate=False)  # minmax -> linmax
+@example(field="rank", bit=0, truncate=True)
+def test_corrupt_checkpoint_loads_or_raises_data_error(tiny_checkpoint, field, bit, truncate):
+    """A single flipped bit, or a cut, at any position either still loads or
+    raises DataError: no MemoryError, OverflowError, UnicodeDecodeError or
+    ConfigError, and no scaler silently dropped."""
+    blob, path = tiny_checkpoint
+    position = (8 * _byte_offset(blob, field) + bit) % (8 * len(blob))
+    corrupt = bytearray(blob)
+    if truncate:
+        corrupt = corrupt[: position // 8]
+    else:
+        corrupt[position // 8] ^= 1 << (position % 8)
+    path.write_bytes(corrupt)
+    try:
+        _, scaler = load_checkpoint(path)
+    except DataError:
+        return
+    assert scaler is not None
