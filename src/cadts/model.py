@@ -156,22 +156,6 @@ class TowerBank:
     b2: Tensor  # (K, 1, 1)
 
 
-class _Init:
-    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), drawn in a fixed order."""
-
-    def __init__(self, seed: int, dtype):
-        self.rng = np.random.default_rng(seed)
-        self.dtype = dtype
-
-    def draw(self, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        """float64 draws; the caller casts them to the model dtype."""
-        bound = 1.0 / np.sqrt(fan_in)
-        return self.rng.uniform(-bound, bound, size=shape)
-
-    def __call__(self, shape: tuple[int, ...], fan_in: int, name: str) -> Tensor:
-        return Tensor(self.draw(shape, fan_in).astype(self.dtype), name=name)
-
-
 @dataclass
 class CadModel:
     config: ModelConfig
@@ -345,51 +329,87 @@ def model_forward(
     return reshape(out, (model.n_metrics,))
 
 
-def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadModel:
-    """Wire a model per ``config.variant``; parameters drawn from the seed."""
+def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tuple[int, ...], int]]:
+    """``bank.field`` -> (shape, fan-in) of every parameter a model wired per
+    ``config.variant`` holds, in ``named_parameters`` order. Expert tensors
+    carry a leading expert axis; their fan-in is that of one expert."""
     config.validate()
     if n_metrics < 1:
         raise ConfigError(f"n_metrics must be >= 1, got {n_metrics}")
-    init = _Init(rng_seed, config.np_dtype)
     k, l, m, n, w = n_metrics, config.l, config.experts, config.kernels, config.embed_dim
 
     conv = config.variant != "no_conv"
     count, rows = (k, 1) if config.variant == "single_task" else (m, k)
     flat_in = rows * (n if conv else l)
-    specs = {"kernels": ((n, l), l)} if conv else {}
-    specs.update(
-        ff1_w=((flat_in, w), flat_in), ff1_b=((1, w), flat_in), ff2_w=((w, w), w), ff2_b=((1, w), w)
-    )
-    banks = {
-        name: Tensor(np.empty((count, *shape), config.np_dtype), name=f"expert.{name}")
-        for name, (shape, _) in specs.items()
-    }
-    # all of expert 0's tensors, then expert 1's, ...: the order of the
-    # unstacked layout, so a seed keeps drawing the same parameter values
-    for e in range(count):
-        for name, (shape, fan_in) in specs.items():
-            banks[name].data[e] = init.draw(shape, fan_in)
-    experts = ExpertBank(**{"kernels": None, **banks})
-
-    gates: GateBank | None = None
+    layout = {"expert.kernels": ((count, n, l), l)} if conv else {}
+    layout.update({
+        "expert.ff1_w": ((count, flat_in, w), flat_in),
+        "expert.ff1_b": ((count, 1, w), flat_in),
+        "expert.ff2_w": ((count, w, w), w),
+        "expert.ff2_b": ((count, 1, w), w),
+    })
     if config.variant not in ("no_gate", "single_task"):
         gate_in = k * l if config.variant == "no_selection" else l
-        shared = None
-        personalized = None
         if config.variant != "no_sgate":
-            shared = init((gate_in, m), fan_in=gate_in, name="gate.shared")
+            layout["gate.shared"] = ((gate_in, m), gate_in)
         if config.variant != "no_pgate":
-            personalized = init((k, gate_in, m), fan_in=gate_in, name="gate.personalized")
-        gates = GateBank(shared=shared, personalized=personalized, epsilon=config.epsilon, n_metrics=k)
-
+            layout["gate.personalized"] = ((k, gate_in, m), gate_in)
     hidden = config.tower_hidden
-    towers = TowerBank(
-        w1=init((k, w, hidden), fan_in=w, name="tower.w1"),
-        b1=init((k, 1, hidden), fan_in=w, name="tower.b1"),
-        w2=init((k, hidden, 1), fan_in=hidden, name="tower.w2"),
-        b2=init((k, 1, 1), fan_in=hidden, name="tower.b2"),
-    )
+    layout.update({
+        "tower.w1": ((k, w, hidden), w),
+        "tower.b1": ((k, 1, hidden), w),
+        "tower.w2": ((k, hidden, 1), hidden),
+        "tower.b2": ((k, 1, 1), hidden),
+    })
+    return layout
+
+
+def assemble_model(
+    config: ModelConfig, n_metrics: int, params: Mapping[str, np.ndarray], seed: int = 0
+) -> CadModel:
+    """A model holding ``params`` (``bank.field`` -> values, as laid out by
+    ``parameter_layout``) without copying them."""
+    banks: dict[str, dict[str, Tensor]] = {"expert": {}, "gate": {}, "tower": {}}
+    for name, values in params.items():
+        prefix, field = name.split(".", 1)
+        banks[prefix][field] = Tensor(values, name=name)
+    gates = None
+    if banks["gate"]:
+        gates = GateBank(
+            **{"shared": None, "personalized": None, **banks["gate"]},
+            epsilon=config.epsilon,
+            n_metrics=n_metrics,
+        )
     return CadModel(
-        config=config, n_metrics=n_metrics, experts=experts, gates=gates, towers=towers,
-        seed=rng_seed,
+        config=config,
+        n_metrics=n_metrics,
+        experts=ExpertBank(**{"kernels": None, **banks["expert"]}),
+        gates=gates,
+        towers=TowerBank(**banks["tower"]),
+        seed=seed,
     )
+
+
+def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadModel:
+    """Wire a model per ``config.variant``; every parameter is drawn from
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in float64, then cast to the
+    model dtype, in a fixed order from the seed."""
+    layout = parameter_layout(config, n_metrics)
+    rng = np.random.default_rng(rng_seed)
+    params = {name: np.empty(shape, config.np_dtype) for name, (shape, _) in layout.items()}
+
+    def draw(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    experts = [name for name in layout if name.startswith("expert.")]
+    # all of expert 0's tensors, then expert 1's, ...: the order of the
+    # unstacked layout, so a seed keeps drawing the same parameter values
+    for e in range(len(params["expert.ff1_w"])):
+        for name in experts:
+            shape, fan_in = layout[name]
+            params[name][e] = draw(shape[1:], fan_in)
+    for name, (shape, fan_in) in layout.items():
+        if name not in experts:
+            params[name][...] = draw(shape, fan_in)
+    return assemble_model(config, n_metrics, params, seed=rng_seed)

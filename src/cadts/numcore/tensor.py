@@ -304,19 +304,37 @@ def square(a: Tensor) -> Tensor:
     return out
 
 
+# Below this width numpy's pairwise sum is a plain left-to-right loop, so
+# adding one slice at a time does the same arithmetic.
+_SLICED_REDUCE_WIDTH = 8
+
+
+def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """``ufunc.reduce(x, axis, keepdims=True)``, bitwise equal. A short axis
+    is reduced one slice at a time: numpy's reduce pays per output element,
+    which dominates when the axis holds only a few values (a gate's experts)."""
+    if x.shape[axis] >= _SLICED_REDUCE_WIDTH:
+        return ufunc.reduce(x, axis=axis, keepdims=True)
+    slices = np.moveaxis(x, axis, 0)
+    out = slices[:1].copy()
+    for i in range(1, len(slices)):
+        ufunc(out, slices[i : i + 1], out=out)
+    return np.moveaxis(out, 0, axis)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Probability simplex along ``axis``; max-subtracted for stability."""
     if a.size == 0:
         raise ValueError("softmax of an empty tensor is undefined")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _reduce(np.maximum, a.data, axis)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / _reduce(np.add, e, axis)
     out = Tensor(y)
     tape = _active_tape()
     if tape is not None and tape.tracks(a):
         # d/dx softmax: y * (g - sum(g*y))
         def bwd(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
+            inner = _reduce(np.add, g * y, axis)
             return (y * (g - inner),)
 
         tape._record(out, (a,), bwd)

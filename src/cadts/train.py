@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Scaler, WindowSet
 from .errors import ConfigError, DataError, NumericError
-from .model import CadModel, ModelConfig, build_model, parse_value, window_errors
+from .model import CadModel, ModelConfig, assemble_model, parameter_layout, parse_value, window_errors
 from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
@@ -263,7 +263,8 @@ def read_checkpoint_header(path) -> dict[str, str]:
 
 
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
-    """Rebuild the model and overwrite its parameters with the stored values."""
+    """The stored model, its parameters checked against the layout its
+    header implies, and its scaler."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         try:
@@ -294,7 +295,7 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         except ValueError as exc:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
         try:
-            model = build_model(config, n_metrics=n_metrics, rng_seed=seed)
+            layout = parameter_layout(config, n_metrics)
         except ConfigError as exc:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
 
@@ -305,21 +306,19 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     if version == 1:
         stored = _stack_v1_experts(stored, path)
 
-    expected = dict(model.named_parameters())
-    if stored.keys() - expected.keys():
-        raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - expected.keys())}")
-    if expected.keys() - stored.keys():
-        raise DataError(f"{path}: missing parameters {sorted(expected.keys() - stored.keys())}")
-    for name, tensor in expected.items():
+    if stored.keys() - layout.keys():
+        raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - layout.keys())}")
+    if layout.keys() - stored.keys():
+        raise DataError(f"{path}: missing parameters {sorted(layout.keys() - stored.keys())}")
+    params = {}
+    for name, (shape, _) in layout.items():
         extents, raw = stored[name]
-        if extents != tensor.shape:
-            raise DataError(
-                f"{path}: parameter {name!r} has shape {extents}, expected {tensor.shape}"
-            )
+        if extents != shape:
+            raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
         # a view of the record's own buffer when the wire is the native dtype
         values = np.frombuffer(raw, dtype=wire).reshape(extents)
-        tensor.data = values.astype(config.np_dtype, copy=False)
-    return model, scaler
+        params[name] = values.astype(config.np_dtype, copy=False)
+    return assemble_model(config, n_metrics, params, seed=seed), scaler
 
 
 def _read_record(fh, path, itemsize: int) -> tuple[str, tuple[tuple[int, ...], bytearray]]:

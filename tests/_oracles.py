@@ -1,12 +1,27 @@
-"""Naive pure-Python evaluation oracles.
+"""Naive reference implementations.
 
-Deliberately independent of the package: plain loops, per-threshold
-recounts, no numpy vectorization, so they can arbitrate the fast paths.
+Deliberately independent of the package: the evaluation oracles use plain
+loops, per-threshold recounts and no numpy vectorization, and the softmax
+reference is the textbook formula on numpy's own reductions, so they can
+arbitrate the fast paths.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+
+def reference_softmax(a, axis):
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_softmax_backward(y, g, axis):
+    """Adjoint of ``reference_softmax`` given its output ``y`` and the
+    output adjoint ``g``: y * (g - sum(g * y))."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
 def naive_point_adjust(labels, preds):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cadts.data import SeriesMatrix
+from cadts.data import SeriesMatrix, make_windows
 from cadts.errors import DataError
 from cadts.evaluate import (
+    MODES,
     EvalRow,
     aggregate_entities,
     best_f1,
@@ -18,7 +20,7 @@ from cadts.evaluate import (
     write_metrics,
     write_scores,
 )
-from cadts.model import ModelConfig, build_model
+from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
 
 from _oracles import naive_best_f1, naive_kth_point_adjust, naive_point_adjust
 
@@ -170,6 +172,36 @@ def test_best_f1_matches_bruteforce_all_modes():
             assert (got.precision, got.recall) == (want[1], want[2]), (trial, mode)
 
 
+@st.composite
+def scored_labels(draw, max_n=60):
+    """(scores, labels): at least one positive; scores drawn from a few
+    levels, so ties are common."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[draw(st.integers(0, n - 1))] = 1
+    levels = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=n))
+    scores = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=200)
+@given(scored_labels(), st.integers(0, 60))
+def test_best_f1_equals_brute_force_property(case, k):
+    scores, labels = case
+    for mode in MODES:
+        assert tuple(best_f1(scores, labels, mode=mode, k=k)) == naive_best_f1(scores, labels, mode, k=k)
+
+
+@settings(max_examples=100)
+@given(scored_labels())
+def test_best_kpa_f1_non_decreasing_in_k_up_to_pa(case):
+    scores, labels = case
+    pa = best_f1(scores, labels, mode="pa").f1
+    f1s = [best_f1(scores, labels, mode="kpa", k=k).f1 for k in range(len(labels) + 1)]
+    assert all(a <= b for a, b in zip(f1s, f1s[1:]))
+    assert f1s[-1] == pa  # a budget as long as the series never clears a segment
+
+
 def test_best_f1_shift_invariance():
     rng = np.random.default_rng(46)
     for _ in range(30):
@@ -272,6 +304,23 @@ def test_score_series_matches_hand_rolled_forward():
         pred = hid2 @ tw.w2.data[0, :, 0] + tw.b2.data[0, 0, 0]
         want = (pred - series.values[t, 0]) ** 2
         assert out.scores[t] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_score_series_chunks_match_one_window_at_a_time(variant):
+    """Around the score chunk boundary (512 windows): 1, 512, 513, 1,500."""
+    cfg = ModelConfig(l=3, h=2, experts=2, kernels=2, embed_dim=8, tower_hidden=4, variant=variant)
+    model = build_model(cfg, n_metrics=3, rng_seed=50)
+    rng = np.random.default_rng(50)
+    for n_windows in (1, 512, 513, 1500):
+        series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
+        out = score_series(model, series)
+        windows = make_windows(series, cfg.l, cfg.h)
+        want = window_errors(model, windows.windows, windows.targets, batch=1)
+        assert len(out) == len(series.values)
+        assert out.valid_from == cfg.l + cfg.h - 1
+        np.testing.assert_allclose(out.scores[out.valid_from :], want, rtol=1e-6)
+        assert np.all(out.scores[: out.valid_from] == out.scores[out.valid_from])
 
 
 def test_score_series_metric_mismatch():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cadts.errors import NumericError
 from cadts.numcore import (
@@ -29,6 +31,7 @@ from cadts.numcore import (
 )
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
+from _oracles import reference_softmax, reference_softmax_backward
 
 
 def test_grad_of_square():
@@ -185,6 +188,16 @@ def _primitive_cases():
         r = Tensor(rng.normal(size=(3, 5)))
         return [a], lambda: tsum(mul(softmax(a, axis=-1), r))
 
+    def case_softmax_middle_axis(rng):
+        a = Tensor(rng.normal(size=(3, 4, 2)), name="a")
+        r = Tensor(rng.normal(size=(3, 4, 2)))
+        return [a], lambda: tsum(mul(softmax(a, axis=1), r))
+
+    def case_softmax_wide(rng):
+        a = Tensor(rng.normal(size=(2, 10)), name="a")
+        r = Tensor(rng.normal(size=(2, 10)))
+        return [a], lambda: tsum(mul(softmax(a, axis=-1), r))
+
     def case_reshape_transpose(rng):
         a = Tensor(rng.normal(size=(2, 6)), name="a")
         r = Tensor(rng.normal(size=(3, 4)))
@@ -222,6 +235,8 @@ def _primitive_cases():
         case_relu,
         case_square,
         case_softmax,
+        case_softmax_middle_axis,
+        case_softmax_wide,
         case_reshape_transpose,
         case_sum_axis,
         case_mean,
@@ -302,6 +317,36 @@ def test_softmax_outputs_on_simplex():
         y = softmax(Tensor(v)).data
         assert np.all(y > 0)
         assert abs(y.sum() - 1.0) < 1e-9
+
+
+@st.composite
+def softmax_inputs(draw):
+    """(logits, output adjoint, axis): up to 4-D, the softmax axis 1 to 12
+    wide at any position, float32 or float64, logits within +-30."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    shape[axis] = draw(st.integers(1, 12))
+    width = 32 if dtype is np.float32 else 64
+    logits = draw(arrays(dtype, shape, elements=st.floats(-30, 30, width=width)))
+    adjoint = draw(arrays(dtype, shape, elements=st.floats(-1, 1, width=width)))
+    return logits, adjoint, axis
+
+
+@settings(max_examples=300)
+@given(softmax_inputs())
+def test_softmax_is_bitwise_the_reference_formula(case):
+    logits, adjoint, axis = case
+    x = Tensor(logits)
+    with Tape() as tape:
+        tape.watch(x)
+        y = softmax(x, axis=axis)
+        loss = tsum(mul(y, Tensor(adjoint)))  # d(loss)/dy is exactly the adjoint
+    (grad,) = tape.grad(loss, [x])
+    want = reference_softmax(logits, axis)
+    assert y.data.dtype == grad.data.dtype == logits.dtype
+    np.testing.assert_array_equal(y.data, want)
+    np.testing.assert_array_equal(grad.data, reference_softmax_backward(want, adjoint, axis))
 
 
 def test_softmax_empty_vector_rejected():
