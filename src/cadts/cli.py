@@ -117,9 +117,14 @@ def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list[str]:
-    if jobs <= 1 or len(tasks) <= 1:
+    """``worker(*task)`` for every task, on at most ``jobs`` processes and
+    never more processes than tasks."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*tasks)))
 
 
@@ -170,21 +175,20 @@ def cmd_score(args) -> int:
     if args.checkpoint is not None:
         if args.input is None or args.output is None:
             raise ConfigError("score with --checkpoint needs --input and --output")
-        print(_score_one(args.checkpoint, args.input, args.output))
-        return 0
-    if args.data_root is None:
+        tasks = [(args.checkpoint, args.input, args.output)]
+    elif args.data_root is None:
         raise ConfigError("score needs either --checkpoint or --run-dir and --data-root")
-    run_dir = Path(args.run_dir)
-    data_root = Path(args.data_root)
-    entities = _resolve_entities(data_root, args.entities, "test.csv")
-    tasks = []
-    for entity in entities:
-        checkpoint = run_dir / entity / CHECKPOINT_NAME
-        if not checkpoint.is_file():
-            raise DataError(f"missing checkpoint: {checkpoint}")
-        tasks.append(
-            (str(checkpoint), str(data_root / entity / "test.csv"), str(run_dir / entity / SCORES_NAME))
-        )
+    else:
+        run_dir = Path(args.run_dir)
+        data_root = Path(args.data_root)
+        tasks = []
+        for entity in _resolve_entities(data_root, args.entities, "test.csv"):
+            checkpoint = run_dir / entity / CHECKPOINT_NAME
+            if not checkpoint.is_file():
+                raise DataError(f"missing checkpoint: {checkpoint}")
+            tasks.append(
+                (str(checkpoint), str(data_root / entity / "test.csv"), str(run_dir / entity / SCORES_NAME))
+            )
     for line in _run_tasks(_score_one, tasks, args.jobs):
         print(line)
     return 0
@@ -242,34 +246,28 @@ def cmd_eval(args) -> int:
     if args.scores is not None:
         if args.labels is None:
             raise ConfigError("eval with --scores needs --labels")
-        scores = read_scores(args.scores)
-        labels = load_labels(args.labels, expected_length=len(scores))
         entity = args.entity or Path(args.scores).parent.name or "entity"
-        try:
-            rows = _eval_rows(entity, scores, labels, modes, args.threshold)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-        _print_rows(rows)
-        if args.output is not None:
-            write_metrics(args.output, rows)
-        return 0
-    if args.data_root is None:
+        runs = [(entity, args.scores, args.labels, args.output)]
+    elif args.data_root is None:
         raise ConfigError("eval needs either --scores or --run-dir and --data-root")
-    run_dir = Path(args.run_dir)
-    data_root = Path(args.data_root)
-    entities = _resolve_entities(data_root, args.entities, "test_label.csv")
+    else:
+        run_dir = Path(args.run_dir)
+        data_root = Path(args.data_root)
+        runs = [
+            (entity, run_dir / entity / SCORES_NAME, data_root / entity / "test_label.csv",
+             run_dir / entity / METRICS_NAME)
+            for entity in _resolve_entities(data_root, args.entities, "test_label.csv")
+        ]
     all_rows = []
-    for entity in entities:
-        scores_path = run_dir / entity / SCORES_NAME
-        if not scores_path.is_file():
-            raise DataError(f"missing scores file: {scores_path}")
+    for entity, scores_path, labels_path, metrics_path in runs:
         scores = read_scores(scores_path)
-        labels = load_labels(data_root / entity / "test_label.csv", expected_length=len(scores))
+        labels = load_labels(labels_path, expected_length=len(scores))
         try:
             rows = _eval_rows(entity, scores, labels, modes, args.threshold)
         except ValueError as exc:
             raise DataError(f"{entity}: {exc}") from None
-        write_metrics(run_dir / entity / METRICS_NAME, rows)
+        if metrics_path is not None:
+            write_metrics(metrics_path, rows)
         all_rows.extend(rows)
     _print_rows(all_rows)
     return 0

@@ -58,9 +58,6 @@ class WindowSet:
 
     windows: np.ndarray  # (S, K, l)
     targets: np.ndarray  # (S, K)
-    target_timestamps: np.ndarray  # (S,)
-    l: int
-    h: int
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -190,10 +187,4 @@ def make_windows(series: SeriesMatrix, l: int, h: int) -> WindowSet:
         )
     count = t - l - h + 1
     windows = sliding_window_view(series.values, window_shape=l, axis=0)[:count]
-    return WindowSet(
-        windows=windows,
-        targets=series.values[l + h - 1 :],
-        target_timestamps=np.arange(l + h - 1, t),
-        l=l,
-        h=h,
-    )
+    return WindowSet(windows=windows, targets=series.values[l + h - 1 :])

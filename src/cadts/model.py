@@ -21,12 +21,19 @@ along an expert axis (the MMoE layout), towers and personalized gate
 matrices along the metric axis, so every variant runs its experts, gates and
 towers as a handful of batched matrix products; single_task is the same
 expert path with one expert per metric, each reading only its metric's row.
+
+``parameter_layout`` is the one parameter table: the name, shape and fan-in
+of every tensor a variant holds (``expert.*``, ``gate.shared``,
+``gate.personalized``, ``tower.*``). A ``CadModel`` is its config plus a
+dict of tensors keyed and ordered by that table; ``build_model`` draws them,
+the checkpoint loader fills them from the stored records, and the forward
+pass looks them up by name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -125,62 +132,17 @@ class ModelConfig:
 
 
 @dataclass
-class ExpertBank:
-    """Experts stacked along a leading expert axis E: a conv layer (absent
-    for no_conv), then two dense layers -> embedding."""
-
-    kernels: Tensor | None  # (E, N, l)
-    ff1_w: Tensor  # (E, ff1 input, W)
-    ff1_b: Tensor  # (E, 1, W)
-    ff2_w: Tensor  # (E, W, W)
-    ff2_b: Tensor  # (E, 1, W)
-
-
-@dataclass
-class GateBank:
-    """Shared and per-metric gate matrices (either may be absent)."""
-
-    shared: Tensor | None
-    personalized: Tensor | None  # stacked (K, gate_in, M)
-    epsilon: float
-    n_metrics: int
-
-
-@dataclass
-class TowerBank:
-    """Per-metric towers stacked along the metric axis."""
-
-    w1: Tensor  # (K, embed, hidden)
-    b1: Tensor  # (K, 1, hidden)
-    w2: Tensor  # (K, hidden, 1)
-    b2: Tensor  # (K, 1, 1)
-
-
-@dataclass
 class CadModel:
+    """A wired model: ``params`` maps every ``parameter_layout`` name to its
+    tensor, in layout order (the checkpoint's record order)."""
+
     config: ModelConfig
     n_metrics: int
-    experts: ExpertBank
-    gates: GateBank | None
-    towers: TowerBank
+    params: dict[str, Tensor]
     seed: int = 0
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """``bank.field`` -> tensor for every present tensor field, in a fixed
-        order: experts, gates, towers."""
-        out = []
-        for prefix, bank in (("expert", self.experts), ("gate", self.gates), ("tower", self.towers)):
-            for f in fields(bank) if bank is not None else ():
-                value = getattr(bank, f.name)
-                if isinstance(value, Tensor):
-                    out.append((f"{prefix}.{f.name}", value))
-        return out
-
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.parameters())
+        return list(self.params.values())
 
     # --- forward --------------------------------------------------------
 
@@ -203,6 +165,7 @@ class CadModel:
         if use_dropout and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
         batch = win.shape[0]
+        p = self.params
 
         # expert outputs are computed once and reused across all metrics
         embeddings = self._embed(win)  # (E, B, W)
@@ -211,14 +174,14 @@ class CadModel:
         elif cfg.variant == "no_gate":
             mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the K towers
         else:
-            gate = self._gate_weights_batch(win, batch)  # (B, K, M)
+            gate = self._gate_weights_batch(win)  # (B, K, M)
             blended = matmul(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
             mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
 
-        hidden = relu(matmul(mixed, self.towers.w1) + self.towers.b1)  # (K, B, hidden)
+        hidden = relu(matmul(mixed, p["tower.w1"]) + p["tower.b1"])  # (K, B, hidden)
         if use_dropout:
             hidden = dropout(hidden, cfg.dropout_rate, rng)
-        raw = matmul(hidden, self.towers.w2) + self.towers.b2  # (K, B, 1)
+        raw = matmul(hidden, p["tower.w2"]) + p["tower.b2"]  # (K, B, 1)
         return transpose(reshape(raw, (self.n_metrics, batch)), (1, 0))
 
     def _as_windows(self, windows) -> Tensor:
@@ -233,20 +196,21 @@ class CadModel:
     def _embed(self, win: Tensor) -> Tensor:
         """Embeddings (E, B, W) of windows (B, K, l), all experts at once."""
         batch, k, l = win.shape
-        bank = self.experts
+        p = self.params
         if self.config.variant == "single_task":
             rows = transpose(win, (1, 0, 2))  # (K, B, l): expert k reads metric k's row
         else:
             rows = reshape(win, (batch * k, l))  # every expert reads every row
-        if bank.kernels is not None:
-            rows = relu(conv_rows(rows, bank.kernels))  # (E, B*K, N) or (K, B, N)
-        flat = reshape(rows, (-1, batch, bank.ff1_w.shape[1]))  # (E or 1, B, ff1 input)
-        hidden = relu(matmul(flat, bank.ff1_w) + bank.ff1_b)
-        return matmul(hidden, bank.ff2_w) + bank.ff2_b
+        if "expert.kernels" in p:
+            rows = relu(conv_rows(rows, p["expert.kernels"]))  # (E, B*K, N) or (K, B, N)
+        flat = reshape(rows, (-1, batch, p["expert.ff1_w"].shape[1]))  # (E or 1, B, ff1 input)
+        hidden = relu(matmul(flat, p["expert.ff1_w"]) + p["expert.ff1_b"])
+        return matmul(hidden, p["expert.ff2_w"]) + p["expert.ff2_b"]
 
-    def _gate_weights_batch(self, win: Tensor, batch: int) -> Tensor:
+    def _gate_weights_batch(self, win: Tensor) -> Tensor:
+        """Gate weights (B, K, M) of windows (B, K, l)."""
         cfg = self.config
-        gates = self.gates
+        batch = win.shape[0]
         if cfg.variant == "no_selection":
             flat = reshape(win, (batch, 1, self.n_metrics * cfg.l))
             shared_in = flat  # (B, 1, K*l)
@@ -255,14 +219,15 @@ class CadModel:
             shared_in = win  # (B, K, l): shared matrix applied to each metric's own window
             pers_in = transpose(win, (1, 0, 2))  # (K, B, l)
 
-        if gates.shared is not None and gates.personalized is not None:
-            shared = matmul(shared_in, gates.shared)  # (B, K|1, M)
-            pers = transpose(matmul(pers_in, gates.personalized), (1, 0, 2))  # (B, K, M)
-            logits = shared * gates.epsilon + pers * (1.0 - gates.epsilon)
-        elif gates.shared is not None:  # no_pgate
-            logits = matmul(shared_in, gates.shared)
-        else:  # no_sgate
-            logits = transpose(matmul(pers_in, gates.personalized), (1, 0, 2))
+        shared, pers = self.params.get("gate.shared"), self.params.get("gate.personalized")
+        if shared is not None:
+            logits = matmul(shared_in, shared)  # (B, K|1, M)
+        if pers is not None:
+            pers_logits = transpose(matmul(pers_in, pers), (1, 0, 2))  # (B, K, M)
+            if shared is None:  # no_sgate
+                logits = pers_logits
+            else:
+                logits = logits * cfg.epsilon + pers_logits * (1.0 - cfg.epsilon)
         return softmax(logits, axis=-1)
 
 
@@ -277,7 +242,7 @@ def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, bat
     return errors
 
 
-# --- public single-window operations -----------------------------------------
+# --- public eval-mode views -------------------------------------------------
 
 
 def expert_embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
@@ -289,50 +254,20 @@ def expert_embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
     return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
 
 
-def gate_weights(gates: GateBank, metric_window: np.ndarray, k: int) -> np.ndarray:
-    """Simplex weights (M,) for metric ``k`` given only its own gate input.
-
-    Inspection helper (eval-only, not traced); training gradients flow
-    through the batched forward instead.
-    """
-    if not 0 <= k < gates.n_metrics:
-        raise IndexError(f"metric index {k} out of range [0, {gates.n_metrics})")
-    any_matrix = gates.shared if gates.shared is not None else gates.personalized
-    gate_in = any_matrix.shape[-2]
-    w = np.asarray(metric_window, dtype=any_matrix.dtype).reshape(-1)
-    if w.shape != (gate_in,):
-        raise ValueError(f"gate input must have length {gate_in}, got {len(w)}")
-    if gates.shared is not None and gates.personalized is not None:
-        logits = gates.epsilon * (w @ gates.shared.data) + (1.0 - gates.epsilon) * (
-            w @ gates.personalized.data[k]
-        )
-    elif gates.shared is not None:
-        logits = w @ gates.shared.data
-    else:
-        logits = w @ gates.personalized.data[k]
-    return softmax(Tensor(logits)).data
-
-
-def model_forward(
-    model: CadModel,
-    window: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Predictions (K,) for a single (K, l) window; traced if a tape is active."""
-    window = np.asarray(window)
-    if window.shape != (model.n_metrics, model.config.l):
-        raise ValueError(
-            f"window must have shape ({model.n_metrics}, {model.config.l}), got {window.shape}"
-        )
-    out = model.forward_batch(window[None], mode=mode, rng=rng)
-    return reshape(out, (model.n_metrics,))
+def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:
+    """Eval-mode gate weights, shape (n_windows, n_metrics, n_experts): each
+    metric's simplex over the experts, as the forward pass blends them.
+    Gateless variants (no_gate, single_task) raise ValueError."""
+    if model.config.variant in ("no_gate", "single_task"):
+        raise ValueError(f"variant {model.config.variant!r} has no gate")
+    return model._gate_weights_batch(model._as_windows(windows)).data
 
 
 def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tuple[int, ...], int]]:
-    """``bank.field`` -> (shape, fan-in) of every parameter a model wired per
-    ``config.variant`` holds, in ``named_parameters`` order. Expert tensors
-    carry a leading expert axis; their fan-in is that of one expert."""
+    """The parameter table: ``group.field`` -> (shape, fan-in) of every
+    parameter a model wired per ``config.variant`` holds, in checkpoint
+    record order. Expert tensors carry a leading expert axis; their fan-in is
+    that of one expert."""
     config.validate()
     if n_metrics < 1:
         raise ConfigError(f"n_metrics must be >= 1, got {n_metrics}")
@@ -364,32 +299,6 @@ def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tup
     return layout
 
 
-def assemble_model(
-    config: ModelConfig, n_metrics: int, params: Mapping[str, np.ndarray], seed: int = 0
-) -> CadModel:
-    """A model holding ``params`` (``bank.field`` -> values, as laid out by
-    ``parameter_layout``) without copying them."""
-    banks: dict[str, dict[str, Tensor]] = {"expert": {}, "gate": {}, "tower": {}}
-    for name, values in params.items():
-        prefix, field = name.split(".", 1)
-        banks[prefix][field] = Tensor(values, name=name)
-    gates = None
-    if banks["gate"]:
-        gates = GateBank(
-            **{"shared": None, "personalized": None, **banks["gate"]},
-            epsilon=config.epsilon,
-            n_metrics=n_metrics,
-        )
-    return CadModel(
-        config=config,
-        n_metrics=n_metrics,
-        experts=ExpertBank(**{"kernels": None, **banks["expert"]}),
-        gates=gates,
-        towers=TowerBank(**banks["tower"]),
-        seed=seed,
-    )
-
-
 def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadModel:
     """Wire a model per ``config.variant``; every parameter is drawn from
     uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in float64, then cast to the
@@ -412,4 +321,4 @@ def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadMo
     for name, (shape, fan_in) in layout.items():
         if name not in experts:
             params[name][...] = draw(shape, fan_in)
-    return assemble_model(config, n_metrics, params, seed=rng_seed)
+    return CadModel(config, n_metrics, {name: Tensor(v, name=name) for name, v in params.items()}, rng_seed)

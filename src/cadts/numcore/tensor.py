@@ -84,21 +84,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None) -> "Tensor":
-        return tsum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return tmean(self, axis)
-
 
 class Tape:
     """Ordered record of primitive ops, consumed by one ``grad`` call.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Scaler, WindowSet
 from .errors import ConfigError, DataError, NumericError
-from .model import CadModel, ModelConfig, assemble_model, parameter_layout, parse_value, window_errors
+from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
 from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
@@ -192,7 +192,7 @@ def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None
     pairs += [(f.name, getattr(model.config, f.name)) for f in fields(ModelConfig)]
     pairs += [
         ("seed", cfg.seed if cfg is not None else model.seed),
-        ("params", len(model.named_parameters())),
+        ("params", len(model.params)),
     ]
     if scaler is None:
         pairs.append(("scaler", "none"))
@@ -209,7 +209,7 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
     header = _header_text(model, scaler, cfg).encode("utf-8")
     blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
     wire = model.config.np_dtype.newbyteorder("<")
-    for name, tensor in model.named_parameters():
+    for name, tensor in model.params.items():
         encoded = name.encode("utf-8")
         blob.append(struct.pack("<Q", len(encoded)))
         blob.append(encoded)
@@ -317,8 +317,8 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
         # a view of the record's own buffer when the wire is the native dtype
         values = np.frombuffer(raw, dtype=wire).reshape(extents)
-        params[name] = values.astype(config.np_dtype, copy=False)
-    return assemble_model(config, n_metrics, params, seed=seed), scaler
+        params[name] = Tensor(values.astype(config.np_dtype, copy=False), name=name)
+    return CadModel(config, n_metrics, params, seed), scaler
 
 
 def _read_record(fh, path, itemsize: int) -> tuple[str, tuple[tuple[int, ...], bytearray]]:

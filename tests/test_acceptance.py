@@ -43,7 +43,7 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(17)
     window = rng.normal(size=(1, 4, 8))
     target = Tensor(rng.normal(size=(1, 4)))
-    names = [name for name, _ in model.named_parameters()]
+    names = list(model.params)
     params = model.parameters()
     groups = {name.split(".")[0] for name in names}
     assert groups == {"expert", "gate", "tower"}

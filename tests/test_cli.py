@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from cadts import cli
 from cadts.cli import main, make_train_config
 from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError
@@ -207,6 +208,49 @@ def test_parallel_jobs_match_sequential(tmp_path):
         assert a == b
 
 
+def test_jobs_start_no_more_workers_than_entities(tmp_path, monkeypatch, capsys):
+    started = []
+
+    class SerialPool:
+        """Records the worker count asked for and maps in this process, so
+        no worker is ever started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_entity(data, "e1", seed=9)
+    write_entity(data, "e2", seed=10)
+    assert main(["train", "--data-root", str(data), "--out", str(out), "--jobs", "64"] + FAST) == 0
+    assert main(["score", "--run-dir", str(out), "--data-root", str(data), "--jobs", "64"]) == 0
+    assert started == [2, 2]
+    assert (out / "e2" / "scores.txt").is_file()
+
+
+def test_jobs_below_one_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_entity(data, "e1", seed=11)
+    for jobs in ("0", "-2"):
+        argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), "--jobs", jobs]
+        assert main(argv + FAST) == 1
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        argv = ["score", "--checkpoint", str(tmp_path / "c"), "--input", str(data / "e1" / "test.csv"),
+                "--output", str(tmp_path / "s.txt"), "--jobs", jobs]
+        assert main(argv) == 1
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_root_env_var(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data"
     write_entity(data, "e1", seed=8)
@@ -284,7 +328,7 @@ def test_score_invalid_header_value_exits_2(tmp_path, capsys, key, value, reason
 def test_score_non_finite_prediction_exits_3(tmp_path, capsys):
     cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
     model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    model.towers.b2.data[1] = np.inf
+    model.params["tower.b2"].data[1] = np.inf
     checkpoint, argv = score_argv(tmp_path, model)
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -307,7 +351,7 @@ def test_export_embeddings_row_counts(tmp_path, capsys):
     lines = emb.read_text().splitlines()
     model, scaler = load_checkpoint(out / "e1" / "checkpoint.cadckpt")
     n_windows = len(range(0, 160 - 8 - 1 + 1, 16))
-    assert len(lines) == n_windows * model.experts.ff1_w.shape[0]
+    assert len(lines) == n_windows * model.params["expert.ff1_w"].shape[0]
     first = lines[0].split("\t")
     assert first[0] == "0" and first[1] == "0"
     assert len(first) == 2 + model.config.embed_dim

@@ -174,14 +174,12 @@ def test_window_counting_h1():
     assert len(ws) == 7
     np.testing.assert_array_equal(ws.windows[0], [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]])
     np.testing.assert_array_equal(ws.targets[0], [6.0, 7.0])
-    assert ws.target_timestamps[0] == 3
 
 
 def test_window_counting_h3():
     series = mat(np.arange(10.0).reshape(10, 1))
     ws = make_windows(series, l=3, h=3)
     assert len(ws) == 5
-    assert ws.target_timestamps[0] == 5
     assert ws.targets[0][0] == 5.0
 
 

@@ -266,7 +266,7 @@ def constant_predictor(n_metrics, level, l=2, h=1):
     )
     for p in model.parameters():
         p.data[:] = 0.0
-    model.towers.b2.data[:, 0, 0] = level
+    model.params["tower.b2"].data[:, 0, 0] = level
     return model
 
 
@@ -294,14 +294,14 @@ def test_score_series_matches_hand_rolled_forward():
     series = SeriesMatrix(values=rng.random((8, 1)))
     out = score_series(model, series)
 
-    ex, tw = model.experts, model.towers
+    p = {name: t.data for name, t in model.params.items()}
     for t in range(2, 8):
         window = series.values[t - 2 : t]  # rows t-2, t-1; target row t (h=1)
-        conv = np.maximum(window.T @ ex.kernels.data[0].T, 0.0).reshape(-1)
-        hid = np.maximum(conv @ ex.ff1_w.data[0] + ex.ff1_b.data[0, 0], 0.0)
-        embed = hid @ ex.ff2_w.data[0] + ex.ff2_b.data[0, 0]
-        hid2 = np.maximum(embed @ tw.w1.data[0] + tw.b1.data[0, 0], 0.0)
-        pred = hid2 @ tw.w2.data[0, :, 0] + tw.b2.data[0, 0, 0]
+        conv = np.maximum(window.T @ p["expert.kernels"][0].T, 0.0).reshape(-1)
+        hid = np.maximum(conv @ p["expert.ff1_w"][0] + p["expert.ff1_b"][0, 0], 0.0)
+        embed = hid @ p["expert.ff2_w"][0] + p["expert.ff2_b"][0, 0]
+        hid2 = np.maximum(embed @ p["tower.w1"][0] + p["tower.b1"][0, 0], 0.0)
+        pred = hid2 @ p["tower.w2"][0, :, 0] + p["tower.b2"][0, 0, 0]
         want = (pred - series.values[t, 0]) ** 2
         assert out.scores[t] == pytest.approx(want, rel=1e-12)
 

@@ -11,7 +11,6 @@ from cadts.model import (
     build_model,
     expert_embeddings,
     gate_weights,
-    model_forward,
 )
 from cadts.numcore import Tape, square, tmean, tsum, mul, Tensor
 
@@ -28,15 +27,16 @@ def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
     """Plain-numpy re-composition, expert embeddings recomputed per metric,
     one expert at a time."""
     cfg = model.config
-    bank, gates, towers = model.experts, model.gates, model.towers
+    p = {name: t.data for name, t in model.params.items()}
+    shared, personalized = p.get("gate.shared"), p.get("gate.personalized")
 
     def embed(e, rows):
-        if bank.kernels is None:
+        if "expert.kernels" not in p:
             flat = rows.reshape(-1)
         else:
-            flat = np.maximum(rows @ bank.kernels.data[e].T, 0.0).reshape(-1)
-        hid = np.maximum(flat @ bank.ff1_w.data[e] + bank.ff1_b.data[e, 0], 0.0)
-        return hid @ bank.ff2_w.data[e] + bank.ff2_b.data[e, 0]
+            flat = np.maximum(rows @ p["expert.kernels"][e].T, 0.0).reshape(-1)
+        hid = np.maximum(flat @ p["expert.ff1_w"][e] + p["expert.ff1_b"][e, 0], 0.0)
+        return hid @ p["expert.ff2_w"][e] + p["expert.ff2_b"][e, 0]
 
     preds = []
     for k in range(model.n_metrics):
@@ -48,19 +48,19 @@ def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
             embeds = [embed(e, window) for e in range(cfg.experts)]  # recomputed per metric
             gate_in = window.reshape(-1) if cfg.variant == "no_selection" else window[k]
             logits = np.zeros(cfg.experts)
-            if gates.shared is not None and gates.personalized is not None:
-                logits = cfg.epsilon * (gate_in @ gates.shared.data) + (
+            if shared is not None and personalized is not None:
+                logits = cfg.epsilon * (gate_in @ shared) + (
                     1.0 - cfg.epsilon
-                ) * (gate_in @ gates.personalized.data[k])
-            elif gates.shared is not None:
-                logits = gate_in @ gates.shared.data
+                ) * (gate_in @ personalized[k])
+            elif shared is not None:
+                logits = gate_in @ shared
             else:
-                logits = gate_in @ gates.personalized.data[k]
+                logits = gate_in @ personalized[k]
             e = np.exp(logits - logits.max())
             weights = e / e.sum()
             mixed = sum(weights[m] * embeds[m] for m in range(cfg.experts))
-        hid = np.maximum(mixed @ towers.w1.data[k] + towers.b1.data[k, 0], 0.0)
-        preds.append(float(hid @ towers.w2.data[k, :, 0] + towers.b2.data[k, 0, 0]))
+        hid = np.maximum(mixed @ p["tower.w1"][k] + p["tower.b1"][k, 0], 0.0)
+        preds.append(float(hid @ p["tower.w2"][k, :, 0] + p["tower.b2"][k, 0, 0]))
     return np.array(preds)
 
 
@@ -83,10 +83,9 @@ def test_expert_forward_deterministic_in_eval():
 
 def test_expert_gradient_wrt_kernels():
     model = build_model(tiny_config(embed_dim=16), n_metrics=3, rng_seed=2)
-    bank = model.experts
     window = np.random.default_rng(2).normal(size=(3, 6))
     readout = Tensor(np.random.default_rng(3).normal(size=(3, 1, 16)))
-    params = [bank.kernels, bank.ff1_w, bank.ff1_b, bank.ff2_w, bank.ff2_b]
+    params = [model.params[f"expert.{f}"] for f in ("kernels", "ff1_w", "ff1_b", "ff2_w", "ff2_b")]
 
     def forward():
         return tsum(mul(model._embed(Tensor(window[None])), readout))
@@ -122,10 +121,9 @@ def test_expert_rejects_wrong_window_shape():
 
 def test_gate_weights_on_simplex():
     model = build_model(tiny_config(), n_metrics=5, rng_seed=3)
-    rng = np.random.default_rng(4)
+    gates = gate_weights(model, np.random.default_rng(4).normal(scale=10.0, size=(10, 5, 6)))
     for k in range(5):
-        for _ in range(10):
-            w = gate_weights(model.gates, rng.normal(scale=10.0, size=6), k)
+        for w in gates[:, k]:
             assert w.shape == (3,)
             assert np.all(w > 0)
             assert abs(w.sum() - 1.0) < 1e-9
@@ -134,30 +132,47 @@ def test_gate_weights_on_simplex():
 def test_gate_epsilon_one_uses_shared_only():
     model = build_model(tiny_config(epsilon=1.0), n_metrics=4, rng_seed=5)
     rng = np.random.default_rng(5)
-    w = rng.normal(size=6)
-    got = gate_weights(model.gates, w, 2)
-    logits = w @ model.gates.shared.data
+    windows = rng.normal(size=(1, 4, 6))
+    got = gate_weights(model, windows)[0, 2]
+    logits = (windows[0] @ model.params["gate.shared"].data)[2]
     e = np.exp(logits - logits.max())
     assert np.array_equal(got, e / e.sum())
 
 
 def test_gate_identical_matrices_collapse_to_shared():
     model = build_model(tiny_config(epsilon=0.8), n_metrics=4, rng_seed=6)
-    shared = model.gates.shared.data
-    model.gates.personalized.data[:] = shared[None]
-    rng = np.random.default_rng(6)
+    shared = model.params["gate.shared"].data
+    model.params["gate.personalized"].data[:] = shared[None]
+    windows = np.random.default_rng(6).normal(size=(3, 4, 6))
+    gates = gate_weights(model, windows)
     for k in range(4):
-        w = rng.normal(size=6)
-        got = gate_weights(model.gates, w, k)
-        logits = w @ shared
-        e = np.exp(logits - logits.max())
-        np.testing.assert_allclose(got, e / e.sum(), rtol=1e-12)
+        got = gates[:, k]
+        logits = windows[:, k] @ shared
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(got, e / e.sum(axis=-1, keepdims=True), rtol=1e-12)
 
 
-def test_gate_index_out_of_range():
+def test_gate_weights_rejects_gateless_variants_and_bad_shapes():
+    for variant in ("no_gate", "single_task"):
+        model = build_model(tiny_config(variant=variant), n_metrics=4, rng_seed=0)
+        with pytest.raises(ValueError, match="no gate"):
+            gate_weights(model, np.zeros((1, 4, 6)))
     model = build_model(tiny_config(), n_metrics=4, rng_seed=0)
-    with pytest.raises(IndexError, match="out of range"):
-        gate_weights(model.gates, np.zeros(6), 4)
+    for shape in [(4, 6), (1, 4, 5), (1, 3, 6), (1, 1, 4, 6)]:
+        with pytest.raises(ValueError, match="shape"):
+            gate_weights(model, np.zeros(shape))
+
+
+@pytest.mark.parametrize("variant", ["full", "no_selection", "no_sgate", "no_pgate"])
+def test_gate_weights_blend_the_forward_pass(variant):
+    """Towers on gate_weights @ expert_embeddings reproduce the forward."""
+    model = build_model(tiny_config(variant=variant), n_metrics=4, rng_seed=20)
+    windows = np.random.default_rng(20).normal(size=(5, 4, 6))
+    mixed = gate_weights(model, windows) @ expert_embeddings(model, windows)  # (B, K, W)
+    p = {name: t.data for name, t in model.params.items()}
+    hid = np.maximum(np.einsum("bkw,kwh->bkh", mixed, p["tower.w1"]) + p["tower.b1"][:, 0], 0.0)
+    want = np.einsum("bkh,kh->bk", hid, p["tower.w2"][:, :, 0]) + p["tower.b2"][:, 0, 0]
+    np.testing.assert_allclose(model.forward_batch(windows).data, want, atol=1e-12)
 
 
 # --- model forward ------------------------------------------------------------
@@ -167,20 +182,20 @@ def test_model_forward_output_length_k():
     for k in (1, 3, 9):
         model = build_model(tiny_config(), n_metrics=k, rng_seed=7)
         window = np.random.default_rng(7).normal(size=(k, 6))
-        assert model_forward(model, window).shape == (k,)
+        assert model.forward_batch(window[None]).shape == (1, k)
 
 
 def test_single_expert_forces_unit_gate():
     model = build_model(tiny_config(experts=1), n_metrics=3, rng_seed=8)
     window = np.random.default_rng(8).normal(size=(3, 6))
-    assert np.array_equal(gate_weights(model.gates, window[0], 0), [1.0])
+    assert np.array_equal(gate_weights(model, window[None])[0, 0], [1.0])
     # prediction reduces to Tower_k(f_1(w)) directly
     embed = expert_embeddings(model, window[None])[0, 0]
-    towers = model.towers
+    p = model.params
     for k in range(3):
-        hid = np.maximum(embed @ towers.w1.data[k] + towers.b1.data[k, 0], 0.0)
-        want = hid @ towers.w2.data[k, :, 0] + towers.b2.data[k, 0, 0]
-        got = model_forward(model, window).data[k]
+        hid = np.maximum(embed @ p["tower.w1"].data[k] + p["tower.b1"].data[k, 0], 0.0)
+        want = hid @ p["tower.w2"].data[k, :, 0] + p["tower.b2"].data[k, 0, 0]
+        got = model.forward_batch(window[None]).data[0, k]
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -193,10 +208,10 @@ def test_gate_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     window = rng.normal(size=(3, 4))
     target = Tensor(rng.normal(size=(3,)))
-    params = [model.gates.shared, model.gates.personalized]
+    params = [model.params["gate.shared"], model.params["gate.personalized"]]
 
     def forward():
-        pred = model_forward(model, window)
+        pred = model.forward_batch(window[None])
         return tmean(square(pred - target))
 
     with Tape() as tape:
@@ -210,7 +225,7 @@ def test_gate_gradients_match_finite_differences():
 def test_forward_rejects_bad_shapes():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=0)
     with pytest.raises(ValueError, match="shape"):
-        model_forward(model, np.zeros((4, 7)))
+        model.forward_batch(np.zeros((4, 7))[None])
     with pytest.raises(ValueError, match="shape"):
         model.forward_batch(np.zeros((2, 3, 6)))
     with pytest.raises(ValueError, match="mode"):
@@ -230,7 +245,7 @@ def test_parameter_census_full_variant():
     expert = n * l + (k * n * w + w) + (w * w + w)
     gates = l * m + k * l * m
     towers = k * (w * hid + hid + hid * 1 + 1)
-    assert model.n_parameters() == m * expert + gates + towers == 634838
+    assert sum(t.size for t in model.parameters()) == m * expert + gates + towers == 634838
 
 
 def test_parameter_census_other_variants():
@@ -248,7 +263,7 @@ def test_parameter_census_other_variants():
     }
     for variant, want in counts.items():
         model = build_model(ModelConfig(variant=variant, **cfg), n_metrics=k)
-        assert model.n_parameters() == want, variant
+        assert sum(t.size for t in model.parameters()) == want, variant
 
 
 def test_invalid_config_lists_offending_fields():
@@ -267,10 +282,10 @@ def test_pgate_and_sgate_agree_when_matrices_equal():
     a = build_model(cfg_s, n_metrics=4, rng_seed=10)
     b = build_model(cfg_p, n_metrics=4, rng_seed=10)
     # align everything: same experts/towers, personalized rows := shared matrix
-    for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+    for pa, pb in zip(a.params.values(), b.params.values()):
         if pa.shape == pb.shape:
             pa.data[:] = pb.data
-    a.gates.personalized.data[:] = b.gates.shared.data[None]
+    a.params["gate.personalized"].data[:] = b.params["gate.shared"].data[None]
     windows = np.random.default_rng(10).normal(size=(5, 4, 6))
     np.testing.assert_allclose(
         a.forward_batch(windows).data, b.forward_batch(windows).data, atol=1e-12
@@ -281,10 +296,10 @@ def test_single_task_isolates_metrics():
     model = build_model(tiny_config(variant="single_task"), n_metrics=4, rng_seed=11)
     rng = np.random.default_rng(11)
     window = rng.normal(size=(4, 6))
-    base = model_forward(model, window).data
+    base = model.forward_batch(window[None]).data[0]
     perturbed = window.copy()
     perturbed[1] += rng.normal(scale=5.0, size=6)
-    after = model_forward(model, perturbed).data
+    after = model.forward_batch(perturbed[None]).data[0]
     assert np.array_equal(base[[0, 2, 3]], after[[0, 2, 3]])
     assert base[1] != after[1]
 
@@ -293,10 +308,10 @@ def test_full_variant_has_inter_metric_dependency():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=12)
     rng = np.random.default_rng(12)
     window = rng.normal(size=(4, 6))
-    base = model_forward(model, window).data
+    base = model.forward_batch(window[None]).data[0]
     perturbed = window.copy()
     perturbed[1] += rng.normal(scale=5.0, size=6)
-    after = model_forward(model, perturbed).data
+    after = model.forward_batch(perturbed[None]).data[0]
     assert np.all(base[[0, 2, 3]] != after[[0, 2, 3]])
 
 
@@ -335,7 +350,7 @@ def test_gate_outputs_on_simplex_for_all_gated_variants(variant):
     model = build_model(tiny_config(variant=variant), n_metrics=4, rng_seed=17)
     rng = np.random.default_rng(17)
     windows = rng.normal(scale=5.0, size=(6, 4, 6))
-    gate = model._gate_weights_batch(Tensor(windows), 6).data
+    gate = gate_weights(model, windows)
     assert gate.shape[-1] == model.config.experts
     assert np.all(gate > 0)
     np.testing.assert_allclose(gate.sum(axis=-1), 1.0, atol=1e-9)
@@ -357,7 +372,7 @@ def test_no_dead_wiring(variant):
     rng = np.random.default_rng(16)
     windows = rng.normal(size=(8, 5, 6))
     target = Tensor(rng.normal(size=(8, 5)))
-    names = [name for name, _ in model.named_parameters()]
+    names = list(model.params)
     params = model.parameters()
     with Tape() as tape:
         tape.watch(*params)

@@ -177,7 +177,7 @@ def test_non_finite_loss_reports_epoch_and_batch():
     series = make_sines(t=300, n_metrics=2, seed=9)
     cfg = small_cfg(seed=5)
     model = build_for(cfg, 2)
-    model.towers.w2.data[:] = np.inf
+    model.params["tower.w2"].data[:] = np.inf
     with pytest.raises(NumericError, match="epoch 1, batch 1"):
         train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
 
@@ -225,7 +225,7 @@ def test_checkpoint_roundtrip_parameters_bitwise(tmp_path):
         model, scaler, path = trained_pair(tmp_path, dtype=dtype)
         loaded, loaded_scaler = load_checkpoint(path)
         assert loaded.config.dtype == dtype
-        for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        for (name_a, a), (name_b, b) in zip(model.params.items(), loaded.params.items()):
             assert name_a == name_b
             assert a.dtype == b.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(a.data, b.data)
@@ -296,6 +296,19 @@ def test_checkpoint_roundtrip_every_variant(tmp_path):
         )
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_reload_resaves_byte_exactly(tmp_path, variant):
+    """save(load(path)) writes the original bytes, so the loaded model's
+    parameters keep the stored record order."""
+    scaler = Scaler(mins=np.array([0.0, 0.1, -1.5]), maxs=np.array([1.0, 2.0, 3.5]), clip=False)
+    for dtype in ("float32", "float64"):
+        cfg = small_cfg(variant=variant, seed=15, dtype=dtype)
+        path, again = tmp_path / f"{dtype}.ckpt", tmp_path / f"{dtype}.again.ckpt"
+        save_checkpoint(build_for(cfg, 3), scaler, path, cfg)
+        save_checkpoint(*load_checkpoint(path), again)
+        assert again.read_bytes() == path.read_bytes(), dtype
+
+
 def test_checkpoint_rejects_bad_version(tmp_path):
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
@@ -325,7 +338,7 @@ def test_checkpoint_header_line_order_is_free(tmp_path):
     loaded, loaded_scaler = load_checkpoint(reordered)
     assert loaded.config == model.config
     np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
-    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+    for a, b in zip(model.params.values(), loaded.params.values()):
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -348,14 +361,23 @@ def test_v1_checkpoint_loads_into_the_expert_bank(variant):
     np.testing.assert_array_equal(scaler.mins, [0.0, -1.0, 2.5])
     # the same seed still draws the same parameters, now stacked
     fresh = build_model(model.config, n_metrics=3, rng_seed=7)
-    assert [n for n, _ in model.named_parameters()] == [n for n, _ in fresh.named_parameters()]
-    for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
+    assert list(model.params) == list(fresh.params)
+    for (name, a), b in zip(model.params.items(), fresh.params.values()):
         assert np.array_equal(a.data, b.data), name
     recorded = np.load(V1_FIXTURES / "outputs.npz")
     got = model.forward_batch(recorded["windows"]).data
     # single_task's conv is now one batched product instead of per-window
     # vector products, so its float32 outputs may differ by a rounding step
     np.testing.assert_allclose(got, recorded[variant], rtol=0, atol=4 * np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_v1_checkpoint_resaves_as_the_seeded_build(tmp_path, variant):
+    """A v1 file saved again is the v2 file of the model it was drawn as."""
+    model, scaler = load_checkpoint(V1_FIXTURES / f"{variant}.cadckpt")
+    save_checkpoint(model, scaler, tmp_path / "resaved.ckpt")
+    save_checkpoint(build_model(model.config, 3, rng_seed=7), scaler, tmp_path / "built.ckpt")
+    assert (tmp_path / "resaved.ckpt").read_bytes() == (tmp_path / "built.ckpt").read_bytes()
 
 
 def test_v1_checkpoint_rejects_gaps_in_expert_numbering(tmp_path):
