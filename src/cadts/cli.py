@@ -116,16 +116,29 @@ def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
     return entities
 
 
-def _run_tasks(worker, tasks, jobs: int) -> list[str]:
+def _run_tasks(worker, tasks, jobs: int, inputs) -> list[str]:
     """``worker(*task)`` for every task, on at most ``jobs`` processes and
-    never more processes than tasks."""
+    never more processes than tasks; results come back in task order.
+
+    ``inputs[i]`` is the file task ``i`` reads. With more than one worker the
+    task with the largest input starts first (ties keep task order): an
+    entity's run time grows with its input, so the longest one no longer
+    starts last while the other workers sit idle at the end."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [worker(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, *zip(*tasks)))
+        futures = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
+            futures[i] = pool.submit(worker, *tasks[i])
+        try:
+            return [future.result() for future in futures]
+        finally:
+            # as Executor.map does: a failed task cancels those not started
+            for future in futures:
+                future.cancel()
 
 
 # --- train ---------------------------------------------------------------------
@@ -151,7 +164,8 @@ def cmd_train(args) -> int:
     entities = _resolve_entities(data_root, args.entities, "train.csv")
     out_root = Path(args.out)
     tasks = [(str(data_root), str(out_root), entity, cfg) for entity in entities]
-    for line in _run_tasks(_train_entity, tasks, args.jobs):
+    inputs = [data_root / entity / "train.csv" for entity in entities]
+    for line in _run_tasks(_train_entity, tasks, args.jobs, inputs):
         print(line)
     return 0
 
@@ -189,7 +203,8 @@ def cmd_score(args) -> int:
             tasks.append(
                 (str(checkpoint), str(data_root / entity / "test.csv"), str(run_dir / entity / SCORES_NAME))
             )
-    for line in _run_tasks(_score_one, tasks, args.jobs):
+    inputs = [input_csv for _, input_csv, _ in tasks]
+    for line in _run_tasks(_score_one, tasks, args.jobs, inputs):
         print(line)
     return 0
 

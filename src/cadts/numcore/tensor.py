@@ -262,7 +262,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             def bwd(g):
                 gs = []
                 if na:
-                    gs.append(_unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape))
+                    bt = bd.swapaxes(-1, -2)
+                    # With one output column, g @ bᵀ has a unit inner dimension:
+                    # each element is one product and no sum, so the broadcast
+                    # multiply is bitwise equal and skips a degenerate gemm (a
+                    # tower's last layer).
+                    gs.append(_unbroadcast(g * bt if bd.shape[-1] == 1 else g @ bt, ad.shape))
                 if nb:
                     gs.append(_unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
                 return gs

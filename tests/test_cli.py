@@ -1,6 +1,7 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
 import struct
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -208,15 +209,16 @@ def test_parallel_jobs_match_sequential(tmp_path):
         assert a == b
 
 
-def test_jobs_start_no_more_workers_than_entities(tmp_path, monkeypatch, capsys):
-    started = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces ``cli.ProcessPoolExecutor`` with a fake that records the
+    worker count asked for and every submitted task, in order, and runs each
+    task at once in this process, so no worker is ever started."""
+    calls = {"started": [], "submitted": []}
 
     class SerialPool:
-        """Records the worker count asked for and maps in this process, so
-        no worker is ever started."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            calls["started"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -224,17 +226,54 @@ def test_jobs_start_no_more_workers_than_entities(tmp_path, monkeypatch, capsys)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            calls["submitted"].append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return calls
+
+
+def test_jobs_start_no_more_workers_than_entities(tmp_path, serial_pool, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     write_entity(data, "e1", seed=9)
     write_entity(data, "e2", seed=10)
     assert main(["train", "--data-root", str(data), "--out", str(out), "--jobs", "64"] + FAST) == 0
     assert main(["score", "--run-dir", str(out), "--data-root", str(data), "--jobs", "64"]) == 0
-    assert started == [2, 2]
+    assert serial_pool["started"] == [2, 2]
     assert (out / "e2" / "scores.txt").is_file()
+
+
+def test_jobs_start_largest_entity_first(tmp_path, serial_pool, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_entity(data, "e1", seed=9)
+    write_entity(data, "e2", t_train=520, t_test=320, seed=10)
+    write_entity(data, "e3", seed=11)
+    assert main(["train", "--data-root", str(data), "--out", str(out), "--jobs", "2"] + FAST) == 0
+    train_out = capsys.readouterr().out
+    assert main(["score", "--run-dir", str(out), "--data-root", str(data), "--jobs", "2"]) == 0
+    score_out = capsys.readouterr().out
+    train_tasks, score_tasks = serial_pool["submitted"][:3], serial_pool["submitted"][3:]
+    assert train_tasks[0][2] == "e2"
+    assert score_tasks[0][1] == str(data / "e2" / "test.csv")
+    for printed, verb in ((train_out, "trained"), (score_out, "scored")):
+        names = [line.split()[1].rstrip(":") for line in printed.splitlines()]
+        assert printed.startswith(verb) and names == ["e1", "e2", "e3"]
+
+
+def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_entity(data, "e1", seed=12)
+    bad = write_entity(data, "e2", t_train=520, seed=13) / "train.csv"
+    lines = bad.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    bad.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), "--jobs", "2"]
+    assert main(argv + FAST) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'nan' at line 5, column 1" in err
 
 
 def test_jobs_below_one_exits_1(tmp_path, capsys):

@@ -173,6 +173,12 @@ def _primitive_cases():
         r = Tensor(rng.normal(size=(5, 3, 2)))
         return [a, b], lambda: tsum(mul(matmul(a, b), r))
 
+    def case_matmul_unit_inner(rng):
+        a = Tensor(rng.normal(size=(3, 4, 5)), name="a")
+        b = Tensor(rng.normal(size=(3, 5, 1)), name="b")
+        r = Tensor(rng.normal(size=(3, 4, 1)))
+        return [a, b], lambda: tsum(mul(matmul(a, b), r))
+
     def case_relu(rng):
         a = Tensor(away_from_zero(rng, (4, 4)), name="a")
         r = Tensor(rng.normal(size=(4, 4)))
@@ -232,6 +238,7 @@ def _primitive_cases():
         case_neg,
         case_matmul,
         case_matmul_broadcast,
+        case_matmul_unit_inner,
         case_relu,
         case_square,
         case_softmax,
@@ -257,6 +264,27 @@ def test_primitive_gradients_match_finite_differences(builder):
         analytic = tape.grad(loss, params)
         numeric = central_diff(lambda: forward().item(), params)
         assert max_rel_err(analytic, numeric) < TOLERANCE
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((6, 5), (5, 1)), ((3, 6, 5), (3, 5, 1)), ((3, 6, 5), (5, 1))],
+    ids=["2d", "batched", "b-broadcast"],
+)
+def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b_shape):
+    """With one output column the input gradient is g * bᵀ, bitwise g @ bᵀ."""
+    rng = np.random.default_rng(17)
+    a = Tensor(rng.normal(size=a_shape).astype(dtype), name="a")
+    b = Tensor(rng.normal(size=b_shape).astype(dtype), name="b")
+    r = rng.normal(size=a_shape[:-1] + (1,)).astype(dtype)
+    with Tape() as tape:
+        tape.watch(a)
+        loss = tsum(mul(matmul(a, b), Tensor(r)))
+    grad = tape.grad(loss, [a])[0].data
+    expected = r @ b.data.swapaxes(-1, -2)
+    assert grad.dtype == expected.dtype and grad.shape == expected.shape
+    assert np.array_equal(grad, expected)
 
 
 def test_dropout_gradient_with_frozen_mask():
