@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -116,9 +117,10 @@ def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
     return entities
 
 
-def _run_tasks(worker, tasks, jobs: int, inputs) -> list[str]:
+def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
     """``worker(*task)`` for every task, on at most ``jobs`` processes and
-    never more processes than tasks; results come back in task order.
+    never more processes than tasks; results are yielded in task order as
+    they finish, so a later task's error comes after the earlier results.
 
     ``inputs[i]`` is the file task ``i`` reads. With more than one worker the
     task with the largest input starts first (ties keep task order): an
@@ -128,13 +130,15 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> list[str]:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [worker(*task) for task in tasks]
+        yield from (worker(*task) for task in tasks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [None] * len(tasks)
         for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
             futures[i] = pool.submit(worker, *tasks[i])
         try:
-            return [future.result() for future in futures]
+            for future in futures:
+                yield future.result()
         finally:
             # as Executor.map does: a failed task cancels those not started
             for future in futures:
@@ -166,7 +170,7 @@ def cmd_train(args) -> int:
     tasks = [(str(data_root), str(out_root), entity, cfg) for entity in entities]
     inputs = [data_root / entity / "train.csv" for entity in entities]
     for line in _run_tasks(_train_entity, tasks, args.jobs, inputs):
-        print(line)
+        print(line, flush=True)
     return 0
 
 
@@ -205,7 +209,7 @@ def cmd_score(args) -> int:
             )
     inputs = [input_csv for _, input_csv, _ in tasks]
     for line in _run_tasks(_score_one, tasks, args.jobs, inputs):
-        print(line)
+        print(line, flush=True)
     return 0
 
 
@@ -217,6 +221,8 @@ def _parse_modes(mode: str, ks: str) -> list[tuple[str, int | None]]:
         k_values = [int(v) for v in ks.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--k expects a comma list of integers, got {ks!r}") from None
+    if any(k < 0 for k in k_values):
+        raise ConfigError(f"--k delay budgets must be >= 0, got {ks!r}")
     if mode == "all":
         return [("raw", None), ("pa", None)] + [("kpa", k) for k in k_values]
     if mode in ("raw", "pa"):

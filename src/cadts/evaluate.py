@@ -6,11 +6,12 @@ as fully detected if any point inside it is flagged), and ``kpa`` (the
 segment only counts when the first flag arrives within ``k`` steps of its
 onset; late flags make the whole segment a miss).
 
-``best_f1`` sweeps every distinct score as a candidate threshold. It never
-re-adjusts per threshold: precomputed per-segment detection statistics and
-sorted negative-position scores give each candidate's confusion counts in
-O(log n), so the sweep is O(n log n) overall yet count-for-count identical
-to a naive recount.
+``best_f1`` sweeps every distinct score as a candidate threshold in one
+array pass, with no per-candidate loop. Raw mode treats each positive point
+as a one-point segment, so every mode reduces to one detection statistic
+per segment (the max score over its detection span); sorted statistics and
+sorted negative-position scores give all candidates' confusion counts by
+binary search, count-for-count identical to a naive recount.
 """
 
 from __future__ import annotations
@@ -104,58 +105,66 @@ def _as_binary(name: str, values) -> np.ndarray:
     return out
 
 
-def _segments(labels: np.ndarray) -> list[tuple[int, int]]:
-    """[start, end) bounds of maximal runs of 1-labels."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], labels, [0]))))
-    return list(zip(edges[0::2], edges[1::2]))
-
-
-def point_adjust(labels, preds) -> np.ndarray:
-    """Flood each labeled segment with 1s if any point inside it is flagged."""
+def _binary_pair(labels, preds) -> tuple[np.ndarray, np.ndarray]:
     labels = _as_binary("labels", labels)
     preds = _as_binary("preds", preds)
     if len(labels) != len(preds):
         raise ValueError(f"length mismatch: {len(labels)} labels vs {len(preds)} preds")
-    adjusted = preds.copy()
-    for start, end in _segments(labels):
-        if adjusted[start:end].any():
-            adjusted[start:end] = 1
-    return adjusted
+    return labels, preds
+
+
+def _segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[start, end) bounds of maximal runs of 1-labels."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], labels, [0]))))
+    return edges[0::2], edges[1::2]
+
+
+def _span_max(values: np.ndarray, starts, ends, k: int) -> np.ndarray:
+    """Per segment, the max of ``values`` over its first ``k + 1`` points.
+    No segment outlasts a budget of the series length, so ``k`` is capped
+    there; a span may end at ``len(values)``, hence the padded sentinel."""
+    span_ends = np.minimum(starts + min(k, len(values)) + 1, ends)
+    bounds = np.column_stack((starts, span_ends)).ravel()
+    return np.maximum.reduceat(np.pad(values, (0, 1)), bounds)[::2]
+
+
+def point_adjust(labels, preds) -> np.ndarray:
+    """Flood each labeled segment with 1s if any point inside it is flagged:
+    kPA with a budget no segment outlasts."""
+    return kth_point_adjust(labels, preds, np.size(labels))
 
 
 def kth_point_adjust(labels, preds, k: int) -> np.ndarray:
     """Like PA, but the flag must arrive within ``k`` steps of segment onset
     (delay 0 = at onset); otherwise the whole segment is cleared to 0."""
-    labels = _as_binary("labels", labels)
-    preds = _as_binary("preds", preds)
-    if len(labels) != len(preds):
-        raise ValueError(f"length mismatch: {len(labels)} labels vs {len(preds)} preds")
+    labels, preds = _binary_pair(labels, preds)
     if k < 0:
         raise ValueError(f"delay budget k must be >= 0, got {k}")
+    starts, ends = _segments(labels)
     adjusted = preds.copy()
-    for start, end in _segments(labels):
-        window_end = min(start + k + 1, end)
-        adjusted[start:end] = 1 if preds[start:window_end].any() else 0
+    adjusted[labels == 1] = np.repeat(_span_max(preds, starts, ends, k), ends - starts)
     return adjusted
 
 
-def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+def _prf_from_counts(tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall, F1 elementwise over counts, with the
+    zero-denominator convention P=R=F1=0."""
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, tp + fn)
+    return precision, recall, ratio(2.0 * precision * recall, precision + recall)
 
 
 def prf(labels, preds) -> tuple[float, float, float]:
     """Precision, recall, F1 with the zero-denominator convention P=R=F1=0."""
-    labels = _as_binary("labels", labels)
-    preds = _as_binary("preds", preds)
-    if len(labels) != len(preds):
-        raise ValueError(f"length mismatch: {len(labels)} labels vs {len(preds)} preds")
+    labels, preds = _binary_pair(labels, preds)
     tp = int(np.sum((labels == 1) & (preds == 1)))
     fp = int(np.sum((labels == 0) & (preds == 1)))
     fn = int(np.sum((labels == 1) & (preds == 0)))
-    return _prf_from_counts(tp, fp, fn)
+    return tuple(float(v) for v in _prf_from_counts(tp, fp, fn))
 
 
 # --- threshold sweep ----------------------------------------------------------
@@ -170,9 +179,8 @@ def best_f1(scores, labels, mode: str = "pa", k: int | None = None) -> BestF1:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "kpa":
-        if k is None or k < 0:
-            raise ValueError("kpa mode needs a delay budget k >= 0")
+    if mode == "kpa" and (k is None or k < 0):
+        raise ValueError("kpa mode needs a delay budget k >= 0")
     scores = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
     labels = _as_binary("labels", labels)
     if len(scores) != len(labels):
@@ -182,38 +190,23 @@ def best_f1(scores, labels, mode: str = "pa", k: int | None = None) -> BestF1:
     if not labels.any():
         raise ValueError("labels contain no positive points; best F1 is undefined")
 
+    if mode == "raw":  # every positive point is a segment of its own
+        starts = np.flatnonzero(labels)
+        ends = starts + 1
+    else:
+        starts, ends = _segments(labels)
+    stats = _span_max(scores, starts, ends, k if mode == "kpa" else len(scores))
+    order = np.argsort(stats, kind="stable")
+    prefix = np.concatenate(([0], np.cumsum((ends - starts)[order])))
+    total = prefix[-1]
     negatives = np.sort(scores[labels == 0])
     candidates = np.concatenate((np.unique(scores), [np.inf]))
-
-    if mode == "raw":
-        positives = np.sort(scores[labels == 1])
-        tp_at = len(positives) - np.searchsorted(positives, candidates, side="left")
-        fn_at = len(positives) - tp_at
-    else:
-        segs = _segments(labels)
-        stats = np.empty(len(segs))
-        lengths = np.empty(len(segs), dtype=np.int64)
-        for i, (start, end) in enumerate(segs):
-            window_end = end if mode == "pa" else min(start + k + 1, end)
-            stats[i] = scores[start:window_end].max()
-            lengths[i] = end - start
-        order = np.argsort(stats, kind="stable")
-        stats = stats[order]
-        prefix = np.concatenate(([0], np.cumsum(lengths[order])))
-        total = prefix[-1]
-        # TP(theta) = total length of segments whose detection stat >= theta
-        below = np.searchsorted(stats, candidates, side="left")
-        tp_at = total - prefix[below]
-        fn_at = total - tp_at
-
-    fp_at = len(negatives) - np.searchsorted(negatives, candidates, side="left")
-
-    best = BestF1(threshold=np.inf, precision=0.0, recall=0.0, f1=-1.0)
-    for theta, tp, fp, fn in zip(candidates, tp_at, fp_at, fn_at):
-        precision, recall, f1 = _prf_from_counts(int(tp), int(fp), int(fn))
-        if f1 > best.f1:  # ascending candidates: first max keeps smallest theta
-            best = BestF1(float(theta), precision, recall, f1)
-    return best
+    # TP(theta) = total length of segments whose detection stat >= theta
+    tp = total - prefix[np.searchsorted(stats[order], candidates, side="left")]
+    fp = len(negatives) - np.searchsorted(negatives, candidates, side="left")
+    precision, recall, f1 = _prf_from_counts(tp, fp, total - tp)
+    best = np.argmax(f1)  # ascending candidates: the first max is the smallest threshold
+    return BestF1(*(float(v[best]) for v in (candidates, precision, recall, f1)))
 
 
 def aggregate_entities(per_entity) -> tuple[float, float, float, float]:

@@ -256,12 +256,6 @@ def _read_header(fh, path) -> dict[str, str]:
     return header
 
 
-def read_checkpoint_header(path) -> dict[str, str]:
-    """The raw key=value hyperparameter block (inspection helper)."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """The stored model, its parameters checked against the layout its
     header implies, and its scaler."""

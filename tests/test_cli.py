@@ -12,7 +12,7 @@ from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError
 from cadts.evaluate import best_f1, read_metrics, read_scores, score_series
 from cadts.model import build_model
-from cadts.train import load_checkpoint, read_checkpoint_header, save_checkpoint, train_model
+from cadts.train import load_checkpoint, save_checkpoint, train_model
 
 from _synth import make_sines
 
@@ -66,6 +66,35 @@ def test_eval_writes_metrics_file(tmp_path):
     rows = read_metrics(out)
     assert [(r.mode, r.k) for r in rows] == [("raw", None), ("pa", None), ("kpa", 10), ("kpa", 20), ("kpa", 30)]
     assert all(r.f1 == 1.0 for r in rows)
+
+
+def test_eval_negative_k_is_usage_error(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    scores.write_text("0.1\n0.9\n0.2\n")
+    labels.write_text("0\n1\n0\n")
+    for mode in ("kpa", "all"):
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--mode", mode, "--k", "10,-3"])
+        assert rc == 1
+        assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [None, "0.5"])
+def test_eval_huge_k_equals_pa(tmp_path, capsys, threshold):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    scores.write_text("0.1\n0.3\n0.9\n0.2\n0.6\n0.4\n0.1\n")
+    labels.write_text("0\n1\n1\n0\n1\n1\n0\n")
+    argv = ["eval", "--scores", str(scores), "--labels", str(labels), "--entity", "toy",
+            "--k", f"{2**63 - 2},{10**20}"]
+    if threshold is not None:
+        argv += ["--threshold", threshold]
+    assert main(argv) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("raw", "-"), ("pa", "-"), ("kpa", str(2**63 - 2)), ("kpa", str(10**20))]
+    pa = rows[1][4:]
+    assert float(pa[2]) == 1.0
+    assert rows[2][4:] == pa and rows[3][4:] == pa
 
 
 def test_eval_all_negative_labels_is_data_error(tmp_path, capsys):
@@ -270,10 +299,13 @@ def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
     lines = bad.read_text().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]
     bad.write_text("\n".join(lines) + "\n")
-    argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), "--jobs", "2"]
-    assert main(argv + FAST) == 2
-    err = capsys.readouterr().err
-    assert str(bad) in err and "'nan' at line 5, column 1" in err
+    for jobs in ("1", "2"):
+        argv = ["train", "--data-root", str(data), "--out", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv + FAST) == 2
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err and "'nan' at line 5, column 1" in captured.err
+        # the entity that finished before the failure is still reported
+        assert captured.out.startswith("trained e1:")
 
 
 def test_jobs_below_one_exits_1(tmp_path, capsys):
@@ -303,9 +335,9 @@ def test_checkpoint_header_records_config(tmp_path, capsys):
     write_entity(data, "e1", seed=9)
     out = tmp_path / "out"
     assert main(["train", "--data-root", str(data), "--out", str(out)] + FAST) == 0
-    header = read_checkpoint_header(out / "e1" / "checkpoint.cadckpt")
-    assert header["experts"] == "2"
-    assert header["scaler"] == "minmax"
+    model, scaler = load_checkpoint(out / "e1" / "checkpoint.cadckpt")
+    assert model.config.experts == 2
+    assert scaler is not None
 
 
 def replace_header_value(path, key, value):

@@ -185,11 +185,13 @@ def scored_labels(draw, max_n=60):
 
 
 @settings(max_examples=200)
-@given(scored_labels(), st.integers(0, 60))
+@given(scored_labels(), st.integers(0, 60) | st.sampled_from([2**63 - 2, 2**63, 10**30]))
 def test_best_f1_equals_brute_force_property(case, k):
     scores, labels = case
     for mode in MODES:
-        assert tuple(best_f1(scores, labels, mode=mode, k=k)) == naive_best_f1(scores, labels, mode, k=k)
+        got = best_f1(scores, labels, mode=mode, k=k)
+        assert tuple(got) == naive_best_f1(scores, labels, mode, k=k)
+        assert all(type(v) is float for v in got)
 
 
 @settings(max_examples=100)

@@ -16,7 +16,6 @@ from cadts.train import (
     TrainConfig,
     load_checkpoint,
     mse_loss,
-    read_checkpoint_header,
     save_checkpoint,
     train_model,
     write_history,
@@ -247,10 +246,10 @@ def test_checkpoint_header_reports_hyperparameters(tmp_path):
     train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
     path = tmp_path / "m5.ckpt"
     save_checkpoint(model, None, path, cfg)
-    header = read_checkpoint_header(path)
-    assert header["experts"] == "5"
-    assert header["variant"] == "full"
-    assert header["scaler"] == "none"
+    loaded, scaler = load_checkpoint(path)
+    assert loaded.config.experts == 5
+    assert loaded.config.variant == "full"
+    assert scaler is None
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
