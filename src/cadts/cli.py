@@ -218,7 +218,8 @@ def cmd_score(args) -> int:
 
 def _parse_modes(mode: str, ks: str) -> list[tuple[str, int | None]]:
     try:
-        k_values = [int(v) for v in ks.split(",") if v.strip()]
+        # a budget given twice is one row, so report counts its entity once
+        k_values = list(dict.fromkeys(int(v) for v in ks.split(",") if v.strip()))
     except ValueError:
         raise ConfigError(f"--k expects a comma list of integers, got {ks!r}") from None
     if any(k < 0 for k in k_values):
@@ -264,6 +265,8 @@ def _print_rows(rows: list[EvalRow]) -> None:
 
 def cmd_eval(args) -> int:
     modes = _parse_modes(args.mode, args.k)
+    if args.threshold is not None and np.isnan(args.threshold):
+        raise ConfigError("--threshold must be a number, got nan")
     if args.scores is not None:
         if args.labels is None:
             raise ConfigError("eval with --scores needs --labels")

@@ -10,6 +10,10 @@ import numpy as np
 from ..errors import NumericError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -18,9 +22,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -41,9 +42,8 @@ def adam_step(state: AdamState, params: list[Tensor], grads, lr: float) -> None:
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} grads")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         gd = g.data if isinstance(g, Tensor) else np.asarray(g)
         if gd.shape != p.data.shape:
@@ -54,11 +54,11 @@ def adam_step(state: AdamState, params: list[Tensor], grads, lr: float) -> None:
         if not np.all(np.isfinite(gd)):
             raise NumericError(f"non-finite gradient for parameter {p.name or f'param[{i}]'}")
         m, v = state.m[i], state.v[i]
-        m *= b1
-        m += (1.0 - b1) * gd
-        v *= b2
-        v += (1.0 - b2) * (gd * gd)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * gd
+        v *= BETA2
+        v += (1.0 - BETA2) * (gd * gd)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Dense tensors over numpy with a dynamic reverse-mode tape.
 
-A ``Tensor`` is a thin wrapper around a float32/float64 ndarray. While a
-``Tape`` is active on the current thread, every primitive applied to a
-watched tensor (or anything derived from one) records a backward closure;
-``Tape.grad`` replays those records in reverse to accumulate adjoints.
-The tape is rebuilt on every forward pass and consumed by a single
-``grad`` call.
+A ``Tensor`` is a thin wrapper around a float32/float64 ndarray. Every
+primitive is a forward expression plus one gradient function per operand,
+and records through ``_op``: while a ``Tape`` is active on the current
+thread, ``_op`` records the operands the tape tracks (watched tensors and
+anything derived from one) with their gradient functions. ``Tape.grad``
+replays those records in reverse to accumulate adjoints. The tape is
+rebuilt on every forward pass and consumed by a single ``grad`` call.
 
-Only first-order derivatives are supported and gradients flow exclusively
-to watched leaves, so constants (data windows, targets) cost nothing on
-the backward pass.
+Only first-order derivatives are supported. Backward computes gradients
+only for tracked operands, so constants (data windows, targets, dropout
+masks, Python scalars) cost nothing on the backward pass.
 """
 
 from __future__ import annotations
@@ -177,121 +178,80 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _binary(a, b, fwd, make_bwd):
-    """Shared wiring for elementwise binary ops with scalar fast paths."""
-    a_t = isinstance(a, Tensor)
-    b_t = isinstance(b, Tensor)
-    av = a.data if a_t else a
-    bv = b.data if b_t else b
-    out = Tensor(fwd(av, bv))
+def _data(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _op(value, *pairs: tuple[object, Callable]) -> Tensor:
+    """Wrap ``value`` in a Tensor and, while a tape is active, record the
+    ``(operand, grad_fn)`` pairs whose operand the tape tracks. Backward calls
+    only those ``grad_fn(g)``, so scalars and untracked tensors (data, masks,
+    targets) never get a gradient computed."""
+    out = Tensor(value)
     tape = _active_tape()
     if tape is not None:
-        na = a_t and tape.tracks(a)
-        nb = b_t and tape.tracks(b)
-        if na or nb:
-            parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
-            tape._record(out, parents, make_bwd(av, bv, na, nb))
+        live = [(t, fn) for t, fn in pairs if tape.tracks(t)]
+        if live:
+            parents, fns = zip(*live)
+            tape._record(out, parents, lambda g: [fn(g) for fn in fns])
     return out
 
 
 def add(a, b) -> Tensor:
-    def make_bwd(av, bv, na, nb):
-        def bwd(g):
-            gs = []
-            if na:
-                gs.append(_unbroadcast(g, av.shape))
-            if nb:
-                gs.append(_unbroadcast(g, bv.shape))
-            return gs
-
-        return bwd
-
-    return _binary(a, b, lambda x, y: x + y, make_bwd)
+    av, bv = _data(a), _data(b)
+    return _op(
+        av + bv,
+        (a, lambda g: _unbroadcast(g, np.shape(av))),
+        (b, lambda g: _unbroadcast(g, np.shape(bv))),
+    )
 
 
 def sub(a, b) -> Tensor:
-    def make_bwd(av, bv, na, nb):
-        def bwd(g):
-            gs = []
-            if na:
-                gs.append(_unbroadcast(g, av.shape))
-            if nb:
-                gs.append(_unbroadcast(-g, bv.shape))
-            return gs
-
-        return bwd
-
-    return _binary(a, b, lambda x, y: x - y, make_bwd)
+    av, bv = _data(a), _data(b)
+    return _op(
+        av - bv,
+        (a, lambda g: _unbroadcast(g, np.shape(av))),
+        (b, lambda g: _unbroadcast(-g, np.shape(bv))),
+    )
 
 
 def mul(a, b) -> Tensor:
-    def make_bwd(av, bv, na, nb):
-        def bwd(g):
-            gs = []
-            if na:
-                gs.append(_unbroadcast(g * bv, np.shape(av)))
-            if nb:
-                gs.append(_unbroadcast(g * av, np.shape(bv)))
-            return gs
-
-        return bwd
-
-    return _binary(a, b, lambda x, y: x * y, make_bwd)
+    av, bv = _data(a), _data(b)
+    return _op(
+        av * bv,
+        (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
+        (b, lambda g: _unbroadcast(g * av, np.shape(bv))),
+    )
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        tape._record(out, (a,), lambda g: (-g,))
-    return out
+    return _op(-a.data, (a, lambda g: -g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch broadcasting on leading axes."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    out = Tensor(a.data @ b.data)
-    tape = _active_tape()
-    if tape is not None:
-        na, nb = tape.tracks(a), tape.tracks(b)
-        if na or nb:
-            ad, bd = a.data, b.data
-            parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
+    ad, bd = a.data, b.data
 
-            def bwd(g):
-                gs = []
-                if na:
-                    bt = bd.swapaxes(-1, -2)
-                    # With one output column, g @ bᵀ has a unit inner dimension:
-                    # each element is one product and no sum, so the broadcast
-                    # multiply is bitwise equal and skips a degenerate gemm (a
-                    # tower's last layer).
-                    gs.append(_unbroadcast(g * bt if bd.shape[-1] == 1 else g @ bt, ad.shape))
-                if nb:
-                    gs.append(_unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
-                return gs
+    def grad_a(g):
+        bt = bd.swapaxes(-1, -2)
+        # With one output column, g @ bᵀ has a unit inner dimension: each
+        # element is one product and no sum, so the broadcast multiply is
+        # bitwise equal and skips a degenerate gemm (a tower's last layer).
+        return _unbroadcast(g * bt if bd.shape[-1] == 1 else g @ bt, ad.shape)
 
-            tape._record(out, parents, bwd)
-    return out
+    return _op(ad @ bd, (a, grad_a), (b, lambda g: _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        mask = out.data > 0
-        tape._record(out, (a,), lambda g: (g * mask,))
-    return out
+    y = np.maximum(a.data, 0)
+    return _op(y, (a, lambda g: g * (y > 0)))
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        ad = a.data
-        tape._record(out, (a,), lambda g: (2.0 * ad * g,))
-    return out
+    ad = a.data
+    return _op(ad * ad, (a, lambda g: 2.0 * ad * g))
 
 
 # Below this width numpy's pairwise sum is a plain left-to-right loop, so
@@ -319,51 +279,26 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - _reduce(np.maximum, a.data, axis)
     e = np.exp(shifted)
     y = e / _reduce(np.add, e, axis)
-    out = Tensor(y)
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        # d/dx softmax: y * (g - sum(g*y))
-        def bwd(g):
-            inner = _reduce(np.add, g * y, axis)
-            return (y * (g - inner),)
-
-        tape._record(out, (a,), bwd)
-    return out
+    # d/dx softmax: y * (g - sum(g*y))
+    return _op(y, (a, lambda g: y * (g - _reduce(np.add, g * y, axis))))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        orig = a.data.shape
-        tape._record(out, (a,), lambda g: (g.reshape(orig),))
-    return out
+    orig = a.data.shape
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes))
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        inv = tuple(np.argsort(axes))
-        tape._record(out, (a,), lambda g: (g.transpose(inv),))
-    return out
+    return _op(a.data.transpose(axes), (a, lambda g: g.transpose(tuple(np.argsort(axes)))))
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis))
-    tape = _active_tape()
-    if tape is not None and tape.tracks(a):
-        shape = a.data.shape
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape),)
-            gx = np.expand_dims(g, axis)
-            return (np.broadcast_to(gx, shape),)
-
-        tape._record(out, (a,), bwd)
-    return out
+    shape = a.data.shape
+    return _op(
+        a.data.sum(axis=axis),
+        (a, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)),
+    )
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:

@@ -97,6 +97,54 @@ def test_eval_huge_k_equals_pa(tmp_path, capsys, threshold):
     assert rows[2][4:] == pa and rows[3][4:] == pa
 
 
+def test_eval_nan_threshold_is_usage_error(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    out = tmp_path / "m.tsv"
+    scores.write_text("0.1\n0.9\n0.2\n")
+    labels.write_text("0\n1\n0\n")
+    for mode in ("pa", "all"):
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--mode", mode,
+                   "--threshold", "nan", "--output", str(out)])
+        assert rc == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold, f1", [("inf", 0.0), ("-inf", 0.4)])
+def test_eval_infinite_threshold_is_accepted(tmp_path, capsys, threshold, f1):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    scores.write_text("0.1\n0.9\n0.2\n0.3\n")
+    labels.write_text("0\n1\n0\n0\n")
+    rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "raw",
+               f"--threshold={threshold}"])
+    assert rc == 0
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert float(row[6]) == pytest.approx(f1)
+
+
+@pytest.mark.parametrize("mode, ks, expected", [
+    ("kpa", "10,10,20", [("kpa", "10"), ("kpa", "20")]),
+    ("all", "10,10", [("raw", "-"), ("pa", "-"), ("kpa", "10")]),
+])
+def test_eval_repeated_k_counts_once(tmp_path, capsys, mode, ks, expected):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    out = tmp_path / "m.tsv"
+    scores.write_text("0.1\n0.3\n0.9\n0.2\n0.6\n0.4\n0.1\n")
+    labels.write_text("0\n1\n1\n0\n1\n1\n0\n")
+    rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--entity", "toy",
+               "--mode", mode, "--k", ks, "--output", str(out)])
+    assert rc == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == expected
+    assert main(["report", "--metrics", str(out)]) == 0
+    report = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(report) == len(expected)
+    assert all(cells[2] == "1" for cells in report)
+
+
 def test_eval_all_negative_labels_is_data_error(tmp_path, capsys):
     scores = tmp_path / "s.txt"
     labels = tmp_path / "l.txt"

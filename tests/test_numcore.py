@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cadts.errors import NumericError
+from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.numcore import (
     AdamState,
     CosineSchedule,
     Tape,
     Tensor,
     adam_step,
+    add,
     conv_rows,
     cosine_lr,
     dropout,
@@ -29,6 +31,8 @@ from cadts.numcore import (
     transpose,
     tsum,
 )
+from cadts.numcore.tensor import _op
+from cadts.train import mse_loss
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
 from _oracles import reference_softmax, reference_softmax_backward
@@ -285,6 +289,82 @@ def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b
     expected = r @ b.data.swapaxes(-1, -2)
     assert grad.dtype == expected.dtype and grad.shape == expected.shape
     assert np.array_equal(grad, expected)
+
+
+# --- the recording contract: every primitive records through _op ----------------
+
+
+def _contract_cases():
+    """(op, lhs, rhs): each operand is a watched tensor, an unwatched tensor
+    ("const") or a Python scalar (elementwise ops only)."""
+    cases = []
+    for op in (add, sub, mul, matmul):
+        kinds = [("watched", "const"), ("const", "watched"), ("watched", "watched"), ("const", "const")]
+        if op is not matmul:
+            kinds += [("watched", "scalar"), ("scalar", "watched"), ("const", "scalar")]
+        cases += [pytest.param(op, lhs, rhs, id=f"{op.__name__}-{lhs}-{rhs}") for lhs, rhs in kinds]
+    return cases
+
+
+@pytest.mark.parametrize("op, lhs, rhs", _contract_cases())
+def test_op_records_exactly_the_tracked_operands(op, lhs, rhs):
+    rng = np.random.default_rng(23)
+    shapes = ((2, 3), (3, 4)) if op is matmul else ((2, 3), (1, 3))
+
+    def operand(kind, shape):
+        return 1.5 if kind == "scalar" else Tensor(rng.normal(size=shape))
+
+    a, b = operand(lhs, shapes[0]), operand(rhs, shapes[1])
+    tracked = [t for t, kind in ((a, lhs), (b, rhs)) if kind == "watched"]
+    with Tape() as tape:
+        tape.watch(*tracked)
+        out = op(a, b)
+    if not tracked:
+        assert tape._records == []
+        return
+    (record,) = tape._records
+    rec_out, parents, bwd = record
+    assert rec_out is out
+    assert [id(p) for p in parents] == [id(t) for t in tracked]
+    grads = bwd(np.ones_like(out.data))
+    assert len(grads) == len(parents)
+    assert [g.shape for g in grads] == [p.shape for p in parents]
+
+
+def test_op_backward_calls_only_the_tracked_grad_fns():
+    x, c = Tensor(np.ones(3)), Tensor(np.ones(3))
+    calls = []
+
+    def grad_fn(name):
+        return lambda g: calls.append(name) or g
+
+    with Tape() as tape:
+        tape.watch(x)
+        out = _op(x.data + c.data, (c, grad_fn("c")), (x, grad_fn("x")), (2.0, grad_fn("scalar")))
+    _, parents, bwd = tape._records[-1]
+    assert parents == (x,)
+    bwd(np.ones_like(out.data))
+    assert calls == ["x"]
+
+
+# records of one train step (forward in train mode plus the loss) per variant
+# at 38 metrics and the default config; the count does not depend on batch size
+TAPE_RECORDS_PER_STEP = {
+    "full": 31, "no_gate": 23, "no_selection": 31, "no_sgate": 27,
+    "no_pgate": 26, "no_conv": 27, "single_task": 21,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tape_records_per_train_step(variant):
+    cfg = ModelConfig(variant=variant)
+    model = build_model(cfg, 38, rng_seed=0)
+    x = np.random.default_rng(0).random((4, 38, cfg.l)).astype(cfg.np_dtype)
+    y = Tensor(np.zeros((4, 38), cfg.np_dtype))
+    with Tape() as tape:
+        tape.watch(*model.parameters())
+        mse_loss(y, model.forward_batch(x, mode="train", rng=np.random.default_rng(1)))
+    assert len(tape._records) == TAPE_RECORDS_PER_STEP[variant]
 
 
 def test_dropout_gradient_with_frozen_mask():
