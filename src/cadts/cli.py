@@ -58,6 +58,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads only digit-led negatives such as -0.5 as values;
+        # -inf and -1e-3 are numbers too, so `--threshold -inf` works
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
     values: dict[str, str] = {}

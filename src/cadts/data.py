@@ -7,6 +7,7 @@ directory holds train.csv, test.csv and test_label.csv.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,12 +73,25 @@ def _looks_like_header(line: str) -> bool:
     return False
 
 
-def _diagnose_csv(path: Path, lines: list[str], first_data_line: int) -> None:
-    """Slow re-parse to locate the offending cell (ragged, non-numeric or
-    non-finite); always raises."""
+def _nonblank_lines(path: Path, skip: int) -> list[str]:
+    """Re-read the file: its lines up to the last non-blank one. Raises if
+    there are none, or none past the ``skip`` header lines."""
+    lines = path.read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    if len(lines) == skip:
+        raise DataError(f"{path}: no data rows")
+    return lines
+
+
+def _diagnose_csv(path: Path, skip: int) -> None:
+    """Slow re-read and re-parse to locate the offending cell (ragged,
+    non-numeric or non-finite); always raises."""
     expected = None
-    for lineno, line in enumerate(lines, start=1):
-        if lineno < first_data_line or not line.strip():
+    for lineno, line in enumerate(_nonblank_lines(path, skip), start=1):
+        if lineno <= skip or not line.strip():
             continue
         cells = line.split(",")
         if expected is None:
@@ -100,24 +114,32 @@ def _diagnose_csv(path: Path, lines: list[str], first_data_line: int) -> None:
 
 
 def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesMatrix:
-    """Parse a CSV series (and optional label file) into a SeriesMatrix."""
+    """Parse a CSV series (and optional label file) into a SeriesMatrix.
+
+    The file is read once: the header decision comes from its literal first
+    line (a blank first line counts as a header), the values from one
+    ``np.loadtxt`` pass over the same open file, so no copy of the text is
+    held. Only the error paths re-read it, to name an empty file or the
+    offending cell.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"series file not found: {path}")
-    lines = path.read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    skip = 1 if _looks_like_header(lines[0]) else 0
-    if len(lines) == skip:
-        raise DataError(f"{path}: no data rows")
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=skip, dtype=np.float64, ndmin=2)
-    except ValueError:
-        _diagnose_csv(path, lines, first_data_line=skip + 1)
+    with path.open() as fh:
+        skip = 1 if _looks_like_header(fh.readline()) else 0
+        if not skip:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # no rows is reported below, by _nonblank_lines
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError:
+            _diagnose_csv(path, skip)
+    if values.size == 0:
+        _nonblank_lines(path, skip)
     if not np.isfinite(values).all():
-        _diagnose_csv(path, lines, first_data_line=skip + 1)
+        _diagnose_csv(path, skip)
 
     labels = None
     if labels_path is not None:

@@ -42,9 +42,9 @@ from .errors import ConfigError
 from .numcore import (
     Tensor,
     conv_rows,
+    dense,
     dropout,
     matmul,
-    relu,
     reshape,
     softmax,
     tmean,
@@ -178,10 +178,10 @@ class CadModel:
             blended = matmul(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
             mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
 
-        hidden = relu(matmul(mixed, p["tower.w1"]) + p["tower.b1"])  # (K, B, hidden)
+        hidden = dense(mixed, p["tower.w1"], p["tower.b1"], relu=True)  # (K, B, hidden)
         if use_dropout:
             hidden = dropout(hidden, cfg.dropout_rate, rng)
-        raw = matmul(hidden, p["tower.w2"]) + p["tower.b2"]  # (K, B, 1)
+        raw = dense(hidden, p["tower.w2"], p["tower.b2"])  # (K, B, 1)
         return transpose(reshape(raw, (self.n_metrics, batch)), (1, 0))
 
     def _as_windows(self, windows) -> Tensor:
@@ -202,10 +202,10 @@ class CadModel:
         else:
             rows = reshape(win, (batch * k, l))  # every expert reads every row
         if "expert.kernels" in p:
-            rows = relu(conv_rows(rows, p["expert.kernels"]))  # (E, B*K, N) or (K, B, N)
+            rows = conv_rows(rows, p["expert.kernels"], relu=True)  # (E, B*K, N) or (K, B, N)
         flat = reshape(rows, (-1, batch, p["expert.ff1_w"].shape[1]))  # (E or 1, B, ff1 input)
-        hidden = relu(matmul(flat, p["expert.ff1_w"]) + p["expert.ff1_b"])
-        return matmul(hidden, p["expert.ff2_w"]) + p["expert.ff2_b"]
+        hidden = dense(flat, p["expert.ff1_w"], p["expert.ff1_b"], relu=True)
+        return dense(hidden, p["expert.ff2_w"], p["expert.ff2_b"])
 
     def _gate_weights_batch(self, win: Tensor) -> Tensor:
         """Gate weights (B, K, M) of windows (B, K, l)."""

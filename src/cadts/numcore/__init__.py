@@ -6,11 +6,11 @@ from .tensor import (
     Tensor,
     add,
     conv_rows,
+    dense,
     dropout,
     matmul,
     mul,
     neg,
-    relu,
     reshape,
     softmax,
     square,
@@ -29,11 +29,11 @@ __all__ = [
     "add",
     "conv_rows",
     "cosine_lr",
+    "dense",
     "dropout",
     "matmul",
     "mul",
     "neg",
-    "relu",
     "reshape",
     "softmax",
     "square",

@@ -11,6 +11,11 @@ rebuilt on every forward pass and consumed by a single ``grad`` call.
 Only first-order derivatives are supported. Backward computes gradients
 only for tracked operands, so constants (data windows, targets, dropout
 masks, Python scalars) cost nothing on the backward pass.
+
+Dense layers are one primitive, ``dense(x, w, b=None, relu=False)``: the
+product, the bias add and the relu share one output buffer and one record,
+with values and gradients bitwise those of ``relu(matmul(x, w) + b)``;
+``matmul`` is ``dense`` without bias or relu.
 """
 
 from __future__ import annotations
@@ -182,18 +187,25 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _op(value, *pairs: tuple[object, Callable]) -> Tensor:
+def _op(value, *pairs: tuple[object, Callable], adjoint: Callable | None = None) -> Tensor:
     """Wrap ``value`` in a Tensor and, while a tape is active, record the
     ``(operand, grad_fn)`` pairs whose operand the tape tracks. Backward calls
     only those ``grad_fn(g)``, so scalars and untracked tensors (data, masks,
-    targets) never get a gradient computed."""
+    targets) never get a gradient computed. ``adjoint``, if given, maps the
+    output's adjoint once before every ``grad_fn`` sees it (a fused relu
+    mask)."""
     out = Tensor(value)
     tape = _active_tape()
     if tape is not None:
         live = [(t, fn) for t, fn in pairs if tape.tracks(t)]
         if live:
             parents, fns = zip(*live)
-            tape._record(out, parents, lambda g: [fn(g) for fn in fns])
+
+            def bwd(g):
+                g = g if adjoint is None else adjoint(g)
+                return [fn(g) for fn in fns]
+
+            tape._record(out, parents, bwd)
     return out
 
 
@@ -230,23 +242,39 @@ def neg(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch broadcasting on leading axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
-    ad, bd = a.data, b.data
+    return dense(a, b)
 
-    def grad_a(g):
-        bt = bd.swapaxes(-1, -2)
-        # With one output column, g @ bᵀ has a unit inner dimension: each
+
+def dense(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``x @ w``, then ``+ b`` and ``max(., 0)`` if asked, in place on the
+    product's buffer: one output array and one record where
+    ``relu(matmul(x, w) + b)`` holds three. Values and gradients are bitwise
+    those of that form; backward masks the adjoint once, by ``y > 0`` in its
+    dtype, for all three operands. ``b`` must broadcast to the product."""
+    if x.ndim < 2 or w.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
+    xd, wd = x.data, w.data
+    y = xd @ wd
+    if b is not None:
+        y += b.data
+    if relu:
+        np.maximum(y, 0, out=y)
+
+    def grad_x(g):
+        wt = wd.swapaxes(-1, -2)
+        # With one output column, g @ wᵀ has a unit inner dimension: each
         # element is one product and no sum, so the broadcast multiply is
         # bitwise equal and skips a degenerate gemm (a tower's last layer).
-        return _unbroadcast(g * bt if bd.shape[-1] == 1 else g @ bt, ad.shape)
+        return _unbroadcast(g * wt if wd.shape[-1] == 1 else g @ wt, xd.shape)
 
-    return _op(ad @ bd, (a, grad_a), (b, lambda g: _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)))
+    def relu_mask(g):
+        mask = (y > 0).astype(g.dtype)
+        return np.multiply(g, mask, out=mask)
 
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0)
-    return _op(y, (a, lambda g: g * (y > 0)))
+    pairs = [(x, grad_x), (w, lambda g: _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))]
+    if b is not None:
+        pairs.append((b, lambda g: _unbroadcast(g, b.shape)))
+    return _op(y, *pairs, adjoint=relu_mask if relu else None)
 
 
 def square(a: Tensor) -> Tensor:
@@ -320,8 +348,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return mul(a, Tensor(keep))
 
 
-def conv_rows(window, kernels) -> Tensor:
-    """Row-wise full-width convolution: out[k, n] = dot(window[k], kernels[n]).
+def conv_rows(window, kernels, relu: bool = False) -> Tensor:
+    """Row-wise full-width convolution: out[k, n] = dot(window[k], kernels[n]),
+    followed by ``max(., 0)`` if ``relu`` (one fused ``dense`` op).
 
     Kernel width must equal the window length, so each (metric, kernel)
     pair collapses to a single dot product and the whole layer is
@@ -340,4 +369,4 @@ def conv_rows(window, kernels) -> Tensor:
         raise ValueError(
             f"kernel width {kernels.shape[-1]} != window length {window.shape[-1]}"
         )
-    return matmul(window, transpose(kernels, (1, 0) if kernels.ndim == 2 else (0, 2, 1)))
+    return dense(window, transpose(kernels, (1, 0) if kernels.ndim == 2 else (0, 2, 1)), relu=relu)

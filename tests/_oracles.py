@@ -2,7 +2,7 @@
 
 Deliberately independent of the package: the evaluation oracles use plain
 loops, per-threshold recounts and no numpy vectorization, and the softmax
-reference is the textbook formula on numpy's own reductions, so they can
+and Adam references are the textbook formulas on whole arrays, so they can
 arbitrate the fast paths.
 """
 
@@ -22,6 +22,16 @@ def reference_softmax_backward(y, g, axis):
     """Adjoint of ``reference_softmax`` given its output ``y`` and the
     output adjoint ``g``: y * (g - sum(g * y))."""
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def reference_adam_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam (Kingma & Ba, ICLR 2015) step ``t`` on whole arrays, in
+    their dtype: the new (p, m, v)."""
+    m = m * beta1 + (1.0 - beta1) * g
+    v = v * beta2 + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 def naive_point_adjust(labels, preds):

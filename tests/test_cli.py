@@ -117,11 +117,11 @@ def test_eval_infinite_threshold_is_accepted(tmp_path, capsys, threshold, f1):
     labels = tmp_path / "l.txt"
     scores.write_text("0.1\n0.9\n0.2\n0.3\n")
     labels.write_text("0\n1\n0\n0\n")
-    rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "raw",
-               f"--threshold={threshold}"])
-    assert rc == 0
-    row = capsys.readouterr().out.splitlines()[1].split("\t")
-    assert float(row[6]) == pytest.approx(f1)
+    for option in ([f"--threshold={threshold}"], ["--threshold", threshold]):
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "raw", *option])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert float(row[6]) == pytest.approx(f1)
 
 
 @pytest.mark.parametrize("mode, ks, expected", [

@@ -1,5 +1,9 @@
 """Loader, scaler and windowing contracts."""
 
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,54 @@ def test_header_only_file(tmp_path):
     p = write(tmp_path, "hdr.csv", "m1,m2\n")
     with pytest.raises(DataError, match="no data"):
         load_series(p)
+
+
+def test_blank_only_file_is_empty(tmp_path):
+    p = write(tmp_path, "blank.csv", "\n\n")
+    with pytest.raises(DataError, match="empty file"):
+        load_series(p)
+
+
+def test_header_only_file_raises_no_warning(tmp_path):
+    p = write(tmp_path, "hdr.csv", "m1,m2\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="no data rows"):
+            load_series(p)
+    assert caught == []
+
+
+def test_blank_first_line_is_the_header(tmp_path):
+    p = write(tmp_path, "lead.csv", "\n1,2\n3,4\n")
+    np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
+    # the blank line is skipped as the header, so a named row below it is data
+    p = write(tmp_path, "named.csv", "\nm1,m2\n1,2\n")
+    with pytest.raises(DataError, match="value 'm1' at line 2, column 1"):
+        load_series(p)
+
+
+def test_successful_load_reads_the_file_once(tmp_path, monkeypatch):
+    p = write(tmp_path, "train.csv", "m1,m2\n1,2\n3,4\n")
+
+    def no_second_read(self, *args, **kwargs):
+        raise AssertionError(f"{self} read again as text")
+
+    monkeypatch.setattr(Path, "read_text", no_second_read)
+    np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
+
+
+def test_load_peak_memory_is_within_twice_the_result(tmp_path):
+    values = np.random.default_rng(8).random((5000, 20))
+    p = tmp_path / "big.csv"
+    np.savetxt(p, values, delimiter=",", header="m" + ",m".join(map(str, range(1, 20))), comments="")
+    tracemalloc.start()
+    try:
+        series = load_series(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (5000, 20)
+    assert peak <= 2 * series.values.nbytes
 
 
 # --- scaler -----------------------------------------------------------------

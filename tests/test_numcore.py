@@ -18,11 +18,11 @@ from cadts.numcore import (
     add,
     conv_rows,
     cosine_lr,
+    dense,
     dropout,
     matmul,
     mul,
     neg,
-    relu,
     reshape,
     softmax,
     square,
@@ -31,11 +31,12 @@ from cadts.numcore import (
     transpose,
     tsum,
 )
+from cadts.numcore.optim import BLOCK
 from cadts.numcore.tensor import _op
 from cadts.train import mse_loss
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
-from _oracles import reference_softmax, reference_softmax_backward
+from _oracles import reference_adam_step, reference_softmax, reference_softmax_backward
 
 
 def test_grad_of_square():
@@ -123,7 +124,7 @@ def test_three_layer_composite_matches_finite_differences():
     target = Tensor(rng.random(size=(3, 5)))
 
     def forward():
-        h = relu(matmul(x, w) + b)
+        h = dense(x, w, b, relu=True)
         y = softmax(h, axis=-1)
         return tmean(square(sub(y, target)))
 
@@ -183,10 +184,31 @@ def _primitive_cases():
         r = Tensor(rng.normal(size=(3, 4, 1)))
         return [a, b], lambda: tsum(mul(matmul(a, b), r))
 
-    def case_relu(rng):
-        a = Tensor(away_from_zero(rng, (4, 4)), name="a")
-        r = Tensor(rng.normal(size=(4, 4)))
-        return [a], lambda: tsum(mul(relu(a), r))
+    def dense_case(x_shape, w_shape, b_shape, relu):
+        def case(rng):
+            x = Tensor(rng.normal(size=x_shape), name="x")
+            w = Tensor(rng.normal(size=w_shape), name="w")
+            b = Tensor(rng.normal(size=b_shape), name="b") if b_shape else None
+            r = Tensor(rng.normal(size=dense(x, w, b).shape))
+            params = [x, w] + ([b] if b is not None else [])
+            return params, lambda: tsum(mul(dense(x, w, b, relu=relu), r))
+
+        case.__name__ = "case_dense" + ("_bias" if b_shape else "") + ("_relu" if relu else "")
+        return case
+
+    def case_dense_conv(rng):
+        # 2-D rows against a stacked (experts, width, count) weight, as the conv
+        x = Tensor(rng.normal(size=(4, 6)), name="x")
+        w = Tensor(rng.normal(size=(2, 6, 3)), name="w")
+        r = Tensor(rng.normal(size=(2, 4, 3)))
+        return [x, w], lambda: tsum(mul(dense(x, w, relu=True), r))
+
+    def case_dense_unit_output(rng):
+        x = Tensor(rng.normal(size=(3, 4, 5)), name="x")
+        w = Tensor(rng.normal(size=(3, 5, 1)), name="w")
+        b = Tensor(rng.normal(size=(3, 1, 1)), name="b")
+        r = Tensor(rng.normal(size=(3, 4, 1)))
+        return [x, w, b], lambda: tsum(mul(dense(x, w, b), r))
 
     def case_square(rng):
         a = Tensor(rng.normal(size=(3, 3)), name="a")
@@ -243,7 +265,9 @@ def _primitive_cases():
         case_matmul,
         case_matmul_broadcast,
         case_matmul_unit_inner,
-        case_relu,
+        *(dense_case((3, 4), (4, 5), b_shape, relu) for b_shape in (None, (5,)) for relu in (False, True)),
+        case_dense_conv,
+        case_dense_unit_output,
         case_square,
         case_softmax,
         case_softmax_middle_axis,
@@ -289,6 +313,42 @@ def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b
     expected = r @ b.data.swapaxes(-1, -2)
     assert grad.dtype == expected.dtype and grad.shape == expected.shape
     assert np.array_equal(grad, expected)
+
+
+def _relu_op(a):
+    """relu as a tape op of its own: the last op of the three-op layer
+    ``relu(matmul(x, w) + b)`` that ``dense`` fuses."""
+    y = np.maximum(a.data, 0)
+    return _op(y, (a, lambda g: g * (y > 0)))
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape",
+    [((6, 5), (5, 4), (4,)), ((3, 6, 5), (3, 5, 4), (3, 1, 4)),
+     ((6, 5), (3, 5, 4), (3, 1, 4)), ((3, 6, 5), (3, 5, 1), (3, 1, 1))],
+    ids=["2d", "stacked", "x-broadcast", "unit-output"],
+)
+def test_dense_is_bitwise_the_three_op_form(x_shape, w_shape, b_shape, dtype, relu):
+    rng = np.random.default_rng(29)
+    x, w, b = (Tensor(rng.normal(size=s).astype(dtype)) for s in (x_shape, w_shape, b_shape))
+    adjoint = Tensor(rng.normal(size=(x.data @ w.data).shape).astype(dtype))
+
+    def three_op():
+        y = matmul(x, w) + b
+        return _relu_op(y) if relu else y
+
+    results = []
+    for forward in (lambda: dense(x, w, b, relu=relu), three_op):
+        with Tape() as tape:
+            tape.watch(x, w, b)
+            y = forward()
+            loss = tsum(mul(y, adjoint))
+        results.append([y.data] + [g.data for g in tape.grad(loss, [x, w, b])])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --- the recording contract: every primitive records through _op ----------------
@@ -350,8 +410,8 @@ def test_op_backward_calls_only_the_tracked_grad_fns():
 # records of one train step (forward in train mode plus the loss) per variant
 # at 38 metrics and the default config; the count does not depend on batch size
 TAPE_RECORDS_PER_STEP = {
-    "full": 31, "no_gate": 23, "no_selection": 31, "no_sgate": 27,
-    "no_pgate": 26, "no_conv": 27, "single_task": 21,
+    "full": 24, "no_gate": 16, "no_selection": 24, "no_sgate": 20,
+    "no_pgate": 19, "no_conv": 21, "single_task": 14,
 }
 
 
@@ -585,6 +645,49 @@ def test_adam_rejects_non_finite_gradient():
     state = AdamState.for_params([p])
     with pytest.raises(NumericError, match="tower_w1"):
         adam_step(state, [p], [Tensor(np.array([1.0, np.nan]))], 0.01)
+
+
+def test_adam_rejects_dtype_mismatch():
+    p = Tensor(np.zeros(3, np.float32), name="gate.shared")
+    state = AdamState.for_params([p])
+    with pytest.raises(ValueError, match="dtype float64 != parameter dtype float32 for gate.shared"):
+        adam_step(state, [p], [Tensor(np.ones(3, np.float64))], 0.01)
+    assert not p.data.any() and not state.m[0].any() and not state.v[0].any()
+
+
+def test_adam_non_finite_in_a_later_block_leaves_the_parameter_untouched():
+    rng = np.random.default_rng(24)
+    p = Tensor(rng.normal(size=(5, BLOCK // 2)), name="expert.ff1_w")  # 2.5 blocks
+    state = AdamState.for_params([p])
+    adam_step(state, [p], [Tensor(rng.normal(size=p.shape))], 0.01)
+    before = [a.copy() for a in (p.data, state.m[0], state.v[0])]
+    grad = rng.normal(size=p.shape)
+    grad.reshape(-1)[2 * BLOCK + 7] = np.nan
+    with pytest.raises(NumericError, match="expert.ff1_w"):
+        adam_step(state, [p], [Tensor(grad)], 0.01)
+    for got, want in zip((p.data, state.m[0], state.v[0]), before):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5, BLOCK // 2)]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    lrs=st.lists(st.floats(1e-5, 0.5), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_is_bitwise_the_textbook_update(shape, dtype, lrs, seed):
+    """Sizes around the block boundary, 0-d to 2.5 blocks, 1-5 steps."""
+    rng = np.random.default_rng(seed)
+    p = Tensor(np.asarray(rng.normal(size=shape), dtype=dtype))
+    state = AdamState.for_params([p])
+    want = (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+    for t, lr in enumerate(lrs, start=1):
+        grad = np.asarray(rng.normal(size=shape), dtype=dtype)
+        adam_step(state, [p], [Tensor(grad)], lr)
+        want = reference_adam_step(*want, grad, t, lr)
+    for got, expected in zip((p.data, state.m[0], state.v[0]), want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 # --- cosine schedule --------------------------------------------------------
