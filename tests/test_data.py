@@ -1,12 +1,16 @@
 """Loader, scaler and windowing contracts."""
 
+import errno
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cadts import data
 from cadts.data import (
     SeriesMatrix,
     apply_minmax,
@@ -140,7 +144,7 @@ def test_successful_load_reads_the_file_once(tmp_path, monkeypatch):
     np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
 
 
-def test_load_peak_memory_is_within_twice_the_result(tmp_path):
+def assert_load_peak_within_twice_the_result(tmp_path):
     values = np.random.default_rng(8).random((5000, 20))
     p = tmp_path / "big.csv"
     np.savetxt(p, values, delimiter=",", header="m" + ",m".join(map(str, range(1, 20))), comments="")
@@ -152,6 +156,209 @@ def test_load_peak_memory_is_within_twice_the_result(tmp_path):
         tracemalloc.stop()
     assert series.shape == (5000, 20)
     assert peak <= 2 * series.values.nbytes
+
+
+def test_load_peak_memory_is_within_twice_the_result(tmp_path):
+    assert_load_peak_within_twice_the_result(tmp_path)
+
+
+def test_hash_cell_is_a_located_error(tmp_path):
+    # '#' starts no comment: the row is not cut short at it
+    p = write(tmp_path, "bad.csv", "a,b\n1,2#junk\n3,4\n")
+    with pytest.raises(DataError, match=r"bad\.csv: value '2#junk' at line 2, column 2"):
+        load_series(p)
+
+
+def test_all_hash_data_lines_name_file_and_line(tmp_path):
+    p = write(tmp_path, "hashes.csv", "a,b\n#1,2\n")
+    with pytest.raises(DataError, match=r"hashes\.csv: value '#1' at line 2, column 1"):
+        load_series(p)
+
+
+def test_hash_in_label_file_is_rejected(tmp_path):
+    lp = write(tmp_path, "test_label.csv", "0\n1 # anomaly\n")
+    with pytest.raises(DataError, match="unparseable label file"):
+        load_labels(lp)
+
+
+# --- load_series in parts ---------------------------------------------------
+
+
+def parse_in_parts(mp, min_part_bytes, cores=4):
+    """Let ``load_series`` cut parts of ``min_part_bytes`` on ``cores`` cores;
+    returns the list that the pids of the forked parsers are appended to."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(data, "MIN_PART_BYTES", min_part_bytes)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    mp.setattr(os, "fork", fork)
+    return pids
+
+
+def load_in_process(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "MIN_PART_BYTES", 1 << 62)
+        return load_series(path)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+def write_matrix(tmp_path):
+    p = tmp_path / "train.csv"
+    values = np.random.default_rng(300).normal(size=(300, 7)) * 1e3
+    np.savetxt(p, values, delimiter=",", fmt="%.17g", header=",".join("m" * 7), comments="")
+    return p
+
+
+def test_large_file_is_parsed_in_parts_bitwise_equal(tmp_path, monkeypatch):
+    p = write_matrix(tmp_path)
+    expected = load_in_process(p).values
+    pids = parse_in_parts(monkeypatch, p.stat().st_size // 5)
+    assert_bitwise_equal(load_series(p).values, expected)
+    assert len(pids) == 4
+    for pid in pids:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_small_file_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a file under two parts")
+
+    p = write_matrix(tmp_path)
+    size = p.stat().st_size
+    parse_in_parts(monkeypatch, size // 2 + 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    expected = load_in_process(p).values
+    assert_bitwise_equal(load_series(p).values, expected)
+    parse_in_parts(monkeypatch, 1, cores=1)  # one core: one part, however large
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_bitwise_equal(load_series(p).values, expected)
+
+
+def test_refused_fork_parses_in_process(tmp_path, monkeypatch):
+    def refuse():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    p = write_matrix(tmp_path)
+    expected = load_in_process(p).values
+    parse_in_parts(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert_bitwise_equal(load_series(p).values, expected)
+
+
+def test_interrupted_load_reaps_children_and_closes_pipes(tmp_path, monkeypatch):
+    p = write_matrix(tmp_path)
+    fds = []
+    real_pipe = os.pipe
+
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2], fds[-1]
+
+    def interrupted(pipe, buf):
+        raise KeyboardInterrupt
+
+    pids = parse_in_parts(monkeypatch, 64, cores=3)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(data, "_read_into", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        load_series(p)
+    assert len(pids) == 3 and len(fds) == 6
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    for fd in fds:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+
+
+def test_parts_load_peak_memory_is_within_twice_the_result(tmp_path, monkeypatch):
+    pids = parse_in_parts(monkeypatch, 256 << 10)
+    assert_load_peak_within_twice_the_result(tmp_path)
+    assert len(pids) == 4
+
+
+@st.composite
+def csv_files(draw):
+    """A finite matrix as CSV text (optional header, LF or CRLF, blank lines
+    inside and at the end), how many header lines it has, and its lines."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    cells = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999)
+    lines = [",".join(repr(draw(cells)) for _ in range(cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):  # never before the first row
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    lines += [""] * draw(st.integers(0, 2))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"m{j}" for j in range(cols)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), int(header), lines
+
+
+def test_parts_load_bitwise_equal_to_one_loadtxt_call(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parts") / "series.csv"
+    forked = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_files(), st.integers(2, 4))
+    def check(file, cores):
+        text, header, _ = file
+        path.write_bytes(text.encode())
+        expected = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
+                              skiprows=header)
+        with pytest.MonkeyPatch.context() as mp:
+            pids = parse_in_parts(mp, 8, cores)
+            assert_bitwise_equal(load_series(path).values, expected)
+        assert len(pids) <= cores
+        forked.append(len(pids))
+
+    check()
+    assert {2, 3, 4} <= set(forked)
+
+
+def test_bad_cell_in_last_part_gives_the_in_process_message(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parts") / "series.csv"
+    forked = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(csv_files(), st.sampled_from(["ragged", "nan", "#"]), st.data())
+    def check(file, bad, draw):
+        _, header, lines = file
+        rows = [i for i, line in enumerate(lines) if line and i >= header]
+        assume(len(rows) > 1)  # a lone row is no ragged row; a lone bad first line, the header
+        last = rows[-1]
+        cells = lines[last].split(",")
+        col = draw.draw(st.integers(0, len(cells) - 1))
+        if bad == "ragged":
+            cells.append("0")
+        else:
+            cells[col] = "nan" if bad == "nan" else draw.draw(st.sampled_from(["#", "1#2"]))
+        lines = lines[:last] + [",".join(cells)] + lines[last + 1 :]
+        path.write_bytes("\n".join(lines).encode())
+        with pytest.raises(DataError) as in_process:
+            load_in_process(path)
+        with pytest.MonkeyPatch.context() as mp:
+            pids = parse_in_parts(mp, 8)
+            with pytest.raises(DataError) as in_parts:
+                load_series(path)
+        assert str(in_parts.value) == str(in_process.value)
+        assert f"at line {last + 1}" in str(in_process.value)
+        forked.append(len(pids))
+
+    check()
+    assert max(forked) == 4
 
 
 # --- scaler -----------------------------------------------------------------
