@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import apply_minmax, fit_minmax, load_labels, load_series, make_windows
+from . import cores
+from .data import apply_minmax, fit_minmax, load_labels, load_series, make_windows, read_text
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
     EvalRow,
@@ -88,7 +89,7 @@ def make_train_config(config_path=None, overrides=()) -> TrainConfig:
         path = Path(config_path)
         if not path.is_file():
             raise DataError(f"config file not found: {path}")
-        raw.update(_parse_config_text(path.read_text(), str(path)))
+        raw.update(_parse_config_text(read_text(path, ConfigError), str(path)))
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
@@ -134,14 +135,17 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
     ``inputs[i]`` is the file task ``i`` reads. With more than one worker the
     task with the largest input starts first (ties keep task order): an
     entity's run time grows with its input, so the longest one no longer
-    starts last while the other workers sit idle at the end."""
+    starts last while the other workers sit idle at the end. Each worker
+    takes its share of the cores (``cores.enter_worker``)."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         yield from (worker(*task) for task in tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=cores.enter_worker, initargs=(workers,)
+    ) as pool:
         futures = [None] * len(tasks)
         for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
             futures[i] = pool.submit(worker, *tasks[i])

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import cores
 from .errors import DataError
 
 
@@ -76,6 +77,17 @@ class WindowSet:
         return len(self.windows)
 
 
+def read_text(path, error: type[Exception] = DataError) -> str:
+    """A UTF-8 text file's contents; a byte that does not decode raises
+    ``error`` naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
+
+
 def _looks_like_header(line: str) -> bool:
     for cell in line.split(","):
         try:
@@ -88,7 +100,7 @@ def _looks_like_header(line: str) -> bool:
 def _nonblank_lines(path: Path, skip: int) -> list[str]:
     """Re-read the file: its lines up to the last non-blank one. Raises if
     there are none, or none past the ``skip`` header lines."""
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -134,12 +146,13 @@ def _loadtxt(fh) -> np.ndarray:
 
 
 def _part_bounds(path: Path, skip: int) -> list[int]:
-    """Byte offsets cutting the data lines into one part per core, each of
-    at least MIN_PART_BYTES and each ending just after a newline byte; a
-    single part (no cut) when that cannot be done."""
+    """Byte offsets cutting the data lines into one part per core of the
+    process's budget (``cores.budget``), each of at least MIN_PART_BYTES
+    and each ending just after a newline byte; a single part (no cut) when
+    that cannot be done."""
     size = path.stat().st_size
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cores, size // MIN_PART_BYTES) < 2:
+    n_cores = cores.budget()
+    if min(n_cores, size // MIN_PART_BYTES) < 2:
         return [0, size]
     with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
         start = 0
@@ -149,7 +162,7 @@ def _part_bounds(path: Path, skip: int) -> list[int]:
             start = mm.find(b"\n") + 1
             if start == 0 or mm.find(b"\r", 0, start) not in (-1, start - 2):
                 return [0, size]
-        parts = min(cores, (size - start) // MIN_PART_BYTES)
+        parts = min(n_cores, (size - start) // MIN_PART_BYTES)
         bounds = [start]
         for i in range(1, parts):
             cut = mm.find(b"\n", start + i * (size - start) // parts - 1) + 1
@@ -251,7 +264,11 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
     if not path.is_file():
         raise DataError(f"series file not found: {path}")
     with path.open() as fh:
-        skip = 1 if _looks_like_header(fh.readline()) else 0
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError:
+            _diagnose_csv(path, 0)  # names the line that does not decode
+        skip = 1 if _looks_like_header(first) else 0
         values = _load_parts(path, skip)
         if values is None:
             if not skip:
@@ -313,7 +330,8 @@ def apply_minmax(scaler: Scaler, data: SeriesMatrix, clip: bool | None = None) -
         clip = scaler.clip
     span = scaler.maxs - scaler.mins
     safe = np.where(span > 0, span, 1.0)
-    scaled = (data.values - scaler.mins) / safe
+    scaled = data.values - scaler.mins
+    scaled /= safe
     scaled[:, span == 0] = 0.0
     if clip:
         np.clip(scaled, 0.0, 1.0, out=scaled)

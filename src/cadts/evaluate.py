@@ -22,17 +22,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Scaler, SeriesMatrix, apply_minmax, make_windows
+from .data import Scaler, SeriesMatrix, apply_minmax, make_windows, read_text
 from .errors import DataError, NumericError
 from .model import CadModel, window_errors
 
 MODES = ("raw", "pa", "kpa")
 
-# Windows forwarded at once by ``score_series``. At 38 metrics and 1024
-# windows the expert layer's input alone (5 x 1024 x 608 float32, 12 MB) is
-# six times a 2 MB per-core L2; of the chunks timed (128 to 1024), 512 was
-# the fastest with two BLAS threads on a 2-core Xeon.
-SCORE_CHUNK = 512
+# Windows per eval chunk of ``score_series``. Chunks run on helper threads,
+# one per core of the process's budget, so the forwards in flight hold
+# budget x chunk windows: at 38 metrics one 256-window forward peaks at
+# 7.4 MB (14.8 MB at 512), and two in flight hold what one 512-window chunk
+# held when chunks ran one at a time. It is a constant, never derived from
+# the core count, so a series scores the same on any host.
+SCORE_CHUNK = 256
 
 
 @dataclass
@@ -79,8 +81,13 @@ def score_series(
         raise DataError(
             f"series has {test.shape[1]} metrics but model expects {model.n_metrics}"
         )
-    series = apply_minmax(scaler, test) if scaler is not None else test
     cfg = model.config
+    series = test
+    if scaler is not None:
+        # every chunk is cast to the model dtype anyway, so the scaled copy
+        # is held in it (half the bytes in float32)
+        scaled = apply_minmax(scaler, test).values.astype(cfg.np_dtype, copy=False)
+        series = SeriesMatrix(values=scaled)
     windows = make_windows(series, cfg.l, cfg.h)
     genuine = window_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
 
@@ -236,7 +243,7 @@ def read_scores(path) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"scores file not found: {path}")
     try:
-        return np.array([float(line) for line in path.read_text().split()])
+        return np.array([float(line) for line in read_text(path).split()])
     except ValueError:
         raise DataError(f"{path}: scores file must hold one real per line") from None
 
@@ -255,7 +262,7 @@ def read_metrics(path) -> list[EvalRow]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"metrics file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].split("\t") != list(_METRIC_COLUMNS):
         raise DataError(f"{path}: not a metrics report (missing column header)")
     rows = []

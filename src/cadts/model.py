@@ -32,12 +32,14 @@ pass looks them up by name.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
+from . import cores
 from .errors import ConfigError
 from .numcore import (
     Tensor,
@@ -232,13 +234,41 @@ class CadModel:
 
 
 def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, batch: int) -> np.ndarray:
-    """Eval-mode mean squared prediction error of each window, float64 (S,);
-    forwards ``batch`` windows at a time to bound memory."""
+    """Eval-mode mean squared prediction error of each window, float64 (S,).
+
+    Forwards ``batch`` windows at a time to bound memory. A chunk's errors
+    depend only on the model and its windows, so the chunks run on
+    ``cores.eval_threads()`` threads: this one and helpers that each take
+    the next chunk start and write their own slice. The helpers are joined
+    before return, and the first error of any thread is raised here."""
     errors = np.empty(len(windows), dtype=np.float64)
-    for start in range(0, len(windows), batch):
-        pred = model.forward_batch(windows[start : start + batch], mode="eval")
-        err = pred.data - targets[start : start + batch].astype(model.config.np_dtype)
-        errors[start : start + len(err)] = (err * err).mean(axis=1)
+    starts = iter(range(0, len(windows), batch))
+    take = threading.Lock()
+    failures: list[BaseException] = []
+
+    def forward_chunks() -> None:
+        try:
+            while not failures:
+                with take:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                pred = model.forward_batch(windows[start : start + batch], mode="eval")
+                err = pred.data - targets[start : start + batch].astype(model.config.np_dtype)
+                errors[start : start + len(err)] = (err * err).mean(axis=1)
+        except BaseException as exc:
+            failures.append(exc)
+
+    n_chunks = -(-len(windows) // batch)
+    with cores.eval_threads() as threads:
+        helpers = [threading.Thread(target=forward_chunks) for _ in range(min(threads, n_chunks) - 1)]
+        for helper in helpers:
+            helper.start()
+        forward_chunks()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return errors
 
 

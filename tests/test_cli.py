@@ -10,7 +10,7 @@ from cadts import cli
 from cadts.cli import main, make_train_config
 from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError
-from cadts.evaluate import best_f1, read_metrics, read_scores, score_series
+from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
 from cadts.model import build_model
 from cadts.train import load_checkpoint, save_checkpoint, train_model
 
@@ -273,7 +273,9 @@ def test_reruns_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_parallel_jobs_match_sequential(tmp_path):
+def test_parallel_jobs_match_sequential(tmp_path, monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)  # each worker sets its own BLAS pool
     data = tmp_path / "data"
     write_entity(data, "e1", seed=6)
     write_entity(data, "e2", seed=7)
@@ -281,20 +283,20 @@ def test_parallel_jobs_match_sequential(tmp_path):
     assert main(["train", "--data-root", str(data), "--out", str(seq)] + FAST) == 0
     assert main(["train", "--data-root", str(data), "--out", str(par), "--jobs", "2"] + FAST) == 0
     for entity in ("e1", "e2"):
-        a = (seq / entity / "checkpoint.cadckpt").read_bytes()
-        b = (par / entity / "checkpoint.cadckpt").read_bytes()
-        assert a == b
+        for name in ("checkpoint.cadckpt", "history.tsv"):
+            assert (seq / entity / name).read_bytes() == (par / entity / name).read_bytes()
 
 
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replaces ``cli.ProcessPoolExecutor`` with a fake that records the
     worker count asked for and every submitted task, in order, and runs each
-    task at once in this process, so no worker is ever started."""
+    task at once in this process, so no worker is ever started (and no
+    worker initializer runs)."""
     calls = {"started": [], "submitted": []}
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             calls["started"].append(max_workers)
 
         def __enter__(self):
@@ -515,3 +517,46 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["explode"]) == 1
+
+
+# --- text that is not UTF-8 ------------------------------------------------------
+
+
+def put_bad_byte(path, line):
+    """Insert a byte that starts no UTF-8 character at the start of ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("line", [1, 3])  # the header line is read on its own
+def test_non_utf8_series_exits_2_naming_the_line(tmp_path, capsys, line):
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    put_bad_byte(data / "e1" / "train.csv", line)
+    assert main(["train", "--data-root", str(data), "--out", str(tmp_path / "out")] + FAST) == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'e1' / 'train.csv'}: line {line}: byte 0xe9 is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_file_exits_1_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"l = 12\nseed = 9 # caf\xe9\n")
+    argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), "--config", str(cfg_file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg_file}: line 2: byte 0xe9 is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_metrics_file_exits_2_naming_the_line(tmp_path, capsys):
+    metrics = tmp_path / "m.tsv"
+    write_metrics(metrics, [EvalRow("e1", "pa", None, 0.5, 1.0, 0.5, 2 / 3)])
+    put_bad_byte(metrics, 2)
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{metrics}: line 2: byte 0xe9 is not UTF-8 text" in err
+    assert "Traceback" not in err

@@ -141,6 +141,7 @@ def test_successful_load_reads_the_file_once(tmp_path, monkeypatch):
         raise AssertionError(f"{self} read again as text")
 
     monkeypatch.setattr(Path, "read_text", no_second_read)
+    monkeypatch.setattr(Path, "read_bytes", no_second_read)
     np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
 
 
@@ -472,3 +473,18 @@ def test_windows_are_views_of_series():
     ws = make_windows(series, l=2, h=1)
     assert np.shares_memory(ws.windows, series.values)
     assert np.shares_memory(ws.targets, series.values)
+
+
+def test_non_utf8_byte_in_a_part_gives_the_in_process_message(tmp_path, monkeypatch):
+    p = write_matrix(tmp_path)
+    lines = p.read_bytes().split(b"\n")
+    lines[-3] = lines[-3].replace(b",", b",\xff", 1)
+    p.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as in_process:
+        load_in_process(p)
+    pids = parse_in_parts(monkeypatch, p.stat().st_size // 5)
+    with pytest.raises(DataError) as in_parts:
+        load_series(p)
+    assert len(pids) == 4
+    assert str(in_parts.value) == str(in_process.value)
+    assert str(in_process.value) == f"{p}: line {len(lines) - 2}: byte 0xff is not UTF-8 text"

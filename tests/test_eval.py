@@ -310,11 +310,11 @@ def test_score_series_matches_hand_rolled_forward():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_score_series_chunks_match_one_window_at_a_time(variant):
-    """Around the score chunk boundary (512 windows): 1, 512, 513, 1,500."""
+    """Around the score chunk boundary (256 windows): 1, 256, 257, 1,500."""
     cfg = ModelConfig(l=3, h=2, experts=2, kernels=2, embed_dim=8, tower_hidden=4, variant=variant)
     model = build_model(cfg, n_metrics=3, rng_seed=50)
     rng = np.random.default_rng(50)
-    for n_windows in (1, 512, 513, 1500):
+    for n_windows in (1, 256, 257, 1500):
         series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
         out = score_series(model, series)
         windows = make_windows(series, cfg.l, cfg.h)
