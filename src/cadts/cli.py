@@ -30,6 +30,7 @@ from .evaluate import (
     EvalRow,
     aggregate_entities,
     best_f1,
+    format_metrics,
     kth_point_adjust,
     point_adjust,
     prf,
@@ -269,13 +270,6 @@ def _eval_rows(entity, scores, labels, modes, threshold) -> list[EvalRow]:
     return rows
 
 
-def _print_rows(rows: list[EvalRow]) -> None:
-    print("entity\tmode\tk\tthreshold\tP\tR\tF1")
-    for r in rows:
-        k = "-" if r.k is None else r.k
-        print(f"{r.entity}\t{r.mode}\t{k}\t{r.threshold!r}\t{r.precision!r}\t{r.recall!r}\t{r.f1!r}")
-
-
 def cmd_eval(args) -> int:
     modes = _parse_modes(args.mode, args.k)
     if args.threshold is not None and np.isnan(args.threshold):
@@ -306,7 +300,7 @@ def cmd_eval(args) -> int:
         if metrics_path is not None:
             write_metrics(metrics_path, rows)
         all_rows.extend(rows)
-    _print_rows(all_rows)
+    print(format_metrics(all_rows), end="")
     return 0
 
 

@@ -3,8 +3,10 @@
 Input convention: plain CSV with rows as timestamps and columns as metrics,
 optionally one header row, every cell a finite number (``#`` starts no
 comment); label files carry one {0,1} per line. An entity directory holds
-train.csv, test.csv and test_label.csv. A CSV of at least two
-``MIN_PART_BYTES`` parts is parsed by one forked child per part and core.
+train.csv, test.csv and test_label.csv. A series CSV is UTF-8 text whose
+lines end at LF, CRLF or CR; its data bytes are parsed by one function over
+a byte range, in process or, for a CSV of at least two ``MIN_PART_BYTES``
+parts, in one forked child per part and core.
 """
 
 from __future__ import annotations
@@ -137,37 +139,34 @@ def _diagnose_csv(path: Path, skip: int) -> None:
     raise DataError(f"{path}: unparseable CSV")
 
 
-def _loadtxt(fh) -> np.ndarray:
-    """The one parse of CSV values, in process and in every part's child."""
-    with warnings.catch_warnings():
-        # no rows is reported by load_series, through _nonblank_lines
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+def _parse(fh, start: int, stop: int) -> np.ndarray:
+    """The one parse of CSV values: bytes [start, stop) of the binary file
+    ``fh``, decoded as UTF-8 with universal newlines. A range that runs to
+    the end of the file streams from it; a shorter one (a forked child's
+    part) is read first. Closes ``fh``."""
+    with fh:
+        fh.seek(start)
+        data = fh if stop >= os.fstat(fh.fileno()).st_size else io.BytesIO(fh.read(stop - start))
+        with warnings.catch_warnings(), io.TextIOWrapper(data, "utf-8") as text:
+            # no rows is reported by load_series, through _nonblank_lines
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
 
 
-def _part_bounds(path: Path, skip: int) -> list[int]:
-    """Byte offsets cutting the data lines into one part per core of the
-    process's budget (``cores.budget``), each of at least MIN_PART_BYTES
-    and each ending just after a newline byte; a single part (no cut) when
+def _part_bounds(path: Path, start: int) -> list[int]:
+    """Byte offsets cutting the data bytes from ``start`` on into one part
+    per core of the process's budget (``cores.budget``), each of at least
+    MIN_PART_BYTES and each ending just after an LF byte; a single part when
     that cannot be done."""
     size = path.stat().st_size
-    n_cores = cores.budget()
-    if min(n_cores, size // MIN_PART_BYTES) < 2:
-        return [0, size]
-    with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        start = 0
-        if skip:
-            # a text-mode readline ends the header at the first CR or LF;
-            # start after it only where that is the first LF (or its CRLF)
-            start = mm.find(b"\n") + 1
-            if start == 0 or mm.find(b"\r", 0, start) not in (-1, start - 2):
-                return [0, size]
-        parts = min(n_cores, (size - start) // MIN_PART_BYTES)
-        bounds = [start]
-        for i in range(1, parts):
-            cut = mm.find(b"\n", start + i * (size - start) // parts - 1) + 1
-            if bounds[-1] < cut < size:
-                bounds.append(cut)
+    parts = min(cores.budget(), (size - start) // MIN_PART_BYTES)
+    bounds = [start]
+    if parts > 1:
+        with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            for i in range(1, parts):
+                cut = mm.find(b"\n", start + i * (size - start) // parts - 1) + 1
+                if bounds[-1] < cut < size:
+                    bounds.append(cut)
     return bounds + [size]
 
 
@@ -183,14 +182,12 @@ def _read_into(pipe, buf: np.ndarray) -> bool:
 
 
 def _parse_part(path: Path, start: int, stop: int, fd: int) -> None:
-    """In a forked child: parse bytes [start, stop) of ``path`` as text, as
-    ``open`` would decode them, write the rows' shape and then their raw
-    float64 values to ``fd``, and leave the process."""
+    """In a forked child: parse bytes [start, stop) of ``path``, write the
+    rows' shape and then their raw float64 values to ``fd``, and leave the
+    process."""
     code = 1
     try:
-        with path.open("rb") as fh:
-            fh.seek(start)
-            values = _loadtxt(io.TextIOWrapper(io.BytesIO(fh.read(stop - start))))
+        values = _parse(path.open("rb"), start, stop)
         with open(fd, "wb") as out:
             out.write(np.array(values.shape, dtype=np.int64).tobytes())
             out.write(values.data)
@@ -199,14 +196,10 @@ def _parse_part(path: Path, start: int, stop: int, fd: int) -> None:
         os._exit(code)
 
 
-def _load_parts(path: Path, skip: int) -> np.ndarray | None:
-    """Parse each part of the data lines in its own forked child and read
+def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
+    """Parse each part between ``bounds`` in its own forked child and read
     the rows into one array. None, for the caller to parse in process, when
-    there are fewer than two parts, a fork or a child fails, or the parts
-    disagree on the column count."""
-    bounds = _part_bounds(path, skip)
-    if len(bounds) < 3:
-        return None
+    a fork or a child fails, or the parts disagree on the column count."""
     pids, pipes = [], []
     try:
         for start, stop in zip(bounds, bounds[1:]):
@@ -248,34 +241,34 @@ def _load_parts(path: Path, skip: int) -> np.ndarray | None:
 def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesMatrix:
     """Parse a CSV series (and optional label file) into a SeriesMatrix.
 
-    The header decision comes from the file's literal first line (a blank
-    first line counts as a header). A file of at least two MIN_PART_BYTES
-    parts is split after the header into newline-aligned parts, one per
-    core; one forked child per part parses it with the same ``np.loadtxt``
-    call and pipes back its raw rows, which land in the result in place, so
-    the values are bitwise those of one in-process parse. A smaller file, a
-    single core, or any failure of the parts (a fork refused, a child's
-    error, a short read, disagreeing column counts) parses in process: one
-    ``np.loadtxt`` pass over the open file. Either way no copy of the text
-    is held. Only the error paths re-read the file, to name an empty file
-    or the offending cell, so every error message is the in-process one.
+    The file is read as UTF-8. The header decision comes from its literal
+    first line, which ends at LF, CRLF or a lone CR (a blank first line
+    counts as a header); the data bytes start after it. Data of at least
+    two MIN_PART_BYTES parts is cut after LF bytes into parts, one per
+    core; one forked child per part parses it with ``_parse`` and pipes back
+    its raw rows, which land in the result in place, so the values are
+    bitwise those of one in-process parse. Otherwise, or on any failure of
+    the parts (a fork refused, a child's error, a short read, disagreeing
+    column counts), ``_parse`` streams the data from the open file. Either
+    way no copy of the text is held. Only the error paths re-read the file,
+    to name an empty file or the offending cell, so every error message is
+    the in-process one.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"series file not found: {path}")
-    with path.open() as fh:
+    with io.TextIOWrapper(path.open("rb"), "utf-8", newline="") as fh:
         try:
             first = fh.readline()
         except UnicodeDecodeError:
             _diagnose_csv(path, 0)  # names the line that does not decode
         skip = 1 if _looks_like_header(first) else 0
-        values = _load_parts(path, skip)
+        bounds = _part_bounds(path, len(first.encode()) if skip else 0)
+        values = _load_parts(path, bounds) if len(bounds) > 2 else None
         if values is None:
-            if not skip:
-                fh.seek(0)
             try:
-                values = _loadtxt(fh)
-            except ValueError:
+                values = _parse(fh.buffer, bounds[0], bounds[-1])
+            except ValueError:  # a bad cell, or a byte that is not UTF-8
                 _diagnose_csv(path, skip)
     if values.size == 0:
         _nonblank_lines(path, skip)

@@ -248,14 +248,34 @@ def read_scores(path) -> np.ndarray:
         raise DataError(f"{path}: scores file must hold one real per line") from None
 
 
-def write_metrics(path, rows: list[EvalRow]) -> None:
+def format_metrics(rows: list[EvalRow]) -> str:
+    """A metrics report: the column header and one tab-separated line per row."""
     lines = ["\t".join(_METRIC_COLUMNS)]
     for r in rows:
-        k = "-" if r.k is None else str(r.k)
+        k = "-" if r.k is None else r.k
         lines.append(
             f"{r.entity}\t{r.mode}\t{k}\t{r.threshold!r}\t{r.precision!r}\t{r.recall!r}\t{r.f1!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_metrics(path, rows: list[EvalRow]) -> None:
+    Path(path).write_text(format_metrics(rows))
+
+
+def _metric_cell(path, lineno: int, column: str, cell: str):
+    """A metrics row's numeric cell: k an integer or '-', the threshold any
+    real (inf is the all-negative prediction), P, R and F1 finite reals."""
+    try:
+        if column == "k":
+            return None if cell == "-" else int(cell)
+        value = float(cell)
+        if column == "threshold" or np.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    need = {"k": "an integer or '-'", "threshold": "a number"}.get(column, "a finite number")
+    raise DataError(f"{path}: line {lineno}: {column} {cell!r} is not {need}")
 
 
 def read_metrics(path) -> list[EvalRow]:
@@ -272,16 +292,6 @@ def read_metrics(path) -> list[EvalRow]:
         cells = line.split("\t")
         if len(cells) != len(_METRIC_COLUMNS):
             raise DataError(f"{path}: malformed metrics row at line {lineno}")
-        entity, mode, k, threshold, p, r, f1 = cells
-        rows.append(
-            EvalRow(
-                entity=entity,
-                mode=mode,
-                k=None if k == "-" else int(k),
-                threshold=float(threshold),
-                precision=float(p),
-                recall=float(r),
-                f1=float(f1),
-            )
-        )
+        numbers = (_metric_cell(path, lineno, *pair) for pair in zip(_METRIC_COLUMNS[2:], cells[2:]))
+        rows.append(EvalRow(*cells[:2], *numbers))
     return rows

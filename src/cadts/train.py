@@ -4,11 +4,13 @@ The checkpoint wire format: magic ``CADCKPT1``, a u64-length-prefixed
 UTF-8 key=value header (version, metric count, one line per ``ModelConfig``
 field, seed, parameter record count, scaler arrays; read in any order), then
 each parameter as a u64-length-prefixed UTF-8 name, u64 rank, u64 extents,
-and raw little-endian values in row-major order. Version 2 stores the values
-in the model dtype (``<f4`` or ``<f8``) under the stacked names
-(``expert.kernels`` with a leading expert axis, ...). Version 1 (``<f4``, one
-``expert.{i}.*`` record per expert) is still read. Every length is checked
-against the bytes left in the file before it is read.
+and raw little-endian values in the model dtype (``<f4`` or ``<f8``) in
+row-major order, under the stacked names (``expert.kernels`` with a leading
+expert axis, ...). Only version 2 is read: a version-1 file (one
+``expert.{i}.*`` record per expert, from builds before the stacked expert
+bank) is rejected, to be retrained. Every length is checked against the
+bytes left in the file before it is read. The checkpoint and ``history.tsv``
+are written atomically.
 """
 
 from __future__ import annotations
@@ -174,17 +176,19 @@ def write_history(history: TrainHistory, path) -> None:
         val = repr(e.val_loss) if e.val_loss is not None else "-"
         lines.append(f"{e.epoch}\t{e.train_loss!r}\t{val}\t{e.lr!r}")
     lines.append(f"stopping\t{history.stopping_reason}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
+def _atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file and move it over ``path``, so no
+    partial file is left on failure."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 # --- checkpoint persistence ---------------------------------------------------
-
-
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None) -> str:
@@ -205,7 +209,7 @@ def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None
 
 
 def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConfig | None = None) -> None:
-    """Write the checkpoint atomically (no partial file on failure)."""
+    """Write the checkpoint atomically."""
     header = _header_text(model, scaler, cfg).encode("utf-8")
     blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
     wire = model.config.np_dtype.newbyteorder("<")
@@ -216,10 +220,7 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
         blob.append(struct.pack("<Q", tensor.ndim))
         blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
         blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(blob))
-    os.replace(tmp, path)
+    _atomic_write(path, b"".join(blob))
 
 
 def _read_exact(fh, n: int, path) -> bytearray:
@@ -263,7 +264,9 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         header = _read_header(fh, path)
         try:
             version = parse_value(int, "version", header["version"])
-            if version not in (1, CHECKPOINT_VERSION):
+            if version == 1:
+                raise DataError(f"{path}: checkpoint version 1 is no longer read; retrain")
+            if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
             config = ModelConfig.from_text({f.name: header[f.name] for f in fields(ModelConfig)})
             n_metrics, n_params, seed = (
@@ -293,12 +296,10 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         except ConfigError as exc:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
 
-        wire = np.dtype("<f4") if version == 1 else config.np_dtype.newbyteorder("<")
+        wire = config.np_dtype.newbyteorder("<")
         stored = dict(_read_record(fh, path, wire.itemsize) for _ in range(n_params))
         if fh.read(1):
             raise DataError(f"{path}: trailing data after last parameter")
-    if version == 1:
-        stored = _stack_v1_experts(stored, path)
 
     if stored.keys() - layout.keys():
         raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - layout.keys())}")
@@ -324,26 +325,3 @@ def _read_record(fh, path, itemsize: int) -> tuple[str, tuple[tuple[int, ...], b
     rank = _read_u64(fh, path)
     extents = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
     return name, (extents, _read_exact(fh, itemsize * math.prod(extents), path))
-
-
-def _stack_v1_experts(stored: dict, path) -> dict:
-    """Version 1 kept one ``expert.{i}.{field}`` record per expert: stack
-    them into the bank's ``expert.{field}``, a 1-D bias (W,) becoming (1, W).
-    Stacking equal-shaped row-major arrays concatenates their bytes."""
-    out, per_field = {}, {}
-    for name, record in stored.items():
-        prefix, index, field = (name.split(".", 2) + ["", ""])[:3]
-        if prefix == "expert" and field:
-            per_field.setdefault(field, {})[index] = record
-        else:
-            out[name] = record
-    for field, parts in per_field.items():
-        records = [parts.get(str(i)) for i in range(len(parts))]
-        if None in records or len({extents for extents, _ in records}) != 1:
-            raise DataError(
-                f"{path}: expert.*.{field} records are not numbered 0..{len(parts) - 1} with one shape"
-            )
-        extents = records[0][0]
-        stacked = (len(records), *((1,) * (2 - len(extents))), *extents)
-        out[f"expert.{field}"] = (stacked, bytearray().join(raw for _, raw in records))
-    return out

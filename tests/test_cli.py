@@ -155,6 +155,18 @@ def test_eval_all_negative_labels_is_data_error(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_eval_stdout_is_the_metrics_file(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    scores.write_text("0.1\n0.9\n0.2\n0.4\n")
+    labels.write_text("0\n1\n0\n1\n")
+    out = tmp_path / "m.tsv"
+    rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
+               "--entity", "toy", "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 # --- report --------------------------------------------------------------------
 
 
@@ -171,6 +183,36 @@ def test_report_aggregates_f1_star(tmp_path, capsys):
     cells = lines[1].split("\t")
     assert cells[0] == "pa" and cells[2] == "2"
     assert float(cells[6]) == 0.75
+
+
+@pytest.mark.parametrize(
+    "column, cell, reason",
+    [("k", "x", "is not an integer or '-'"), ("threshold", "abc", "is not a number"),
+     ("P", "1/2", "is not a finite number"), ("P", "nan", "is not a finite number"),
+     ("R", "inf", "is not a finite number"), ("F1", "-inf", "is not a finite number")],
+)
+def test_report_bad_metrics_cell_exits_2_naming_it(tmp_path, capsys, column, cell, reason):
+    metrics = tmp_path / "m.tsv"
+    write_metrics(metrics, [EvalRow("e1", "pa", None, 0.5, 1.0, 0.5, 2 / 3),
+                            EvalRow("e1", "kpa", 10, 0.5, 1.0, 0.5, 2 / 3)])
+    lines = metrics.read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[lines[0].split("\t").index(column)] = cell
+    lines[2] = "\t".join(cells)
+    metrics.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{metrics}: line 3: {column} {cell!r} {reason}" in err
+    assert "Traceback" not in err
+
+
+def test_report_accepts_an_infinite_threshold(tmp_path, capsys):
+    # `eval --threshold inf` writes one: the all-negative prediction
+    metrics = tmp_path / "m.tsv"
+    write_metrics(metrics, [EvalRow("e1", "pa", None, float("inf"), 0.0, 0.0, 0.0)])
+    assert read_metrics(metrics)[0].threshold == float("inf")
+    assert main(["report", "--metrics", str(metrics)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:3] == ["pa", "-", "1"]
 
 
 # --- train ---------------------------------------------------------------------
@@ -443,6 +485,15 @@ def test_score_invalid_header_value_exits_2(tmp_path, capsys, key, value, reason
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(checkpoint) in err and reason in err
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):
+    checkpoint, argv = score_argv(tmp_path)
+    replace_header_value(checkpoint, "version", "1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{checkpoint}: checkpoint version 1 is no longer read; retrain" in err
     assert not (tmp_path / "scores.txt").exists()
 
 

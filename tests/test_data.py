@@ -293,19 +293,23 @@ def test_parts_load_peak_memory_is_within_twice_the_result(tmp_path, monkeypatch
 
 @st.composite
 def csv_files(draw):
-    """A finite matrix as CSV text (optional header, LF or CRLF, blank lines
-    inside and at the end), how many header lines it has, and its lines."""
+    """A finite matrix as CSV text (optional header, LF, CRLF or CR line
+    ends, a header line that may end in a lone CR whatever the data lines
+    end in, blank lines inside and at the end), how many header lines it
+    has, and its lines."""
     rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 5))
     cells = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999)
     lines = [",".join(repr(draw(cells)) for _ in range(cols)) for _ in range(rows)]
     for _ in range(draw(st.integers(0, 3))):  # never before the first row
         lines.insert(draw(st.integers(1, len(lines))), "")
     lines += [""] * draw(st.integers(0, 2))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     header = draw(st.booleans())
     if header:
         lines.insert(0, ",".join(f"m{j}" for j in range(cols)))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline])), int(header), lines
+        text = lines[0] + draw(st.sampled_from([newline, "\r"])) + text
+    return text, int(header), lines
 
 
 def test_parts_load_bitwise_equal_to_one_loadtxt_call(tmp_path_factory):
@@ -319,6 +323,7 @@ def test_parts_load_bitwise_equal_to_one_loadtxt_call(tmp_path_factory):
         path.write_bytes(text.encode())
         expected = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
                               skiprows=header)
+        assert_bitwise_equal(load_in_process(path).values, expected)
         with pytest.MonkeyPatch.context() as mp:
             pids = parse_in_parts(mp, 8, cores)
             assert_bitwise_equal(load_series(path).values, expected)
@@ -327,6 +332,17 @@ def test_parts_load_bitwise_equal_to_one_loadtxt_call(tmp_path_factory):
 
     check()
     assert {2, 3, 4} <= set(forked)
+
+
+def test_cr_terminated_header_parses_in_parts(tmp_path, monkeypatch):
+    p = write_matrix(tmp_path)
+    expected = load_in_process(p).values
+    header, data = p.read_bytes().split(b"\n", 1)
+    p.write_bytes(header + b"\r" + data)
+    assert_bitwise_equal(load_in_process(p).values, expected)
+    pids = parse_in_parts(monkeypatch, p.stat().st_size // 5)
+    assert_bitwise_equal(load_series(p).values, expected)
+    assert len(pids) > 1
 
 
 def test_bad_cell_in_last_part_gives_the_in_process_message(tmp_path_factory):

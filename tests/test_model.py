@@ -1,5 +1,7 @@
 """Network composition: experts, dual gate, towers, ablation variants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,27 @@ def test_gate_gradients_match_finite_differences():
     analytic = tape.grad(loss, params)
     numeric = central_diff(lambda: forward().item(), params)
     assert max_rel_err(analytic, numeric) < TOLERANCE
+
+
+RECORDED_FORWARD = Path(__file__).parent / "fixtures" / "forward_outputs.npz"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_seeded_build_reproduces_the_recorded_forward(variant):
+    """forward_outputs.npz holds ``windows``
+    (``default_rng(2026).normal(size=(5, 3, 4))``) and, per variant, the
+    eval-mode ``forward_batch`` output of ``build_model(ModelConfig(l=4, h=1,
+    experts=2, kernels=3, embed_dim=8, tower_hidden=4, variant=variant),
+    n_metrics=3, rng_seed=7)`` as the one-record-per-expert model of commit
+    713db7b computed it: the same seed still draws the same parameters, and
+    the stacked bank still computes the same outputs."""
+    cfg = ModelConfig(l=4, h=1, experts=2, kernels=3, embed_dim=8, tower_hidden=4, variant=variant)
+    with np.load(RECORDED_FORWARD) as recorded:
+        windows, want = recorded["windows"], recorded[variant]
+    got = build_model(cfg, n_metrics=3, rng_seed=7).forward_batch(windows).data
+    # single_task's conv is now one batched product instead of per-window
+    # vector products, so its float32 outputs may differ by a rounding step
+    np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(np.float32).eps)
 
 
 def test_forward_rejects_bad_shapes():

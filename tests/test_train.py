@@ -1,7 +1,6 @@
 """Loss, training loop, early stopping and checkpoint persistence."""
 
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,53 +338,6 @@ def test_checkpoint_header_line_order_is_free(tmp_path):
     np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
     for a, b in zip(model.params.values(), loaded.params.values()):
         np.testing.assert_array_equal(a.data, b.data)
-
-
-# --- version 1 checkpoints --------------------------------------------------------
-
-V1_FIXTURES = Path(__file__).parent / "fixtures" / "v1"
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_v1_checkpoint_loads_into_the_expert_bank(variant):
-    """fixtures/v1 holds checkpoints written by the version-1 writer (one
-    ``expert.{i}.*`` record per expert, ``<f4`` values, commit 713db7b) from
-    ``build_model(ModelConfig(l=4, h=1, experts=2, kernels=3, embed_dim=8,
-    tower_hidden=4, variant=variant), n_metrics=3, rng_seed=7)`` with a minmax
-    scaler, untrained; outputs.npz holds ``windows``
-    (``default_rng(2026).normal(size=(5, 3, 4))``) and that writer's eval-mode
-    ``forward_batch`` output for each variant."""
-    model, scaler = load_checkpoint(V1_FIXTURES / f"{variant}.cadckpt")
-    assert (model.config.variant, model.n_metrics, model.seed) == (variant, 3, 7)
-    np.testing.assert_array_equal(scaler.mins, [0.0, -1.0, 2.5])
-    # the same seed still draws the same parameters, now stacked
-    fresh = build_model(model.config, n_metrics=3, rng_seed=7)
-    assert list(model.params) == list(fresh.params)
-    for (name, a), b in zip(model.params.items(), fresh.params.values()):
-        assert np.array_equal(a.data, b.data), name
-    recorded = np.load(V1_FIXTURES / "outputs.npz")
-    got = model.forward_batch(recorded["windows"]).data
-    # single_task's conv is now one batched product instead of per-window
-    # vector products, so its float32 outputs may differ by a rounding step
-    np.testing.assert_allclose(got, recorded[variant], rtol=0, atol=4 * np.finfo(np.float32).eps)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_v1_checkpoint_resaves_as_the_seeded_build(tmp_path, variant):
-    """A v1 file saved again is the v2 file of the model it was drawn as."""
-    model, scaler = load_checkpoint(V1_FIXTURES / f"{variant}.cadckpt")
-    save_checkpoint(model, scaler, tmp_path / "resaved.ckpt")
-    save_checkpoint(build_model(model.config, 3, rng_seed=7), scaler, tmp_path / "built.ckpt")
-    assert (tmp_path / "resaved.ckpt").read_bytes() == (tmp_path / "built.ckpt").read_bytes()
-
-
-def test_v1_checkpoint_rejects_gaps_in_expert_numbering(tmp_path):
-    blob = (V1_FIXTURES / "full.cadckpt").read_bytes()
-    assert blob.count(b"expert.1.ff2_b") == 1
-    gapped = tmp_path / "gapped.ckpt"
-    gapped.write_bytes(blob.replace(b"expert.1.ff2_b", b"expert.2.ff2_b"))
-    with pytest.raises(DataError, match="numbered"):
-        load_checkpoint(gapped)
 
 
 # --- the loader under corruption ---------------------------------------------------
