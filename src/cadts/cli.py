@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cores
-from .data import apply_minmax, fit_minmax, load_labels, load_series, make_windows, read_text
+from .data import apply_minmax, atomic_write, fit_minmax, load_labels, load_series, make_windows, read_lines
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
     EvalRow,
@@ -70,9 +70,9 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _parse_config_text(text: str, source: str) -> dict[str, str]:
+def _parse_config_lines(lines: list[str], source: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,7 +90,7 @@ def make_train_config(config_path=None, overrides=()) -> TrainConfig:
         path = Path(config_path)
         if not path.is_file():
             raise DataError(f"config file not found: {path}")
-        raw.update(_parse_config_text(read_text(path, ConfigError), str(path)))
+        raw.update(_parse_config_lines(read_lines(path, ConfigError), str(path)))
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
@@ -338,7 +338,7 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.output is not None:
-        Path(args.output).write_text(text + "\n")
+        atomic_write(args.output, (text + "\n").encode())
     return 0
 
 
@@ -365,7 +365,7 @@ def cmd_export_embeddings(args) -> int:
         for expert_id in range(embedded.shape[1]):
             values = "\t".join(repr(float(v)) for v in embedded[row, expert_id])
             lines.append(f"{sample_index}\t{expert_id}\t{values}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    atomic_write(args.output, ("\n".join(lines) + "\n").encode())
     print(
         f"exported {len(lines)} embedding rows"
         f" ({len(sampled)} windows x {embedded.shape[1]} experts)"

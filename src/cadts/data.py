@@ -1,12 +1,12 @@
 """Series loading, train-fitted MinMax scaling, and sliding-window samples.
 
-Input convention: plain CSV with rows as timestamps and columns as metrics,
-optionally one header row, every cell a finite number (``#`` starts no
-comment); label files carry one {0,1} per line. An entity directory holds
-train.csv, test.csv and test_label.csv. A series CSV is UTF-8 text whose
-lines end at LF, CRLF or CR; its data bytes are parsed by one function over
-a byte range, in process or, for a CSV of at least two ``MIN_PART_BYTES``
-parts, in one forked child per part and core.
+One text layer: every text file is read as UTF-8 cut at LF, CRLF or a lone
+CR (``read_lines``), and every file is written by ``atomic_write``. Series,
+label and score files are one CSV format (``_read_csv``): an optional
+header row, then finite numbers (``#`` starts no comment); label and score
+files hold one column. An entity directory holds train.csv, test.csv and
+test_label.csv. A CSV of at least two ``MIN_PART_BYTES`` parts of data is
+parsed in one forked child per part and core.
 """
 
 from __future__ import annotations
@@ -79,15 +79,31 @@ class WindowSet:
         return len(self.windows)
 
 
-def read_text(path, error: type[Exception] = DataError) -> str:
-    """A UTF-8 text file's contents; a byte that does not decode raises
-    ``error`` naming the file and line."""
+def split_lines(text: str) -> list[str]:
+    """``text`` cut at LF, CRLF or a lone CR: where the parse cuts it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def read_lines(path, error: type[Exception] = DataError) -> list[str]:
+    """A UTF-8 text file's lines (``split_lines``); a byte that does not
+    decode raises ``error`` naming the file and the byte's line."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode()
+        return split_lines(raw.decode())
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = len(split_lines(raw[: exc.start].decode()))
         raise error(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``{path}.tmp`` and move it over ``path``; on failure
+    the temporary file is removed and the old file keeps its bytes."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _looks_like_header(line: str) -> bool:
@@ -99,24 +115,19 @@ def _looks_like_header(line: str) -> bool:
     return False
 
 
-def _nonblank_lines(path: Path, skip: int) -> list[str]:
-    """Re-read the file: its lines up to the last non-blank one. Raises if
-    there are none, or none past the ``skip`` header lines."""
-    lines = read_text(path).splitlines()
+def _diagnose_csv(path: Path, skip: int) -> None:
+    """Slow re-read and re-parse to name the fault: an empty file, no line
+    past the ``skip`` header lines but blank ones, or the offending cell
+    (ragged, non-numeric or non-finite); always raises."""
+    lines = read_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise DataError(f"{path}: empty file")
     if len(lines) == skip:
         raise DataError(f"{path}: no data rows")
-    return lines
-
-
-def _diagnose_csv(path: Path, skip: int) -> None:
-    """Slow re-read and re-parse to locate the offending cell (ragged,
-    non-numeric or non-finite); always raises."""
     expected = None
-    for lineno, line in enumerate(_nonblank_lines(path, skip), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if lineno <= skip or not line.strip():
             continue
         cells = line.split(",")
@@ -127,8 +138,8 @@ def _diagnose_csv(path: Path, skip: int) -> None:
                 f"{path}: ragged row at line {lineno}: expected {expected} columns, got {len(cells)}"
             )
         for col, cell in enumerate(cells, start=1):
-            try:
-                finite = np.isfinite(float(cell))
+            try:  # float() also reads 1_0 and non-ASCII digits, the parse does not
+                finite = cell.strip().isascii() and "_" not in cell and np.isfinite(float(cell))
             except ValueError:
                 finite = False
             if not finite:
@@ -141,16 +152,17 @@ def _diagnose_csv(path: Path, skip: int) -> None:
 
 def _parse(fh, start: int, stop: int) -> np.ndarray:
     """The one parse of CSV values: bytes [start, stop) of the binary file
-    ``fh``, decoded as UTF-8 with universal newlines. A range that runs to
-    the end of the file streams from it; a shorter one (a forked child's
-    part) is read first. Closes ``fh``."""
+    ``fh``, decoded as UTF-8 with universal newlines, whitespace lines blank.
+    A range that runs to the end of the file streams from it; a shorter one
+    (a forked child's part) is read first. Closes ``fh``."""
     with fh:
         fh.seek(start)
         data = fh if stop >= os.fstat(fh.fileno()).st_size else io.BytesIO(fh.read(stop - start))
         with warnings.catch_warnings(), io.TextIOWrapper(data, "utf-8") as text:
-            # no rows is reported by load_series, through _nonblank_lines
+            # no rows is reported by _read_csv, through _diagnose_csv
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+            rows = (line for line in text if not line.isspace())
+            return np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
 
 
 def _part_bounds(path: Path, start: int) -> list[int]:
@@ -238,8 +250,9 @@ def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
             os.waitpid(pid, 0)
 
 
-def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesMatrix:
-    """Parse a CSV series (and optional label file) into a SeriesMatrix.
+def _read_csv(path: Path) -> np.ndarray:
+    """The one read of a CSV file (series, labels or scores) into a T x K
+    float64 array of finite values.
 
     The file is read as UTF-8. The header decision comes from its literal
     first line, which ends at LF, CRLF or a lone CR (a blank first line
@@ -254,9 +267,6 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
     to name an empty file or the offending cell, so every error message is
     the in-process one.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"series file not found: {path}")
     with io.TextIOWrapper(path.open("rb"), "utf-8", newline="") as fh:
         try:
             first = fh.readline()
@@ -270,11 +280,17 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
                 values = _parse(fh.buffer, bounds[0], bounds[-1])
             except ValueError:  # a bad cell, or a byte that is not UTF-8
                 _diagnose_csv(path, skip)
-    if values.size == 0:
-        _nonblank_lines(path, skip)
-    if not np.isfinite(values).all():
+    if values.size == 0 or not np.isfinite(values).all():
         _diagnose_csv(path, skip)
+    return values
 
+
+def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesMatrix:
+    """A CSV series (``_read_csv``) and optional label file as a SeriesMatrix."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"series file not found: {path}")
+    values = _read_csv(path)
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path, expected_length=values.shape[0])
@@ -284,17 +300,14 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
 
 
 def load_labels(path, expected_length: int | None = None) -> np.ndarray:
-    """One {0,1} per line."""
+    """A one-column CSV (``_read_csv``) of 0s and 1s."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"label file not found: {path}")
-    try:
-        raw = np.loadtxt(path, dtype=np.float64, ndmin=1, comments=None)
-    except ValueError as exc:
-        raise DataError(f"{path}: unparseable label file ({exc})") from None
-    labels = raw.astype(np.int64)
-    if raw.ndim != 1 or not np.array_equal(labels, raw) or not np.isin(labels, (0, 1)).all():
+    raw = _read_csv(path)
+    if raw.shape[1] != 1 or not np.isin(raw, (0, 1)).all():
         raise DataError(f"{path}: labels must be one 0 or 1 per line")
+    labels = raw[:, 0].astype(np.int64)
     if expected_length is not None and len(labels) != expected_length:
         raise DataError(f"{path}: {len(labels)} labels for {expected_length} timestamps")
     return labels

@@ -1,10 +1,10 @@
 """Anomaly scoring and the point-adjustment evaluation protocol.
 
-Scores are per-timestamp prediction errors. Evaluation supports three
-adjustment modes: ``raw`` (point-wise), ``pa`` (a labeled segment counts
-as fully detected if any point inside it is flagged), and ``kpa`` (the
-segment only counts when the first flag arrives within ``k`` steps of its
-onset; late flags make the whole segment a miss).
+Scores are per-timestamp prediction errors, kept as one-column CSVs read
+and written through ``data``, like the metrics report. Modes: ``raw``
+(point-wise), ``pa`` (a labeled segment counts as fully detected if any
+point inside it is flagged), and ``kpa`` (only if the first flag arrives
+within ``k`` steps of its onset; else the whole segment is a miss).
 
 ``best_f1`` sweeps every distinct score as a candidate threshold in one
 array pass, with no per-candidate loop. Raw mode treats each positive point
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Scaler, SeriesMatrix, apply_minmax, make_windows, read_text
+from .data import Scaler, SeriesMatrix, _read_csv, apply_minmax, atomic_write, make_windows, read_lines
 from .errors import DataError, NumericError
 from .model import CadModel, window_errors
 
@@ -235,17 +235,18 @@ _METRIC_COLUMNS = ("entity", "mode", "k", "threshold", "P", "R", "F1")
 
 def write_scores(path, scores) -> None:
     values = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
-    Path(path).write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    atomic_write(path, "".join(f"{v!r}\n" for v in values.tolist()).encode())
 
 
 def read_scores(path) -> np.ndarray:
+    """A one-column CSV (``data._read_csv``) of finite reals."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"scores file not found: {path}")
-    try:
-        return np.array([float(line) for line in read_text(path).split()])
-    except ValueError:
-        raise DataError(f"{path}: scores file must hold one real per line") from None
+    values = _read_csv(path)
+    if values.shape[1] != 1:
+        raise DataError(f"{path}: scores file must hold one real per line")
+    return values[:, 0]
 
 
 def format_metrics(rows: list[EvalRow]) -> str:
@@ -260,7 +261,7 @@ def format_metrics(rows: list[EvalRow]) -> str:
 
 
 def write_metrics(path, rows: list[EvalRow]) -> None:
-    Path(path).write_text(format_metrics(rows))
+    atomic_write(path, format_metrics(rows).encode())
 
 
 def _metric_cell(path, lineno: int, column: str, cell: str):
@@ -282,8 +283,8 @@ def read_metrics(path) -> list[EvalRow]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"metrics file not found: {path}")
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].split("\t") != list(_METRIC_COLUMNS):
+    lines = read_lines(path)
+    if lines[0].split("\t") != list(_METRIC_COLUMNS):
         raise DataError(f"{path}: not a metrics report (missing column header)")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -10,7 +10,7 @@ expert axis, ...). Only version 2 is read: a version-1 file (one
 ``expert.{i}.*`` record per expert, from builds before the stacked expert
 bank) is rejected, to be retrained. Every length is checked against the
 bytes left in the file before it is read. The checkpoint and ``history.tsv``
-are written atomically.
+are written by ``data.atomic_write``; header lines split by ``split_lines``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Scaler, WindowSet
+from .data import Scaler, WindowSet, atomic_write, split_lines
 from .errors import ConfigError, DataError, NumericError
 from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
 from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
@@ -176,16 +176,7 @@ def write_history(history: TrainHistory, path) -> None:
         val = repr(e.val_loss) if e.val_loss is not None else "-"
         lines.append(f"{e.epoch}\t{e.train_loss!r}\t{val}\t{e.lr!r}")
     lines.append(f"stopping\t{history.stopping_reason}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def _atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file and move it over ``path``, so no
-    partial file is left on failure."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # --- checkpoint persistence ---------------------------------------------------
@@ -220,7 +211,7 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
         blob.append(struct.pack("<Q", tensor.ndim))
         blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
         blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
-    _atomic_write(path, b"".join(blob))
+    atomic_write(path, b"".join(blob))
 
 
 def _read_exact(fh, n: int, path) -> bytearray:
@@ -247,9 +238,7 @@ def _read_header(fh, path) -> dict[str, str]:
     except UnicodeDecodeError:
         raise DataError(f"{path}: checkpoint header is not UTF-8") from None
     header: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line:
-            continue
+    for line in filter(None, split_lines(text)):  # blank lines are skipped
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}: malformed checkpoint header line {line!r}")

@@ -1,10 +1,12 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
 import struct
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadts import cli
 from cadts.cli import main, make_train_config
@@ -611,3 +613,92 @@ def test_non_utf8_metrics_file_exits_2_naming_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{metrics}: line 2: byte 0xe9 is not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["labels", "scores"])
+def test_non_utf8_eval_input_exits_2_naming_the_line(tmp_path, capsys, which):
+    files = {"scores": tmp_path / "s.txt", "labels": tmp_path / "l.txt"}
+    files["scores"].write_text("0.1\n0.9\n0.2\n")
+    files["labels"].write_text("0\n1\n0\n")
+    put_bad_byte(files[which], 3)
+    assert main(["eval", "--scores", str(files["scores"]), "--labels", str(files["labels"])]) == 2
+    err = capsys.readouterr().err
+    assert f"{files[which]}: line 3: byte 0xe9 is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+# --- eval on damaged inputs --------------------------------------------------------
+
+
+def run_eval(scores, labels, capsys, *extra):
+    """``cadts eval`` in process: its exit code and stderr, with every
+    warning it raises recorded and none expected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels), *extra])
+    err = capsys.readouterr().err
+    assert caught == [] and "Warning:" not in err and "Traceback" not in err
+    return rc, err
+
+
+def test_two_scores_on_one_line_exit_2(tmp_path, capsys):
+    scores, labels = tmp_path / "s.txt", tmp_path / "l.txt"
+    scores.write_text("0.1\n0.9 0.8\n0.2\n")
+    labels.write_text("0\n1\n0\n")
+    rc, err = run_eval(scores, labels, capsys)
+    assert rc == 2 and f"{scores}: value '0.9 0.8' at line 2, column 1" in err
+
+
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("0\nnan\n0\n", "value 'nan' at line 2")])
+def test_blank_or_nan_label_file_exits_2_without_a_warning(tmp_path, capsys, text, message):
+    scores, labels = tmp_path / "s.txt", tmp_path / "l.txt"
+    scores.write_text("0.1\n0.9\n0.2\n")
+    labels.write_text(text)
+    rc, err = run_eval(scores, labels, capsys)
+    assert rc == 2 and f"{labels}: {message}" in err
+
+
+@st.composite
+def damage(draw, blob: bytes):
+    """``blob`` with one fault: a flipped bit, a cut, an inserted 0xff or
+    NUL byte, CR-only line ends, or no bytes at all; None for a directory
+    in the file's place."""
+    kind = draw(st.sampled_from(["flip", "cut", "insert", "cr", "empty", "directory"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ (1 << draw(st.integers(0, 7)))]) + blob[at + 1 :]
+    if kind == "insert":
+        return blob[:at] + draw(st.sampled_from([b"\xff", b"\x00"])) + blob[at:]
+    return {"cut": blob[:at], "cr": blob.replace(b"\n", b"\r"), "empty": b"", "directory": None}[kind]
+
+
+def test_eval_on_damaged_inputs_exits_0_or_2_cleanly(tmp_path_factory, capsys):
+    rng = np.random.default_rng(13)
+    labels = np.zeros(40, dtype=int)
+    labels[[5, 6, 7, 20, 31, 32]] = 1
+    valid = {
+        "scores": "".join(f"{v!r}\n" for v in rng.random(40).tolist()).encode(),
+        "labels": "".join(f"{v}\n" for v in labels).encode(),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["scores", "labels"]), st.data())
+    def check(which, draw):
+        root = tmp_path_factory.mktemp("eval")
+        paths = {name: root / f"{name}.txt" for name in valid}
+        for name, blob in valid.items():
+            if name == which:
+                blob = draw.draw(damage(blob))
+            if blob is None:
+                paths[name].mkdir()
+            else:
+                paths[name].write_bytes(blob)
+        out = root / "metrics.tsv"
+        rc, _ = run_eval(paths["scores"], paths["labels"], capsys, "--output", str(out))
+        assert rc in (0, 2)
+        if rc == 0:
+            rows = read_metrics(out)
+            assert len(rows) == 5
+            assert np.isfinite([[r.precision, r.recall, r.f1] for r in rows]).all()
+
+    check()

@@ -176,9 +176,45 @@ def test_all_hash_data_lines_name_file_and_line(tmp_path):
         load_series(p)
 
 
+def test_bad_byte_in_a_cr_only_file_names_its_line(tmp_path):
+    p = tmp_path / "cr.csv"
+    p.write_bytes(b"a,b\r1,2\r3,\xe94\r")
+    with pytest.raises(DataError, match=r"cr\.csv: line 3: byte 0xe9 is not UTF-8 text"):
+        load_series(p)
+
+
+def test_form_feed_in_a_cell_is_that_cell_s_error(tmp_path):
+    # str.splitlines breaks at \x0c, the parse does not
+    p = write(tmp_path, "ff.csv", "a,b\n1,2\x0c3\n4,5\n")
+    with pytest.raises(DataError, match=r"ff\.csv: value '2\\x0c3' at line 2, column 2"):
+        load_series(p)
+
+
+def test_whitespace_line_is_blank(tmp_path):
+    p = write(tmp_path, "ws.csv", "1,2\n \t\n3,4\n \n")
+    np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
+
+
+def test_split_lines_cuts_only_at_lf_crlf_and_cr():
+    assert data.split_lines("a\rb\r\nc\nd\x0ce\x1c\u2028f\n") == ["a", "b", "c", "d\x0ce\x1c\u2028f", ""]
+
+
+def test_label_file_may_have_a_header(tmp_path):
+    lp = write(tmp_path, "test_label.csv", "label\n0\n1\n \n")
+    labels = load_labels(lp)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [0, 1])
+
+
+def test_label_file_with_two_columns_is_rejected(tmp_path):
+    lp = write(tmp_path, "test_label.csv", "0,1\n1,0\n")
+    with pytest.raises(DataError, match="one 0 or 1 per line"):
+        load_labels(lp)
+
+
 def test_hash_in_label_file_is_rejected(tmp_path):
     lp = write(tmp_path, "test_label.csv", "0\n1 # anomaly\n")
-    with pytest.raises(DataError, match="unparseable label file"):
+    with pytest.raises(DataError, match=r"test_label\.csv: value '1 # anomaly' at line 2, column 1"):
         load_labels(lp)
 
 
@@ -350,7 +386,8 @@ def test_bad_cell_in_last_part_gives_the_in_process_message(tmp_path_factory):
     forked = []
 
     @settings(max_examples=40, deadline=None)
-    @given(csv_files(), st.sampled_from(["ragged", "nan", "#"]), st.data())
+    # float() takes 1_0 and ١ (an Arabic-Indic one), the parse does not
+    @given(csv_files(), st.sampled_from(["ragged", "nan", "#", "1_0", "\u0661"]), st.data())
     def check(file, bad, draw):
         _, header, lines = file
         rows = [i for i, line in enumerate(lines) if line and i >= header]
@@ -361,7 +398,7 @@ def test_bad_cell_in_last_part_gives_the_in_process_message(tmp_path_factory):
         if bad == "ragged":
             cells.append("0")
         else:
-            cells[col] = "nan" if bad == "nan" else draw.draw(st.sampled_from(["#", "1#2"]))
+            cells[col] = draw.draw(st.sampled_from(["#", "1#2"])) if bad == "#" else bad
         lines = lines[:last] + [",".join(cells)] + lines[last + 1 :]
         path.write_bytes("\n".join(lines).encode())
         with pytest.raises(DataError) as in_process:
@@ -504,3 +541,29 @@ def test_non_utf8_byte_in_a_part_gives_the_in_process_message(tmp_path, monkeypa
     assert len(pids) == 4
     assert str(in_parts.value) == str(in_process.value)
     assert str(in_process.value) == f"{p}: line {len(lines) - 2}: byte 0xff is not UTF-8 text"
+
+
+# --- atomic_write ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, fault):
+    p = tmp_path / "scores.txt"
+    p.write_bytes(b"old\n")
+
+    def replace(src, dst):
+        raise OSError(errno.EXDEV, "cross-device link")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(TypeError if fault == "write" else OSError):
+        data.atomic_write(p, "not bytes" if fault == "write" else b"new\n")
+    assert p.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_atomic_write_replaces_the_file(tmp_path):
+    p = tmp_path / "scores.txt"
+    p.write_bytes(b"old\n")
+    data.atomic_write(p, b"new\n")
+    assert p.read_bytes() == b"new\n"
+    assert list(tmp_path.iterdir()) == [p]

@@ -356,5 +356,5 @@ def test_metrics_file_roundtrip(tmp_path):
 def test_read_scores_rejects_garbage(tmp_path):
     p = tmp_path / "scores.txt"
     p.write_text("0.5\nhello\n")
-    with pytest.raises(DataError, match="one real per line"):
+    with pytest.raises(DataError, match=r"scores\.txt: value 'hello' at line 2, column 1"):
         read_scores(p)
