@@ -165,8 +165,9 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
 def _train_entity(data_root: str, out_root: str, entity: str, cfg: TrainConfig) -> str:
     series = load_series(Path(data_root) / entity / "train.csv")
     scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
-    scaled = apply_minmax(scaler, series, clip=cfg.clip) if scaler is not None else series
-    windows = make_windows(scaled, cfg.l, cfg.h)
+    if scaler is not None:  # training holds the scaled rows only
+        series = apply_minmax(scaler, series, clip=cfg.clip)
+    windows = make_windows(series, cfg.l, cfg.h)
     model = build_model(cfg.model_config(), n_metrics=series.shape[1], rng_seed=cfg.seed)
     model, history = train_model(model, windows, cfg)
     entity_dir = Path(out_root) / entity

@@ -1,9 +1,12 @@
-"""The process's core budget, and the thread count of numpy's BLAS.
+"""The process's core budget, the thread count of numpy's BLAS, and its
+heap policy.
 
 A process may keep its affinity mask busy; a ``--jobs`` worker shares it
 with its siblings. The program, not the BLAS, spreads eval chunks over the
 budget. The BLAS is found by name through ``ctypes`` (scipy-openblas, then
-plain OpenBLAS); an unknown one gives ``None`` and is left alone.
+plain OpenBLAS); an unknown one gives ``None`` and is left alone. The heap
+policy is glibc's ``mallopt``, also through ``ctypes``; without it the
+policy is not set.
 """
 
 from __future__ import annotations
@@ -16,6 +19,16 @@ import os
 import numpy as np
 
 _workers = 1  # processes sharing the affinity mask; set in each --jobs worker
+
+# glibc's mallopt parameters, and the one heap policy of every process: a
+# block below 32 MiB (every eval chunk and train step temporary) comes from
+# the heap, and up to 256 MiB of free heap top is kept. glibc otherwise
+# moves its mmap threshold to the largest block freed so far and trims the
+# heap top above 128 KiB, so whether a chunk's arrays fault in fresh pages
+# would depend on what the process freed before.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
 
 
 def budget() -> int:
@@ -49,6 +62,18 @@ def blas_threads_api():
             set_.restype, set_.argtypes = None, [ctypes.c_int]
             return get, set_
     return None
+
+
+@functools.cache
+def heap_policy() -> None:
+    """Set the heap policy, once per process; a no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def enter_worker(workers: int) -> None:

@@ -11,9 +11,11 @@ parsed in one forked child per part and core.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import mmap
 import os
+import re
 import signal
 import warnings
 from dataclasses import dataclass
@@ -30,6 +32,8 @@ from .errors import DataError
 # 4 MiB part parses in about 0.07 s on a 2-core Xeon, well above the cost of
 # its fork and pipe. A file with less than two parts' worth parses in process.
 MIN_PART_BYTES = 4 << 20
+
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 @dataclass
@@ -106,13 +110,16 @@ def atomic_write(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# a cell that reads as a number or starts like one: a sign, then a digit or
+# a point and a digit, or a whole nan or inf (what float() reads)
+_NUMBER_START = re.compile(r"\s*[+-]?(\.?\d|(nan|inf|infinity)\s*$)", re.IGNORECASE)
+
+
 def _looks_like_header(line: str) -> bool:
-    for cell in line.split(","):
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
+    """A first line is a header when none of its cells reads as a number or
+    starts like one; so a damaged first data row (``1,2#`` or ``0.1#3``)
+    is data, and its bad cell is named."""
+    return not any(_NUMBER_START.match(cell) for cell in line.split(","))
 
 
 def _diagnose_csv(path: Path, skip: int) -> None:
@@ -193,12 +200,28 @@ def _read_into(pipe, buf: np.ndarray) -> bool:
     return True
 
 
-def _parse_part(path: Path, start: int, stop: int, fd: int) -> None:
-    """In a forked child: parse bytes [start, stop) of ``path``, write the
-    rows' shape and then their raw float64 values to ``fd``, and leave the
-    process."""
+def _die_with(parent: int) -> None:
+    """In a forked child: be killed when ``parent`` ends (Linux
+    ``PR_SET_PDEATHSIG``), and leave now if it already has."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.restype, prctl.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_ulong]
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it ended before prctl took effect
+        os._exit(1)
+
+
+def _parse_part(path: Path, start: int, stop: int, fd: int, parent: int, inherited) -> None:
+    """In a forked child: close the pipe read ends ``inherited`` from the
+    parent, so a pipe ends with the process that reads it; parse bytes
+    [start, stop) of ``path``, write the rows' shape and then their raw
+    float64 values to ``fd``, and leave the process. The child dies with
+    ``parent``."""
     code = 1
     try:
+        for pipe in inherited:
+            pipe.close()
+        _die_with(parent)
         values = _parse(path.open("rb"), start, stop)
         with open(fd, "wb") as out:
             out.write(np.array(values.shape, dtype=np.int64).tobytes())
@@ -212,7 +235,7 @@ def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
     """Parse each part between ``bounds`` in its own forked child and read
     the rows into one array. None, for the caller to parse in process, when
     a fork or a child fails, or the parts disagree on the column count."""
-    pids, pipes = [], []
+    pids, pipes, parent = [], [], os.getpid()
     try:
         for start, stop in zip(bounds, bounds[1:]):
             r, w = os.pipe()
@@ -223,7 +246,7 @@ def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
                 os.close(w)
                 return None
             if pid == 0:
-                _parse_part(path, start, stop, w)
+                _parse_part(path, start, stop, w, parent, pipes)
             os.close(w)
             pids.append(pid)
         shapes = [np.empty(2, dtype=np.int64) for _ in pipes]

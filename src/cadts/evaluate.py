@@ -29,11 +29,12 @@ from .model import CadModel, window_errors
 MODES = ("raw", "pa", "kpa")
 
 # Windows per eval chunk of ``score_series``. Chunks run on helper threads,
-# one per core of the process's budget, so the forwards in flight hold
-# budget x chunk windows: at 38 metrics one 256-window forward peaks at
-# 7.4 MB (14.8 MB at 512), and two in flight hold what one 512-window chunk
-# held when chunks ran one at a time. It is a constant, never derived from
-# the core count, so a series scores the same on any host.
+# one per core of the process's budget, so the chunks in flight hold
+# budget x chunk windows: at 38 metrics one 256-window chunk, from its rows
+# to its errors, peaks at 7.8 MB in float32 (15.6 MB in float64). Scoring a
+# 28,479-row series on one thread peaks at 8.2 MB above the parsed series
+# (13.0 MB when the whole series was scaled first). It is a constant, never
+# derived from the core count, so a series scores the same on any host.
 SCORE_CHUNK = 256
 
 
@@ -76,22 +77,27 @@ def score_series(
 ) -> ScoreSeries:
     """Eval-mode prediction error at every predictable timestamp, computed
     ``SCORE_CHUNK`` windows at a time; a non-finite one raises NumericError
-    naming the first such timestamp."""
+    naming the first such timestamp.
+
+    Each chunk scales its own rows of ``test`` and casts them to the model
+    dtype, so no scaled copy of the whole series is made: memory grows with
+    the series by the scores and errors alone, 16 B per timestamp."""
     if test.shape[1] != model.n_metrics:
         raise DataError(
             f"series has {test.shape[1]} metrics but model expects {model.n_metrics}"
         )
     cfg = model.config
-    series = test
-    if scaler is not None:
-        # every chunk is cast to the model dtype anyway, so the scaled copy
-        # is held in it (half the bytes in float32)
-        scaled = apply_minmax(scaler, test).values.astype(cfg.np_dtype, copy=False)
-        series = SeriesMatrix(values=scaled)
-    windows = make_windows(series, cfg.l, cfg.h)
-    genuine = window_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
-
+    count = len(make_windows(test, cfg.l, cfg.h))  # raises on a series too short
     valid_from = cfg.l + cfg.h - 1
+
+    def chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = test.values[start : stop + valid_from]
+        if scaler is not None:
+            rows = apply_minmax(scaler, SeriesMatrix(values=rows)).values
+        windows = make_windows(SeriesMatrix(values=rows.astype(cfg.np_dtype, copy=False)), cfg.l, cfg.h)
+        return windows.windows, windows.targets
+
+    genuine = window_errors(model, chunk, count, SCORE_CHUNK)
     bad = np.flatnonzero(~np.isfinite(genuine))
     if bad.size:
         raise NumericError(f"non-finite prediction error at timestamp {bad[0] + valid_from}")

@@ -33,7 +33,7 @@ pass looks them up by name.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
@@ -233,16 +233,25 @@ class CadModel:
         return softmax(logits, axis=-1)
 
 
-def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, batch: int) -> np.ndarray:
-    """Eval-mode mean squared prediction error of each window, float64 (S,).
+def window_errors(
+    model: CadModel,
+    chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    count: int,
+    batch: int,
+) -> np.ndarray:
+    """Eval-mode mean squared prediction error of each of ``count`` windows,
+    float64 (count,).
 
-    Forwards ``batch`` windows at a time to bound memory. A chunk's errors
-    depend only on the model and its windows, so the chunks run on
-    ``cores.eval_threads()`` threads: this one and helpers that each take
-    the next chunk start and write their own slice. The helpers are joined
-    before return, and the first error of any thread is raised here."""
-    errors = np.empty(len(windows), dtype=np.float64)
-    starts = iter(range(0, len(windows), batch))
+    ``chunk(start, stop)`` gives windows [start, stop) (B, K, l) and their
+    targets (B, K); it is called for ``batch`` windows at a time, by the
+    thread that forwards them, so memory holds only the chunks in flight. A
+    chunk's errors depend only on the model and its windows, so the chunks
+    run on ``cores.eval_threads()`` threads: this one and helpers that each
+    take the next chunk start and write their own slice. The helpers are
+    joined before return, and the first error of any thread is raised here."""
+    cores.heap_policy()
+    errors = np.empty(count, dtype=np.float64)
+    starts = iter(range(0, count, batch))
     take = threading.Lock()
     failures: list[BaseException] = []
 
@@ -253,13 +262,14 @@ def window_errors(model: CadModel, windows: np.ndarray, targets: np.ndarray, bat
                     start = next(starts, None)
                 if start is None:
                     return
-                pred = model.forward_batch(windows[start : start + batch], mode="eval")
-                err = pred.data - targets[start : start + batch].astype(model.config.np_dtype)
+                windows, targets = chunk(start, min(start + batch, count))
+                pred = model.forward_batch(windows, mode="eval")
+                err = pred.data - targets.astype(model.config.np_dtype)
                 errors[start : start + len(err)] = (err * err).mean(axis=1)
         except BaseException as exc:
             failures.append(exc)
 
-    n_chunks = -(-len(windows) // batch)
+    n_chunks = -(-count // batch)
     with cores.eval_threads() as threads:
         helpers = [threading.Thread(target=forward_chunks) for _ in range(min(threads, n_chunks) - 1)]
         for helper in helpers:

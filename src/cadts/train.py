@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import cores
 from .data import Scaler, WindowSet, atomic_write, split_lines
 from .errors import ConfigError, DataError, NumericError
 from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
@@ -105,6 +106,9 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
     train_x, train_y = windows.windows[:n_train], windows.targets[:n_train]
     val_x, val_y = windows.windows[n_train:], windows.targets[n_train:]
 
+    def val_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        return val_x[start:stop], val_y[start:stop]
+
     batches_per_epoch = (n_train + cfg.batch - 1) // cfg.batch
     sched = CosineSchedule(
         lr0=cfg.lr0, lr_min=cfg.lr_min, total_steps=batches_per_epoch * cfg.max_epochs
@@ -119,6 +123,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
     best_val = np.inf
     stale_epochs = 0
     step = 0
+    cores.heap_policy()
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -144,7 +149,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
             step += 1
             loss_sum += loss_value * len(idx)
 
-        val_loss = float(window_errors(model, val_x, val_y, cfg.batch).mean()) if n_val else None
+        val_loss = float(window_errors(model, val_chunk, n_val, cfg.batch).mean()) if n_val else None
         history.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -1,10 +1,11 @@
-"""Synthetic series for training and ablation tests."""
+"""Synthetic series for training and ablation tests, and a window set as
+an eval chunk source."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cadts.data import SeriesMatrix
+from cadts.data import SeriesMatrix, WindowSet
 
 
 def make_sines(t: int, n_metrics: int, seed: int = 0) -> SeriesMatrix:
@@ -79,3 +80,8 @@ def make_conflict_dataset(
         values=values[t_train:].copy(), labels=labels[t_train:].copy(), entity_id="conflict"
     )
     return train, test
+
+
+def chunks_of(windows: WindowSet):
+    """``window_errors``' chunk source and window count for ``windows``."""
+    return (lambda start, stop: (windows.windows[start:stop], windows.targets[start:stop])), len(windows)

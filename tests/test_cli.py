@@ -2,6 +2,7 @@
 
 import struct
 import warnings
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -218,6 +219,27 @@ def test_report_accepts_an_infinite_threshold(tmp_path, capsys):
 
 
 # --- train ---------------------------------------------------------------------
+
+
+def test_train_drops_the_raw_series_once_scaled(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    raw, alive_in_training = [], []
+    load, train = cli.load_series, cli.train_model
+
+    def loaded(*args, **kwargs):
+        series = load(*args, **kwargs)
+        raw.append(weakref.ref(series.values))
+        return series
+
+    def trained(*args, **kwargs):
+        alive_in_training.append(raw[0]() is not None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_series", loaded)
+    monkeypatch.setattr(cli, "train_model", trained)
+    assert main(["train", "--data-root", str(data), "--out", str(tmp_path / "out")] + FAST) == 0
+    assert alive_in_training == [False]
 
 
 def test_train_missing_entity_exits_2_without_partial_output(tmp_path, capsys):
@@ -647,6 +669,25 @@ def test_two_scores_on_one_line_exit_2(tmp_path, capsys):
     labels.write_text("0\n1\n0\n")
     rc, err = run_eval(scores, labels, capsys)
     assert rc == 2 and f"{scores}: value '0.9 0.8' at line 2, column 1" in err
+
+
+def test_damaged_first_score_exits_2_naming_it(tmp_path, capsys):
+    scores, labels = tmp_path / "s.txt", tmp_path / "l.txt"
+    scores.write_text("0.1#3\n0.2\n")
+    labels.write_text("0\n1\n")
+    rc, err = run_eval(scores, labels, capsys)
+    assert rc == 2 and f"{scores}: value '0.1#3' at line 1, column 1" in err
+    assert "labels for" not in err
+
+
+def test_damaged_first_series_row_exits_2_naming_it(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    (data / "e1" / "train.csv").write_text("1,2#\n3,4\n5,6\n")
+    assert main(["train", "--data-root", str(data), "--out", str(tmp_path / "out")] + FAST) == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'e1' / 'train.csv'}: value '2#' at line 1, column 2" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [("", "empty file"), ("0\nnan\n0\n", "value 'nan' at line 2")])

@@ -1,5 +1,6 @@
 """The core budget, the BLAS thread switch, and eval chunks on helper threads."""
 
+import ctypes
 import functools
 import os
 import sys
@@ -15,6 +16,8 @@ from cadts import cli, cores
 from cadts.data import SeriesMatrix, make_windows
 from cadts.evaluate import SCORE_CHUNK, score_series
 from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
+
+from _synth import chunks_of
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -58,7 +61,7 @@ def test_window_errors_on_any_budget_bitwise_equal_to_the_serial_loop(variant, d
     want = serial_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
     env, mask = cores_and_blas(budget)
     with env, mask:
-        got = window_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
+        got = window_errors(model, *chunks_of(windows), SCORE_CHUNK)
     assert got.tobytes() == want.tobytes()
 
 
@@ -88,7 +91,7 @@ def test_many_threads_take_every_chunk_once_under_fast_switching(monkeypatch):
     try:
         with env, mask:
             run = threading.Thread(
-                target=lambda: got.append(window_errors(model, windows.windows, windows.targets, 1))
+                target=lambda: got.append(window_errors(model, *chunks_of(windows), 1))
             )
             run.start()
             run.join(timeout=120)
@@ -240,3 +243,87 @@ def test_jobs_worker_takes_its_share_of_the_cores(tmp_path, monkeypatch):
     results = list(cli._run_tasks(probe_worker, [(), ()], 2, inputs))
     assert results == [(share, share)] * 2
     assert cores.budget() == len(os.sched_getaffinity(0))  # this process keeps every core
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """Sets the symbols the heap policy finds in the C library."""
+    def use(**symbols):
+        monkeypatch.setattr(cores.ctypes, "CDLL", lambda path: SimpleNamespace(**symbols))
+        cores.heap_policy.cache_clear()
+
+    yield use
+    cores.heap_policy.cache_clear()
+
+
+def test_heap_policy_is_set_once_per_process(libc):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc(mallopt=mallopt)
+    cores.heap_policy()
+    cores.heap_policy()
+    assert calls == [(cores.M_MMAP_THRESHOLD, 32 << 20), (cores.M_TRIM_THRESHOLD, 256 << 20)]
+
+
+def test_heap_policy_without_mallopt_does_nothing(libc, monkeypatch):
+    libc()
+    cores.heap_policy()
+
+    def no_library(path):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cores.ctypes, "CDLL", no_library)
+    cores.heap_policy.cache_clear()
+    cores.heap_policy()
+    model, series = small_scoring_case()
+    assert len(score_series(model, series)) == len(series.values)
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def test_heap_policy_keeps_chunk_sized_blocks_on_the_heap():
+    """Under the policy glibc maps a block of its own only from 32 MiB up,
+    whatever blocks the process freed before."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError):
+        pytest.skip("no glibc mallinfo2")
+    mallinfo2.restype = _Mallinfo2
+    cores.heap_policy()
+
+    def mapped_while_held(nbytes):
+        before = mallinfo2().hblkhd
+        block = np.ones(nbytes, dtype=np.uint8)
+        mapped = mallinfo2().hblkhd - before
+        del block
+        return mapped
+
+    assert mapped_while_held(4 << 20) == 0
+    assert mapped_while_held(40 << 20) >= 40 << 20
+
+
+def test_heap_policy_comes_before_the_first_eval_chunk_and_train_step(monkeypatch):
+    from cadts.model import CadModel
+    from cadts.train import TrainConfig, train_model
+
+    events = []
+    forward = CadModel.forward_batch
+    monkeypatch.setattr(cores, "heap_policy", lambda: events.append("policy"))
+    monkeypatch.setattr(CadModel, "forward_batch",
+                        lambda self, windows, mode="eval", rng=None:
+                        events.append(mode) or forward(self, windows, mode, rng))
+    model, series = small_scoring_case(10)
+    score_series(model, series)
+    assert events[:2] == ["policy", "eval"]
+    events.clear()
+    cfg = TrainConfig(l=4, h=1, experts=2, kernels=2, embed_dim=8, tower_hidden=4, batch=4, max_epochs=1)
+    train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
+    assert events[:2] == ["policy", "train"]

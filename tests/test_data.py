@@ -2,6 +2,10 @@
 
 import errno
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cadts import data
+from cadts import cores, data
 from cadts.data import (
     SeriesMatrix,
     apply_minmax,
@@ -44,6 +48,25 @@ def test_load_skips_single_header_row(tmp_path):
     series = load_series(p)
     assert series.shape == (2, 2)
     np.testing.assert_array_equal(series.values, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("header", ["m1,m2", "timestamp_(min),feature_0", "cpu r, -load", "info,nanos"])
+def test_named_header_row_is_skipped(tmp_path, header):
+    p = write(tmp_path, "train.csv", f"{header}\n1,2\n3,4\n")
+    np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("first, message", [
+    ("1,2#", "value '2#' at line 1, column 2"),
+    ("0.1#3,4", "value '0.1#3' at line 1, column 1"),
+    ("m1,2", "value 'm1' at line 1, column 1"),
+    ("nan,x", "value 'nan' at line 1, column 1"),
+])
+def test_damaged_first_row_is_a_bad_cell_not_a_header(tmp_path, first, message):
+    """A first line with a cell that is a number, or starts like one, is data."""
+    p = write(tmp_path, "train.csv", f"{first}\n3,4\n5,6\n")
+    with pytest.raises(DataError, match=rf"train\.csv: {message}"):
+        load_series(p)
 
 
 def test_load_with_labels(tmp_path):
@@ -292,6 +315,69 @@ def test_refused_fork_parses_in_process(tmp_path, monkeypatch):
     parse_in_parts(monkeypatch, 64)
     monkeypatch.setattr(os, "fork", refuse)
     assert_bitwise_equal(load_series(p).values, expected)
+
+
+# a load that forks its two parsers, prints their pids and then stalls
+# before it reads a byte from them
+_STALLED_LOAD = """
+import os, sys, time
+from cadts import data
+path = sys.argv[1]
+data.MIN_PART_BYTES = os.path.getsize(path) // 2 - 64
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = fork
+def stall(pipe, buf):
+    print("stalled", flush=True)
+    time.sleep(600)
+data._read_into = stall
+data.load_series(path)
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_parsers_die_with_a_load_stopped_by_a_signal(tmp_path):
+    if cores.budget() == 1:
+        pytest.skip("one core: the load never forks")
+    p = tmp_path / "big.csv"
+    # each part's rows (160 KB) outgrow a pipe's buffer, so a parser that
+    # outlived its reader would block on its write for good
+    np.savetxt(p, np.random.default_rng(9).random((20000, 2)), delimiter=",", fmt="%.17g")
+    env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).parents[1])}
+    load = subprocess.Popen([sys.executable, "-c", _STALLED_LOAD, str(p)], stdout=subprocess.PIPE,
+                            text=True, env=env)
+    pids = []
+    try:
+        for line in load.stdout:
+            if line.strip() == "stalled":
+                break
+            pids.append(int(line))
+        assert len(pids) == 2
+        load.send_signal(signal.SIGTERM)
+        assert load.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        load.kill()
+        load.wait()
+        load.stdout.close()
+        for pid in filter(running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_interrupted_load_reaps_children_and_closes_pipes(tmp_path, monkeypatch):

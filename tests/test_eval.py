@@ -1,10 +1,15 @@
 """Scoring and the point-adjustment evaluation protocol."""
 
+import os
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadts.data import SeriesMatrix, make_windows
+from cadts.data import SeriesMatrix, fit_minmax, make_windows
 from cadts.errors import DataError
 from cadts.evaluate import (
     MODES,
@@ -23,6 +28,8 @@ from cadts.evaluate import (
 from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
 
 from _oracles import naive_best_f1, naive_kth_point_adjust, naive_point_adjust
+from _parity import SCORE_WINDOWS, parity_values
+from _synth import chunks_of, make_sines
 
 
 def random_case(rng, n_max=120):
@@ -318,7 +325,7 @@ def test_score_series_chunks_match_one_window_at_a_time(variant):
         series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
         out = score_series(model, series)
         windows = make_windows(series, cfg.l, cfg.h)
-        want = window_errors(model, windows.windows, windows.targets, batch=1)
+        want = window_errors(model, *chunks_of(windows), batch=1)
         assert len(out) == len(series.values)
         assert out.valid_from == cfg.l + cfg.h - 1
         np.testing.assert_allclose(out.scores[out.valid_from :], want, rtol=1e-6)
@@ -329,6 +336,52 @@ def test_score_series_metric_mismatch():
     model = constant_predictor(3, level=0.0)
     with pytest.raises(DataError, match="metrics"):
         score_series(model, SeriesMatrix(values=np.zeros((10, 2))))
+
+
+RECORDED_PARITY = Path(__file__).parent / "fixtures" / "chunked_scoring.npz"
+
+
+def test_scores_and_val_losses_are_bitwise_the_recorded_ones():
+    """Every variant in both dtypes, with and without a scaler, at series
+    lengths short of one score chunk, of exactly one, and of one chunk and
+    one window; validation ends in a one-window chunk (``_parity``)."""
+    got = parity_values()
+    with np.load(RECORDED_PARITY) as recorded:
+        assert sorted(recorded.files) == sorted(got)
+        differ = [key for key in recorded.files if recorded[key].tobytes() != got[key].tobytes()]
+    assert differ == []
+    assert {len(got[f"full-float32-raw-scores{n}"]) - n for n in SCORE_WINDOWS} == {5}
+
+
+def test_score_series_too_short_message():
+    model = constant_predictor(2, level=0.0, l=3, h=2)
+    with pytest.raises(DataError) as err:
+        score_series(model, SeriesMatrix(values=np.zeros((4, 2))))
+    assert str(err.value) == "series of length 4 too short for window 3 + horizon 2; need at least 5 rows"
+
+
+def test_score_series_memory_grows_by_the_scores_alone():
+    """Doubling a 38-metric series adds its scores and errors (16 B a
+    timestamp) to the traced peak, not a scaled copy (38 x 12 B)."""
+    model = build_model(ModelConfig(experts=2, kernels=2, embed_dim=8, tower_hidden=4), n_metrics=38, rng_seed=1)
+
+    def traced_peak(t):
+        series = make_sines(t, 38, seed=4)
+        scaler = fit_minmax(series)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_series(model, series, scaler)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    # one chunk at a time, so that the peak does not hang on thread timing
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        traced_peak(4000)  # first-call allocations
+        growth = traced_peak(8000) - traced_peak(4000)
+    assert growth <= 4000 * 16 + (16 << 10)
+    assert growth < 4000 * 38 * 12 / 8
 
 
 # --- plain-text files --------------------------------------------------------------
