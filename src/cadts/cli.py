@@ -27,8 +27,10 @@ from . import cores
 from .data import apply_minmax, atomic_write, fit_minmax, load_labels, load_series, make_windows, read_lines
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
+    SCORE_CHUNK,
     EvalRow,
     aggregate_entities,
+    eval_windows,
     best_f1,
     format_metrics,
     kth_point_adjust,
@@ -166,7 +168,7 @@ def _train_entity(data_root: str, out_root: str, entity: str, cfg: TrainConfig) 
     series = load_series(Path(data_root) / entity / "train.csv")
     scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
     if scaler is not None:  # training holds the scaled rows only
-        series = apply_minmax(scaler, series, clip=cfg.clip)
+        series = apply_minmax(scaler, series)
     windows = make_windows(series, cfg.l, cfg.h)
     model = build_model(cfg.model_config(), n_metrics=series.shape[1], rng_seed=cfg.seed)
     model, history = train_model(model, windows, cfg)
@@ -197,8 +199,8 @@ def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
     series = load_series(input_csv)
     try:
         scored = score_series(model, series, scaler)
-    except NumericError as exc:
-        raise NumericError(f"{input_csv}: {exc}") from None
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"{input_csv}: {exc}") from None
     Path(output).parent.mkdir(parents=True, exist_ok=True)
     write_scores(output, scored)
     return f"scored {Path(input_csv).parent.name or input_csv}: {len(scored)} timestamps -> {output}"
@@ -339,7 +341,7 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.output is not None:
-        atomic_write(args.output, (text + "\n").encode())
+        atomic_write(args.output, [(text + "\n").encode()])
     return 0
 
 
@@ -347,30 +349,36 @@ def cmd_report(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    """Every ``--stride``-th window's expert embeddings, ``SCORE_CHUNK``
+    sampled windows at a time through the score chunks (``eval_windows``);
+    each chunk's lines are written before the next chunk is forwarded."""
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     model, scaler = load_checkpoint(args.checkpoint)
     series = load_series(args.input)
-    if series.shape[1] != model.n_metrics:
-        raise DataError(
-            f"{args.input} has {series.shape[1]} metrics but checkpoint expects {model.n_metrics}"
-        )
-    scaled = apply_minmax(scaler, series) if scaler is not None else series
-    cfg = model.config
-    windows = make_windows(scaled, cfg.l, cfg.h)
-    sampled = np.arange(0, len(windows), args.stride)
-    embedded = expert_embeddings(model, windows.windows[sampled])
+    try:
+        chunk, count = eval_windows(model, series, scaler)
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
+    sampled = range(0, count, args.stride)
+    experts = model.params["expert.ff1_w"].shape[0]
 
-    lines = []
-    for row, sample_index in enumerate(sampled):
-        for expert_id in range(embedded.shape[1]):
-            values = "\t".join(repr(float(v)) for v in embedded[row, expert_id])
-            lines.append(f"{sample_index}\t{expert_id}\t{values}")
-    atomic_write(args.output, ("\n".join(lines) + "\n").encode())
-    print(
-        f"exported {len(lines)} embedding rows"
-        f" ({len(sampled)} windows x {embedded.shape[1]} experts)"
-    )
+    def blocks() -> Iterator[bytes]:
+        for first in range(0, len(sampled), SCORE_CHUNK):
+            indices = sampled[first : first + SCORE_CHUNK]
+            # a short last chunk reaches back to SCORE_CHUNK windows: a
+            # forward of a few rows may take another BLAS kernel
+            reach = max(0, min(first, len(sampled) - SCORE_CHUNK))
+            windows, _ = chunk(sampled[reach], indices[-1] + 1)
+            embedded = expert_embeddings(model, windows[:: args.stride])[first - reach :]
+            yield "".join(
+                f"{index}\t{expert}\t" + "\t".join(repr(float(v)) for v in embedded[row, expert]) + "\n"
+                for row, index in enumerate(indices)
+                for expert in range(experts)
+            ).encode()
+
+    atomic_write(args.output, blocks())
+    print(f"exported {len(sampled) * experts} embedding rows ({len(sampled)} windows x {experts} experts)")
     return 0
 
 

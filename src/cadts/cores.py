@@ -1,17 +1,19 @@
-"""The process's core budget, the thread count of numpy's BLAS, and its
-heap policy.
+"""The process's core budget and its one policy for numpy's BLAS and the
+heap.
 
 A process may keep its affinity mask busy; a ``--jobs`` worker shares it
 with its siblings. The program, not the BLAS, spreads eval chunks over the
-budget. The BLAS is found by name through ``ctypes`` (scipy-openblas, then
-plain OpenBLAS); an unknown one gives ``None`` and is left alone. The heap
-policy is glibc's ``mallopt``, also through ``ctypes``; without it the
-policy is not set.
+budget: ``process_policy`` sets numpy's BLAS to one thread per call, once,
+before the first train step or eval chunk, unless ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` pins it. The setting persists for the rest of the
+process, in a library caller too. The BLAS is found by name through
+``ctypes`` (scipy-openblas, then plain OpenBLAS); an unknown one is left
+alone. The heap policy is glibc's ``mallopt``, also through ``ctypes``;
+without it the heap policy is not set.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -37,36 +39,23 @@ def budget() -> int:
     return max(1, (cores or 1) // _workers)
 
 
-def _pinned_blas_threads() -> int | None:
-    """The BLAS thread count the environment sets explicitly, if any."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) >= 1:
-            return int(value)
-    return None
-
-
-@functools.cache
-def blas_threads_api():
-    """(get, set) thread-count functions of numpy's BLAS, or None."""
+def _blas_set_threads():
+    """The thread-count setter of numpy's BLAS, or None."""
     core = getattr(np, "_core", None) or np.core
     try:
         lib = ctypes.CDLL(core._multiarray_umath.__file__)
     except (AttributeError, OSError):
         return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        set_threads = getattr(lib, name, None)
+        if set_threads is not None:
+            set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+            return set_threads
     return None
 
 
-@functools.cache
-def heap_policy() -> None:
-    """Set the heap policy, once per process; a no-op without ``mallopt``."""
+def _set_heap_policy() -> None:
+    """The mallopt thresholds above; nothing without ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):
@@ -76,31 +65,33 @@ def heap_policy() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+@functools.cache
+def process_policy() -> int | None:
+    """Set the heap policy and the BLAS threads, once per process. Returns
+    the threads each BLAS call runs: the pinned count, else 1; None for an
+    unknown BLAS, which is left as found."""
+    _set_heap_policy()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) >= 1:
+            return int(value)
+    set_threads = _blas_set_threads()
+    if set_threads is None:
+        return None
+    set_threads(1)
+    return 1
+
+
 def enter_worker(workers: int) -> None:
     """``ProcessPoolExecutor`` initializer: this process is one of
-    ``workers``; its BLAS pool gets its budget unless the environment pins it."""
+    ``workers`` sharing the affinity mask."""
     global _workers
     _workers = workers
-    api = blas_threads_api()
-    if api is not None and _pinned_blas_threads() is None:
-        api[1](budget())
 
 
-@contextlib.contextmanager
-def eval_threads():
-    """The number of threads to run independent chunks on. Unless the
-    environment pins the BLAS (then budget // its threads), the BLAS runs
-    one thread per call for the block; with an unknown BLAS, one thread."""
-    pinned, api = _pinned_blas_threads(), blas_threads_api()
-    if pinned is not None:
-        yield max(1, budget() // pinned)
-    elif api is None:
-        yield 1
-    else:
-        get, set_ = api
-        before = get()
-        set_(1)
-        try:
-            yield budget()
-        finally:
-            set_(before)
+def eval_threads() -> int:
+    """The number of threads to run independent eval chunks on, with the
+    process policy set: the budget // the BLAS threads per call, or 1 with
+    an unknown BLAS."""
+    blas = process_policy()
+    return 1 if blas is None else max(1, budget() // blas)

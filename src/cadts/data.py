@@ -18,6 +18,7 @@ import os
 import re
 import signal
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,16 +43,12 @@ class SeriesMatrix:
 
     values: np.ndarray
     labels: np.ndarray | None = None
-    entity_id: str = ""
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise DataError(f"series must be a T x K matrix with T,K >= 1, got {self.values.shape}")
         if self.labels is not None and len(self.labels) != self.shape[0]:
-            raise DataError(
-                f"labels length {len(self.labels)} != series length {self.shape[0]}"
-                f" for entity {self.entity_id!r}"
-            )
+            raise DataError(f"labels length {len(self.labels)} != series length {self.shape[0]}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -65,10 +62,6 @@ class Scaler:
     mins: np.ndarray
     maxs: np.ndarray
     clip: bool = True
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.mins)
 
 
 @dataclass
@@ -99,12 +92,16 @@ def read_lines(path, error: type[Exception] = DataError) -> list[str]:
         raise error(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to ``{path}.tmp`` and move it over ``path``; on failure
-    the temporary file is removed and the old file keeps its bytes."""
+def atomic_write(path, blocks: Iterable[bytes]) -> None:
+    """Write the byte blocks ``blocks`` in turn to ``{path}.tmp``, then move
+    it over ``path``; a generator's blocks are written as they come. On
+    failure, the generator's too, the temporary file is removed and the old
+    file keeps its bytes."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for block in blocks:
+                fh.write(block)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -308,7 +305,7 @@ def _read_csv(path: Path) -> np.ndarray:
     return values
 
 
-def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesMatrix:
+def load_series(path, labels_path=None) -> SeriesMatrix:
     """A CSV series (``_read_csv``) and optional label file as a SeriesMatrix."""
     path = Path(path)
     if not path.is_file():
@@ -317,9 +314,7 @@ def load_series(path, labels_path=None, entity_id: str | None = None) -> SeriesM
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path, expected_length=values.shape[0])
-    if entity_id is None:
-        entity_id = path.resolve().parent.name
-    return SeriesMatrix(values=values, labels=labels, entity_id=entity_id)
+    return SeriesMatrix(values=values, labels=labels)
 
 
 def load_labels(path, expected_length: int | None = None) -> np.ndarray:
@@ -338,11 +333,7 @@ def load_labels(path, expected_length: int | None = None) -> np.ndarray:
 
 def fit_minmax(train: SeriesMatrix, clip: bool = True) -> Scaler:
     """Record per-column min/max over the training rows."""
-    return Scaler(
-        mins=train.values.min(axis=0).copy(),
-        maxs=train.values.max(axis=0).copy(),
-        clip=clip,
-    )
+    return Scaler(mins=train.values.min(axis=0), maxs=train.values.max(axis=0), clip=clip)
 
 
 def apply_minmax(scaler: Scaler, data: SeriesMatrix, clip: bool | None = None) -> SeriesMatrix:
@@ -351,10 +342,8 @@ def apply_minmax(scaler: Scaler, data: SeriesMatrix, clip: bool | None = None) -
     ``clip`` clamps the result to [0, 1] (needed on test data, whose values
     may fall outside the training range); None defers to the scaler's flag.
     """
-    if data.shape[1] != scaler.n_columns:
-        raise DataError(
-            f"series has {data.shape[1]} columns but scaler was fit on {scaler.n_columns}"
-        )
+    if data.shape[1] != len(scaler.mins):
+        raise DataError(f"series has {data.shape[1]} columns but scaler was fit on {len(scaler.mins)}")
     if clip is None:
         clip = scaler.clip
     span = scaler.maxs - scaler.mins
@@ -364,7 +353,7 @@ def apply_minmax(scaler: Scaler, data: SeriesMatrix, clip: bool | None = None) -
     scaled[:, span == 0] = 0.0
     if clip:
         np.clip(scaled, 0.0, 1.0, out=scaled)
-    return SeriesMatrix(values=scaled, labels=data.labels, entity_id=data.entity_id)
+    return SeriesMatrix(values=scaled, labels=data.labels)
 
 
 def make_windows(series: SeriesMatrix, l: int, h: int) -> WindowSet:

@@ -24,11 +24,12 @@ import numpy as np
 
 from .data import Scaler, SeriesMatrix, _read_csv, apply_minmax, atomic_write, make_windows, read_lines
 from .errors import DataError, NumericError
-from .model import CadModel, window_errors
+from .model import CadModel, ChunkSource, window_errors
 
 MODES = ("raw", "pa", "kpa")
 
-# Windows per eval chunk of ``score_series``. Chunks run on helper threads,
+# Windows per eval chunk of ``score_series``, and sampled windows per chunk
+# of ``cadts export-embeddings``. Score chunks run on helper threads,
 # one per core of the process's budget, so the chunks in flight hold
 # budget x chunk windows: at 38 metrics one 256-window chunk, from its rows
 # to its errors, peaks at 7.8 MB in float32 (15.6 MB in float64). Scoring a
@@ -70,34 +71,36 @@ class EvalRow:
     f1: float
 
 
-def score_series(
-    model: CadModel,
-    test: SeriesMatrix,
-    scaler: Scaler | None = None,
-) -> ScoreSeries:
-    """Eval-mode prediction error at every predictable timestamp, computed
-    ``SCORE_CHUNK`` windows at a time; a non-finite one raises NumericError
-    naming the first such timestamp.
+def eval_windows(model: CadModel, series: SeriesMatrix, scaler: Scaler | None = None) -> tuple[ChunkSource, int]:
+    """The one path from a series to eval windows: a chunk source
+    ``chunk(start, stop)``, giving windows [start, stop) and their targets
+    in the model dtype, and the window count. The metric count and the
+    length are checked first.
 
-    Each chunk scales its own rows of ``test`` and casts them to the model
-    dtype, so no scaled copy of the whole series is made: memory grows with
-    the series by the scores and errors alone, 16 B per timestamp."""
-    if test.shape[1] != model.n_metrics:
-        raise DataError(
-            f"series has {test.shape[1]} metrics but model expects {model.n_metrics}"
-        )
+    Each chunk scales its own rows of ``series`` and casts them to the model
+    dtype, so no scaled copy of the whole series is made."""
+    if series.shape[1] != model.n_metrics:
+        raise DataError(f"series has {series.shape[1]} metrics but model expects {model.n_metrics}")
     cfg = model.config
-    count = len(make_windows(test, cfg.l, cfg.h))  # raises on a series too short
-    valid_from = cfg.l + cfg.h - 1
+    count = len(make_windows(series, cfg.l, cfg.h))  # raises on a series too short
 
     def chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = test.values[start : stop + valid_from]
+        rows = series.values[start : stop + cfg.l + cfg.h - 1]
         if scaler is not None:
             rows = apply_minmax(scaler, SeriesMatrix(values=rows)).values
         windows = make_windows(SeriesMatrix(values=rows.astype(cfg.np_dtype, copy=False)), cfg.l, cfg.h)
         return windows.windows, windows.targets
 
-    genuine = window_errors(model, chunk, count, SCORE_CHUNK)
+    return chunk, count
+
+
+def score_series(model: CadModel, test: SeriesMatrix, scaler: Scaler | None = None) -> ScoreSeries:
+    """Eval-mode prediction error at every predictable timestamp, computed
+    ``SCORE_CHUNK`` windows at a time (``eval_windows``); a non-finite one
+    raises NumericError naming the first such timestamp. Memory grows with
+    the series by the scores and errors alone, 16 B per timestamp."""
+    genuine = window_errors(model, *eval_windows(model, test, scaler), SCORE_CHUNK)
+    valid_from = model.config.l + model.config.h - 1
     bad = np.flatnonzero(~np.isfinite(genuine))
     if bad.size:
         raise NumericError(f"non-finite prediction error at timestamp {bad[0] + valid_from}")
@@ -241,7 +244,7 @@ _METRIC_COLUMNS = ("entity", "mode", "k", "threshold", "P", "R", "F1")
 
 def write_scores(path, scores) -> None:
     values = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
-    atomic_write(path, "".join(f"{v!r}\n" for v in values.tolist()).encode())
+    atomic_write(path, ["".join(f"{v!r}\n" for v in values.tolist()).encode()])
 
 
 def read_scores(path) -> np.ndarray:
@@ -267,7 +270,7 @@ def format_metrics(rows: list[EvalRow]) -> str:
 
 
 def write_metrics(path, rows: list[EvalRow]) -> None:
-    atomic_write(path, format_metrics(rows).encode())
+    atomic_write(path, [format_metrics(rows).encode()])
 
 
 def _metric_cell(path, lineno: int, column: str, cell: str):

@@ -233,12 +233,11 @@ class CadModel:
         return softmax(logits, axis=-1)
 
 
-def window_errors(
-    model: CadModel,
-    chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    count: int,
-    batch: int,
-) -> np.ndarray:
+# chunk(start, stop): windows [start, stop) (B, K, l) and their targets (B, K)
+ChunkSource = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -> np.ndarray:
     """Eval-mode mean squared prediction error of each of ``count`` windows,
     float64 (count,).
 
@@ -246,10 +245,12 @@ def window_errors(
     targets (B, K); it is called for ``batch`` windows at a time, by the
     thread that forwards them, so memory holds only the chunks in flight. A
     chunk's errors depend only on the model and its windows, so the chunks
-    run on ``cores.eval_threads()`` threads: this one and helpers that each
-    take the next chunk start and write their own slice. The helpers are
-    joined before return, and the first error of any thread is raised here."""
-    cores.heap_policy()
+    run on ``cores.eval_threads()`` threads: the caller's and helpers that
+    each take the next chunk start and write their own slice. That call sets
+    the process policy first, so each BLAS call runs one thread (unless the
+    environment pins it) and no thread changes the setting while chunks
+    run. The helpers are joined before return, and the first error of any
+    thread is raised here."""
     errors = np.empty(count, dtype=np.float64)
     starts = iter(range(0, count, batch))
     take = threading.Lock()
@@ -269,14 +270,13 @@ def window_errors(
         except BaseException as exc:
             failures.append(exc)
 
-    n_chunks = -(-count // batch)
-    with cores.eval_threads() as threads:
-        helpers = [threading.Thread(target=forward_chunks) for _ in range(min(threads, n_chunks) - 1)]
-        for helper in helpers:
-            helper.start()
-        forward_chunks()
-        for helper in helpers:
-            helper.join()
+    threads = min(cores.eval_threads(), -(-count // batch))
+    helpers = [threading.Thread(target=forward_chunks) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    forward_chunks()
+    for helper in helpers:
+        helper.join()
     if failures:
         raise failures[0]
     return errors

@@ -123,7 +123,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
     best_val = np.inf
     stale_epochs = 0
     step = 0
-    cores.heap_policy()
+    cores.process_policy()
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -181,7 +181,7 @@ def write_history(history: TrainHistory, path) -> None:
         val = repr(e.val_loss) if e.val_loss is not None else "-"
         lines.append(f"{e.epoch}\t{e.train_loss!r}\t{val}\t{e.lr!r}")
     lines.append(f"stopping\t{history.stopping_reason}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 # --- checkpoint persistence ---------------------------------------------------
@@ -216,7 +216,7 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
         blob.append(struct.pack("<Q", tensor.ndim))
         blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
         blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
-    atomic_write(path, b"".join(blob))
+    atomic_write(path, blob)
 
 
 def _read_exact(fh, n: int, path) -> bytearray:

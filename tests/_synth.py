@@ -17,7 +17,7 @@ def make_sines(t: int, n_metrics: int, seed: int = 0) -> SeriesMatrix:
         period = rng.uniform(40.0, 160.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         columns.append(0.5 + 0.4 * np.sin(2.0 * np.pi * tt / period + phase))
-    return SeriesMatrix(values=np.column_stack(columns), entity_id="sines")
+    return SeriesMatrix(values=np.column_stack(columns))
 
 
 def make_conflict_dataset(
@@ -75,10 +75,8 @@ def make_conflict_dataset(
         values[start : start + length, hit] += shift
         labels[start : start + length] = 1
 
-    train = SeriesMatrix(values=values[:t_train].copy(), entity_id="conflict")
-    test = SeriesMatrix(
-        values=values[t_train:].copy(), labels=labels[t_train:].copy(), entity_id="conflict"
-    )
+    train = SeriesMatrix(values=values[:t_train].copy())
+    test = SeriesMatrix(values=values[t_train:].copy(), labels=labels[t_train:].copy())
     return train, test
 
 

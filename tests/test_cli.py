@@ -1,9 +1,11 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
 import struct
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from cadts.cli import main, make_train_config
 from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError
 from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
-from cadts.model import build_model
+from cadts.model import build_model, expert_embeddings
 from cadts.train import load_checkpoint, save_checkpoint, train_model
 
 from _synth import make_sines
@@ -341,7 +343,7 @@ def test_reruns_byte_identical(tmp_path, capsys):
 
 def test_parallel_jobs_match_sequential(tmp_path, monkeypatch):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)  # each worker sets its own BLAS pool
+        monkeypatch.delenv(name, raising=False)  # each process sets its own one-thread BLAS
     data = tmp_path / "data"
     write_entity(data, "e1", seed=6)
     write_entity(data, "e2", seed=7)
@@ -568,6 +570,69 @@ def test_export_embeddings_metric_mismatch(tmp_path, capsys):
     assert "metrics" in capsys.readouterr().err
 
 
+def whole_batch_export(checkpoint, input_csv, stride) -> bytes:
+    """The export text of every ``stride``-th window, all forwarded at once
+    from the whole scaled series."""
+    model, scaler = load_checkpoint(checkpoint)
+    series = load_series(input_csv)
+    if scaler is not None:
+        series = apply_minmax(scaler, series)
+    windows = make_windows(series, model.config.l, model.config.h)
+    sampled = range(0, len(windows), stride)
+    embedded = expert_embeddings(model, windows.windows[::stride])
+    return "".join(
+        f"{index}\t{expert}\t" + "\t".join(repr(float(v)) for v in embedded[row, expert]) + "\n"
+        for row, index in enumerate(sampled)
+        for expert in range(embedded.shape[1])
+    ).encode()
+
+
+@pytest.mark.parametrize("dtype, scale", [("float32", True), ("float64", False)])
+@pytest.mark.parametrize("windows, stride", [
+    (1, 1), (255, 1), (256, 1), (257, 1),  # sampled 1, 255, 256, 257: the last chunk 1, 255, 256, 1
+    (511 * 3, 3), (512 * 2, 2), (513 * 5 - 4, 5),  # sampled 511, 512, 513
+])
+def test_export_in_chunks_is_bytewise_the_whole_batch(tmp_path, capsys, dtype, scale, windows, stride):
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"] + [f"dtype={dtype}"])
+    series = make_sines(windows + cfg.l + cfg.h - 1, 3, seed=14)
+    checkpoint, input_csv, out = tmp_path / "model.cadckpt", tmp_path / "test.csv", tmp_path / "emb.tsv"
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    save_checkpoint(model, fit_minmax(series) if scale else None, checkpoint, cfg)
+    np.savetxt(input_csv, series.values, fmt="%.17g", delimiter=",")
+    assert main(["export-embeddings", "--checkpoint", str(checkpoint), "--input", str(input_csv),
+                 "--output", str(out), "--stride", str(stride)]) == 0
+    sampled = len(range(0, windows, stride))
+    assert capsys.readouterr().out == f"exported {2 * sampled} embedding rows ({sampled} windows x 2 experts)\n"
+    assert out.read_bytes() == whole_batch_export(checkpoint, input_csv, stride)
+
+
+def test_export_memory_does_not_grow_with_the_series(tmp_path, monkeypatch):
+    """Past the parsed series, doubling a 38-metric series adds nothing to
+    the traced peak of an export at stride 1: one chunk's windows,
+    embeddings and text are held at a time."""
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
+    model = build_model(cfg.model_config(), n_metrics=38, rng_seed=cfg.seed)
+    checkpoint = tmp_path / "model.cadckpt"
+    save_checkpoint(model, fit_minmax(make_sines(100, 38, seed=4)), checkpoint, cfg)
+
+    def traced_peak(t):
+        series = make_sines(t, 38, seed=4)
+        monkeypatch.setattr(cli, "load_series", lambda path: series)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["export-embeddings", "--checkpoint", str(checkpoint), "--input", "series.csv",
+                         "--output", str(tmp_path / "emb.tsv")]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2000)  # first-call allocations
+    growth = traced_peak(4000) - traced_peak(2000)
+    assert growth <= 16 << 10
+    assert growth < 2000 * 38 * 8 / 8
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # float32 forward overflows on huge unscaled inputs -> non-finite loss
@@ -652,15 +717,19 @@ def test_non_utf8_eval_input_exits_2_naming_the_line(tmp_path, capsys, which):
 # --- eval on damaged inputs --------------------------------------------------------
 
 
-def run_eval(scores, labels, capsys, *extra):
-    """``cadts eval`` in process: its exit code and stderr, with every
-    warning it raises recorded and none expected."""
+def run_main(argv, capsys):
+    """``cadts`` in process: its exit code and stderr, with every warning it
+    raises recorded and none expected."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["eval", "--scores", str(scores), "--labels", str(labels), *extra])
+        rc = main(argv)
     err = capsys.readouterr().err
     assert caught == [] and "Warning:" not in err and "Traceback" not in err
     return rc, err
+
+
+def run_eval(scores, labels, capsys, *extra):
+    return run_main(["eval", "--scores", str(scores), "--labels", str(labels), *extra], capsys)
 
 
 def test_two_scores_on_one_line_exit_2(tmp_path, capsys):
@@ -741,5 +810,32 @@ def test_eval_on_damaged_inputs_exits_0_or_2_cleanly(tmp_path_factory, capsys):
             rows = read_metrics(out)
             assert len(rows) == 5
             assert np.isfinite([[r.precision, r.recall, r.f1] for r in rows]).all()
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["score", "export-embeddings"])
+def test_score_and_export_on_a_damaged_input_exit_0_to_3_cleanly(tmp_path_factory, capsys, command):
+    """``score`` and ``export-embeddings`` on a damaged ``--input`` CSV:
+    exit 0 to 3, no traceback or warning, and finite output on 0."""
+    checkpoint, argv = score_argv(tmp_path_factory.mktemp("model"))
+    valid = Path(argv[argv.index("--input") + 1]).read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(damage(valid))
+    def check(blob):
+        root = tmp_path_factory.mktemp(command)
+        input_csv, out = root / "test.csv", root / "out.txt"
+        if blob is None:
+            input_csv.mkdir()
+        else:
+            input_csv.write_bytes(blob)
+        rc, _ = run_main([command, "--checkpoint", str(checkpoint), "--input", str(input_csv),
+                          "--output", str(out)], capsys)
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            lines = out.read_text().splitlines()
+            cells = [line.split("\t")[2:] for line in lines] if command != "score" else lines
+            assert len(lines) > 0 and np.isfinite(np.array(cells, dtype=np.float64)).all()
 
     check()

@@ -1,5 +1,7 @@
-"""The core budget, the BLAS thread switch, and eval chunks on helper threads."""
+"""The core budget, the once-per-process BLAS and heap policy, and eval
+chunks on helper threads."""
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -22,12 +24,28 @@ from _synth import chunks_of
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+@contextlib.contextmanager
 def cores_and_blas(budget: int):
-    """Patches for the block: ``budget`` cores in the affinity mask and no
-    BLAS thread variable in the environment."""
+    """``budget`` cores in the affinity mask and no BLAS thread variable in
+    the environment, under a process policy of the block's own: it is set
+    at the block's first train step or eval chunk, from that environment."""
     env = mock.patch.dict(os.environ, {name: "" for name in BLAS_VARIABLES})
     mask = mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(budget)), create=True)
-    return env, mask
+    policy = mock.patch.object(cores, "process_policy", functools.cache(cores.process_policy.__wrapped__))
+    with env, mask, policy:
+        yield
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's BLAS as it stands, or None if unknown."""
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            return get()
+    return None
 
 
 def serial_errors(model, windows, targets, batch):
@@ -59,8 +77,7 @@ def test_window_errors_on_any_budget_bitwise_equal_to_the_serial_loop(variant, d
     series = SeriesMatrix(values=np.random.default_rng(n_windows).random((n_windows + cfg.l + cfg.h - 1, 38)))
     windows = make_windows(series, cfg.l, cfg.h)
     want = serial_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
-    env, mask = cores_and_blas(budget)
-    with env, mask:
+    with cores_and_blas(budget):
         got = window_errors(model, *chunks_of(windows), SCORE_CHUNK)
     assert got.tobytes() == want.tobytes()
 
@@ -85,11 +102,10 @@ def test_many_threads_take_every_chunk_once_under_fast_switching(monkeypatch):
 
     monkeypatch.setattr(type(model), "forward_batch", counted)
     got = []
-    env, mask = cores_and_blas(8)  # more threads than this host has cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with env, mask:
+        with cores_and_blas(8):  # more threads than this host has cores
             run = threading.Thread(
                 target=lambda: got.append(window_errors(model, *chunks_of(windows), 1))
             )
@@ -125,15 +141,14 @@ def fake_blas(monkeypatch):
         blas.set_calls.append(n)
         blas.threads = n
 
-    monkeypatch.setattr(cores, "blas_threads_api", lambda: (lambda: blas.threads, set_threads))
+    monkeypatch.setattr(cores, "_blas_set_threads", lambda: set_threads)
     return blas
 
 
 def test_score_series_leaves_no_thread_behind(thread_starts):
     model, series = small_scoring_case()
-    env, mask = cores_and_blas(3)
     before = threading.active_count()
-    with env, mask:
+    with cores_and_blas(3):
         scored = score_series(model, series)
     assert threading.active_count() == before
     assert len(thread_starts) == 2  # the caller plus two helpers
@@ -141,7 +156,7 @@ def test_score_series_leaves_no_thread_behind(thread_starts):
     assert np.isfinite(scored.scores).all()
 
 
-def test_helper_error_is_raised_in_the_caller_and_the_blas_restored(fake_blas, monkeypatch):
+def test_helper_error_is_raised_in_the_caller_and_the_blas_kept_at_one_thread(fake_blas, monkeypatch):
     model, series = small_scoring_case()
     calls = []
     forward = type(model).forward_batch
@@ -153,15 +168,18 @@ def test_helper_error_is_raised_in_the_caller_and_the_blas_restored(fake_blas, m
         return forward(self, windows, mode, rng)
 
     monkeypatch.setattr(type(model), "forward_batch", failing_forward)
-    env, mask = cores_and_blas(3)
     before = threading.active_count()
-    with env, mask, pytest.raises(RuntimeError, match="chunk failed"):
+    with cores_and_blas(3), pytest.raises(RuntimeError, match="chunk failed"):
         score_series(model, series)
     assert threading.active_count() == before
-    assert fake_blas.set_calls == [1, 2]
+    assert fake_blas.set_calls == [1] and fake_blas.threads == 1
 
 
 def test_chunks_run_on_one_blas_thread_each(fake_blas, monkeypatch):
+    """The BLAS is set to one thread once per process, never restored:
+    two score passes and a training run set it once."""
+    from cadts.train import TrainConfig, train_model
+
     model, series = small_scoring_case()
     seen = []
     forward = type(model).forward_batch
@@ -171,24 +189,25 @@ def test_chunks_run_on_one_blas_thread_each(fake_blas, monkeypatch):
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(type(model), "forward_batch", watched)
-    env, mask = cores_and_blas(2)
-    with env, mask:
+    with cores_and_blas(2):
         score_series(model, series)
-    assert seen == [1] * 4 and fake_blas.set_calls == [1, 2]
+        assert seen == [1] * 4 and fake_blas.set_calls == [1]
+        score_series(model, series)
+        cfg = TrainConfig(l=4, h=1, experts=2, kernels=2, embed_dim=8, tower_hidden=4, batch=256, max_epochs=1)
+        train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
+    assert set(seen) == {1} and fake_blas.set_calls == [1]
 
 
 def test_explicit_blas_setting_is_kept(fake_blas, thread_starts, monkeypatch):
     monkeypatch.setattr(cores, "_workers", 1)
     model, series = small_scoring_case()
-    env, mask = cores_and_blas(4)
-    with env, mask:
+    with cores_and_blas(4):
         os.environ["OPENBLAS_NUM_THREADS"] = "2"
         cores.enter_worker(1)
         score_series(model, series)
-        os.environ["OPENBLAS_NUM_THREADS"] = ""
+    with cores_and_blas(4):
         os.environ["OMP_NUM_THREADS"] = "4"
-        with cores.eval_threads() as threads:
-            assert threads == 1
+        assert cores.eval_threads() == 1
     assert fake_blas.set_calls == []
     assert len(thread_starts) == 1  # 4 cores // 2 BLAS threads: one helper
 
@@ -198,62 +217,91 @@ def blas_library(monkeypatch):
     """Sets the symbols the BLAS lookup finds in numpy's core extension."""
     def use(**symbols):
         monkeypatch.setattr(cores.ctypes, "CDLL", lambda path: SimpleNamespace(**symbols))
-        cores.blas_threads_api.cache_clear()
 
-    yield use
-    cores.blas_threads_api.cache_clear()
+    return use
 
 
 def test_missing_blas_symbol_means_serial_chunks(blas_library, thread_starts):
     blas_library(scipy_openblas_get_num_threads64_=lambda: 2)  # no setter
-    assert cores.blas_threads_api() is None
+    assert cores._blas_set_threads() is None
     model, series = small_scoring_case()
-    env, mask = cores_and_blas(3)
-    with env, mask:
-        with cores.eval_threads() as threads:
-            assert threads == 1
+    with cores_and_blas(3):
+        assert cores.eval_threads() == 1
         score_series(model, series)
     assert thread_starts == []
 
 
 def test_blas_lookup_falls_back_to_plain_openblas_names(blas_library):
-    def get():
-        return 7
+    calls = []
 
     def set_threads(n):
-        pass
+        calls.append(n)
 
-    blas_library(openblas_get_num_threads=get, openblas_set_num_threads=set_threads)
-    assert cores.blas_threads_api() == (get, set_threads)
+    blas_library(openblas_get_num_threads=lambda: 7, openblas_set_num_threads=set_threads)
+    assert cores._blas_set_threads() is set_threads
+    with cores_and_blas(2):
+        assert cores.eval_threads() == 2
+    assert calls == [1]
 
 
-def probe_worker() -> tuple[int, int | None]:
-    api = cores.blas_threads_api()
-    return cores.budget(), None if api is None else api[0]()
+def probe_worker() -> tuple[int, int, int | None]:
+    return cores.budget(), cores.eval_threads(), blas_threads()
 
 
 def test_jobs_worker_takes_its_share_of_the_cores(tmp_path, monkeypatch):
     for name in BLAS_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    if cores.blas_threads_api() is None:
+    if cores._blas_set_threads() is None:
         pytest.skip("numpy's BLAS has no known thread-count functions")
+    # the workers fork from this process: each sets its own policy
+    monkeypatch.setattr(cores, "process_policy", functools.cache(cores.process_policy.__wrapped__))
     share = max(1, len(os.sched_getaffinity(0)) // 2)
     inputs = [tmp_path / "input"] * 2
     inputs[0].write_text("x")
     results = list(cli._run_tasks(probe_worker, [(), ()], 2, inputs))
-    assert results == [(share, share)] * 2
+    assert results == [(share, share, 1)] * 2
     assert cores.budget() == len(os.sched_getaffinity(0))  # this process keeps every core
+
+
+def test_two_threads_scoring_at_once_get_the_serial_scores(thread_starts):
+    """Two callers that score at once, each on chunk threads of its own,
+    get bitwise the scores of one pass at a time, and leave the BLAS at one
+    thread: no thread sets it back while another's chunks run."""
+    model = smd_shaped_model("full", "float32")
+    series = [SeriesMatrix(values=np.random.default_rng(seed).random((3 * SCORE_CHUNK + 40, 38)))
+              for seed in (1, 2)]
+    with cores_and_blas(1):
+        want = [score_series(model, s).scores for s in series]
+    got = [None, None]
+
+    def score(i):
+        got[i] = score_series(model, series[i]).scores
+
+    with cores_and_blas(2):
+        callers = [threading.Thread(target=score, args=(i,)) for i in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(thread_starts) == 4  # two callers, each with one helper
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert blas_threads() in (1, None)
 
 
 @pytest.fixture
 def libc(monkeypatch):
-    """Sets the symbols the heap policy finds in the C library."""
+    """Sets the symbols the process policy finds in the C library, under a
+    policy of the test's own and no BLAS thread variable."""
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(cores, "process_policy", functools.cache(cores.process_policy.__wrapped__))
+
     def use(**symbols):
         monkeypatch.setattr(cores.ctypes, "CDLL", lambda path: SimpleNamespace(**symbols))
-        cores.heap_policy.cache_clear()
+        cores.process_policy.cache_clear()
 
-    yield use
-    cores.heap_policy.cache_clear()
+    return use
 
 
 def test_heap_policy_is_set_once_per_process(libc):
@@ -264,21 +312,21 @@ def test_heap_policy_is_set_once_per_process(libc):
         return 1
 
     libc(mallopt=mallopt)
-    cores.heap_policy()
-    cores.heap_policy()
+    cores.process_policy()
+    cores.process_policy()
     assert calls == [(cores.M_MMAP_THRESHOLD, 32 << 20), (cores.M_TRIM_THRESHOLD, 256 << 20)]
 
 
 def test_heap_policy_without_mallopt_does_nothing(libc, monkeypatch):
     libc()
-    cores.heap_policy()
+    cores.process_policy()
 
     def no_library(path):
         raise OSError("no C library")
 
     monkeypatch.setattr(cores.ctypes, "CDLL", no_library)
-    cores.heap_policy.cache_clear()
-    cores.heap_policy()
+    cores.process_policy.cache_clear()
+    assert cores.process_policy() is None  # no BLAS setter either
     model, series = small_scoring_case()
     assert len(score_series(model, series)) == len(series.values)
 
@@ -297,7 +345,7 @@ def test_heap_policy_keeps_chunk_sized_blocks_on_the_heap():
     except (AttributeError, OSError):
         pytest.skip("no glibc mallinfo2")
     mallinfo2.restype = _Mallinfo2
-    cores.heap_policy()
+    cores.process_policy()
 
     def mapped_while_held(nbytes):
         before = mallinfo2().hblkhd
@@ -316,7 +364,7 @@ def test_heap_policy_comes_before_the_first_eval_chunk_and_train_step(monkeypatc
 
     events = []
     forward = CadModel.forward_batch
-    monkeypatch.setattr(cores, "heap_policy", lambda: events.append("policy"))
+    monkeypatch.setattr(cores, "process_policy", lambda: events.append("policy") or 1)
     monkeypatch.setattr(CadModel, "forward_batch",
                         lambda self, windows, mode="eval", rng=None:
                         events.append(mode) or forward(self, windows, mode, rng))

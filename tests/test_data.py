@@ -77,13 +77,6 @@ def test_load_with_labels(tmp_path):
     np.testing.assert_array_equal(series.labels, [0, 1, 1])
 
 
-def test_entity_id_defaults_to_directory(tmp_path):
-    d = tmp_path / "machine-1-1"
-    d.mkdir()
-    p = write(d, "train.csv", "1,2\n")
-    assert load_series(p).entity_id == "machine-1-1"
-
-
 def test_ragged_row_reports_line(tmp_path):
     p = write(tmp_path, "bad.csv", "1,2\n3,4,5\n6,7\n")
     with pytest.raises(DataError, match="line 2"):
@@ -632,7 +625,7 @@ def test_non_utf8_byte_in_a_part_gives_the_in_process_message(tmp_path, monkeypa
 # --- atomic_write ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("fault", ["write", "replace", "block"])
 def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, fault):
     p = tmp_path / "scores.txt"
     p.write_bytes(b"old\n")
@@ -640,9 +633,14 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatc
     def replace(src, dst):
         raise OSError(errno.EXDEV, "cross-device link")
 
+    def failing_blocks():  # a generator whose second block fails
+        yield b"new\n"
+        raise RuntimeError("chunk failed")
+
     monkeypatch.setattr(os, "replace", replace)
-    with pytest.raises(TypeError if fault == "write" else OSError):
-        data.atomic_write(p, "not bytes" if fault == "write" else b"new\n")
+    blocks = {"write": ["not bytes"], "replace": [b"new\n"], "block": failing_blocks()}[fault]
+    with pytest.raises({"write": TypeError, "replace": OSError, "block": RuntimeError}[fault]):
+        data.atomic_write(p, blocks)
     assert p.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [p]
 
@@ -650,6 +648,6 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatc
 def test_atomic_write_replaces_the_file(tmp_path):
     p = tmp_path / "scores.txt"
     p.write_bytes(b"old\n")
-    data.atomic_write(p, b"new\n")
+    data.atomic_write(p, [b"new", b"\n"])
     assert p.read_bytes() == b"new\n"
     assert list(tmp_path.iterdir()) == [p]
