@@ -89,10 +89,7 @@ def make_train_config(config_path=None, overrides=()) -> TrainConfig:
     """Defaults < config file < --set overrides; unknown keys rejected."""
     raw: dict[str, str] = {}
     if config_path is not None:
-        path = Path(config_path)
-        if not path.is_file():
-            raise DataError(f"config file not found: {path}")
-        raw.update(_parse_config_lines(read_lines(path, ConfigError), str(path)))
+        raw.update(_parse_config_lines(read_lines(config_path, ConfigError), str(config_path)))
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
@@ -115,14 +112,15 @@ def _default_out_root() -> str:
 
 def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
     if not data_root.is_dir():
-        raise DataError(f"data root not found: {data_root}")
+        reason = "is not a directory" if data_root.exists() else "not found"
+        raise DataError(f"{data_root}: {reason}")
     if spec != "all":
         entities = [e.strip() for e in spec.split(",") if e.strip()]
         if not entities:
             raise ConfigError("empty entity list")
         for entity in entities:
-            if not (data_root / entity / marker).is_file():
-                raise DataError(f"missing {data_root / entity / marker}")
+            if not (data_root / entity / marker).exists():
+                raise DataError(f"{data_root / entity / marker}: not found")
         return entities
     entities = sorted(d.name for d in data_root.iterdir() if (d / marker).is_file())
     if not entities:
@@ -139,7 +137,8 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
     task with the largest input starts first (ties keep task order): an
     entity's run time grows with its input, so the longest one no longer
     starts last while the other workers sit idle at the end. Each worker
-    takes its share of the cores (``cores.enter_worker``)."""
+    takes its share of the cores and dies with this process
+    (``cores.enter_worker``)."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
@@ -147,7 +146,7 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
         yield from (worker(*task) for task in tasks)
         return
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=cores.enter_worker, initargs=(workers,)
+        max_workers=workers, initializer=cores.enter_worker, initargs=(workers, os.getpid())
     ) as pool:
         futures = [None] * len(tasks)
         for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
@@ -165,13 +164,17 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
 
 
 def _train_entity(data_root: str, out_root: str, entity: str, cfg: TrainConfig) -> str:
-    series = load_series(Path(data_root) / entity / "train.csv")
+    train_csv = Path(data_root) / entity / "train.csv"
+    series = load_series(train_csv)
     scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
     if scaler is not None:  # training holds the scaled rows only
         series = apply_minmax(scaler, series)
-    windows = make_windows(series, cfg.l, cfg.h)
-    model = build_model(cfg.model_config(), n_metrics=series.shape[1], rng_seed=cfg.seed)
-    model, history = train_model(model, windows, cfg)
+    try:
+        windows = make_windows(series, cfg.l, cfg.h)
+        model = build_model(cfg.model_config(), n_metrics=series.shape[1], rng_seed=cfg.seed)
+        model, history = train_model(model, windows, cfg)
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"{train_csv}: {exc}") from None
     entity_dir = Path(out_root) / entity
     entity_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, scaler, entity_dir / CHECKPOINT_NAME, cfg)

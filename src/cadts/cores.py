@@ -10,6 +10,9 @@ process, in a library caller too. The BLAS is found by name through
 ``ctypes`` (scipy-openblas, then plain OpenBLAS); an unknown one is left
 alone. The heap policy is glibc's ``mallopt``, also through ``ctypes``;
 without it the heap policy is not set.
+
+Every child process cadts starts, a ``--jobs`` worker or a forked CSV
+parser, dies with the process that started it (``die_with``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import signal
 
 import numpy as np
 
@@ -31,6 +35,8 @@ _workers = 1  # processes sharing the affinity mask; set in each --jobs worker
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
+
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 def budget() -> int:
@@ -82,11 +88,25 @@ def process_policy() -> int | None:
     return 1
 
 
-def enter_worker(workers: int) -> None:
+def die_with(parent: int) -> None:
+    """In a child process: be killed when ``parent`` ends (Linux
+    ``PR_SET_PDEATHSIG``), and leave now if it already has."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.restype, prctl.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_ulong]
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it ended before prctl took effect
+        os._exit(1)
+
+
+def enter_worker(workers: int, parent: int | None = None) -> None:
     """``ProcessPoolExecutor`` initializer: this process is one of
-    ``workers`` sharing the affinity mask."""
+    ``workers`` sharing the affinity mask, and dies with ``parent``, the
+    process that started the pool, when one is given."""
     global _workers
     _workers = workers
+    if parent is not None:
+        die_with(parent)
 
 
 def eval_threads() -> int:

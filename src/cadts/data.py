@@ -1,17 +1,17 @@
 """Series loading, train-fitted MinMax scaling, and sliding-window samples.
 
-One text layer: every text file is read as UTF-8 cut at LF, CRLF or a lone
-CR (``read_lines``), and every file is written by ``atomic_write``. Series,
-label and score files are one CSV format (``_read_csv``): an optional
-header row, then finite numbers (``#`` starts no comment); label and score
-files hold one column. An entity directory holds train.csv, test.csv and
-test_label.csv. A CSV of at least two ``MIN_PART_BYTES`` parts of data is
-parsed in one forked child per part and core.
+One text layer: every input file is opened by ``open_input``, every text
+file is read as UTF-8 cut at LF, CRLF or a lone CR (``read_lines``), and
+every file is written by ``atomic_write``. Series, label and score files
+are one CSV format (``_read_csv``): an optional header row, then finite
+numbers (``#`` starts no comment); label and score files hold one column.
+An entity directory holds train.csv, test.csv and test_label.csv. A CSV of
+at least two ``MIN_PART_BYTES`` parts of data is parsed in one forked child
+per part and core.
 """
 
 from __future__ import annotations
 
-import ctypes
 import io
 import mmap
 import os
@@ -33,8 +33,6 @@ from .errors import DataError
 # 4 MiB part parses in about 0.07 s on a 2-core Xeon, well above the cost of
 # its fork and pipe. A file with less than two parts' worth parses in process.
 MIN_PART_BYTES = 4 << 20
-
-_PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 @dataclass
@@ -81,10 +79,26 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def open_input(path):
+    """The one open of an input file, for binary reading. A path that
+    cannot be opened raises DataError: ``<path>: not found``, ``<path>: is a
+    directory``, or ``<path>: <strerror>``."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise DataError(f"{path}: not found") from None
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory") from None
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+
+
 def read_lines(path, error: type[Exception] = DataError) -> list[str]:
-    """A UTF-8 text file's lines (``split_lines``); a byte that does not
-    decode raises ``error`` naming the file and the byte's line."""
-    raw = Path(path).read_bytes()
+    """A UTF-8 text file's lines (``split_lines``), opened by ``open_input``;
+    a byte that does not decode raises ``error`` naming the file and the
+    byte's line."""
+    with open_input(path) as fh:
+        raw = fh.read()
     try:
         return split_lines(raw.decode())
     except UnicodeDecodeError as exc:
@@ -197,17 +211,6 @@ def _read_into(pipe, buf: np.ndarray) -> bool:
     return True
 
 
-def _die_with(parent: int) -> None:
-    """In a forked child: be killed when ``parent`` ends (Linux
-    ``PR_SET_PDEATHSIG``), and leave now if it already has."""
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.restype, prctl.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_ulong]
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # it ended before prctl took effect
-        os._exit(1)
-
-
 def _parse_part(path: Path, start: int, stop: int, fd: int, parent: int, inherited) -> None:
     """In a forked child: close the pipe read ends ``inherited`` from the
     parent, so a pipe ends with the process that reads it; parse bytes
@@ -218,7 +221,7 @@ def _parse_part(path: Path, start: int, stop: int, fd: int, parent: int, inherit
     try:
         for pipe in inherited:
             pipe.close()
-        _die_with(parent)
+        cores.die_with(parent)
         values = _parse(path.open("rb"), start, stop)
         with open(fd, "wb") as out:
             out.write(np.array(values.shape, dtype=np.int64).tobytes())
@@ -274,20 +277,20 @@ def _read_csv(path: Path) -> np.ndarray:
     """The one read of a CSV file (series, labels or scores) into a T x K
     float64 array of finite values.
 
-    The file is read as UTF-8. The header decision comes from its literal
-    first line, which ends at LF, CRLF or a lone CR (a blank first line
-    counts as a header); the data bytes start after it. Data of at least
-    two MIN_PART_BYTES parts is cut after LF bytes into parts, one per
-    core; one forked child per part parses it with ``_parse`` and pipes back
-    its raw rows, which land in the result in place, so the values are
-    bitwise those of one in-process parse. Otherwise, or on any failure of
-    the parts (a fork refused, a child's error, a short read, disagreeing
-    column counts), ``_parse`` streams the data from the open file. Either
-    way no copy of the text is held. Only the error paths re-read the file,
-    to name an empty file or the offending cell, so every error message is
-    the in-process one.
+    The file is opened by ``open_input`` and read as UTF-8. The header
+    decision comes from its literal first line, which ends at LF, CRLF or a
+    lone CR (a blank first line counts as a header); the data bytes start
+    after it. Data of at least two MIN_PART_BYTES parts is cut after LF
+    bytes into parts, one per core; one forked child per part parses it
+    with ``_parse`` and pipes back its raw rows, which land in the result in
+    place, so the values are bitwise those of one in-process parse.
+    Otherwise, or on any failure of the parts (a fork refused, a child's
+    error, a short read, disagreeing column counts), ``_parse`` streams the
+    data from the open file. Either way no copy of the text is held. Only
+    the error paths re-read the file, to name an empty file or the
+    offending cell, so every error message is the in-process one.
     """
-    with io.TextIOWrapper(path.open("rb"), "utf-8", newline="") as fh:
+    with io.TextIOWrapper(open_input(path), "utf-8", newline="") as fh:
         try:
             first = fh.readline()
         except UnicodeDecodeError:
@@ -307,10 +310,7 @@ def _read_csv(path: Path) -> np.ndarray:
 
 def load_series(path, labels_path=None) -> SeriesMatrix:
     """A CSV series (``_read_csv``) and optional label file as a SeriesMatrix."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"series file not found: {path}")
-    values = _read_csv(path)
+    values = _read_csv(Path(path))
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path, expected_length=values.shape[0])
@@ -320,8 +320,6 @@ def load_series(path, labels_path=None) -> SeriesMatrix:
 def load_labels(path, expected_length: int | None = None) -> np.ndarray:
     """A one-column CSV (``_read_csv``) of 0s and 1s."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"label file not found: {path}")
     raw = _read_csv(path)
     if raw.shape[1] != 1 or not np.isin(raw, (0, 1)).all():
         raise DataError(f"{path}: labels must be one 0 or 1 per line")

@@ -250,8 +250,6 @@ def write_scores(path, scores) -> None:
 def read_scores(path) -> np.ndarray:
     """A one-column CSV (``data._read_csv``) of finite reals."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"scores file not found: {path}")
     values = _read_csv(path)
     if values.shape[1] != 1:
         raise DataError(f"{path}: scores file must hold one real per line")
@@ -289,9 +287,6 @@ def _metric_cell(path, lineno: int, column: str, cell: str):
 
 
 def read_metrics(path) -> list[EvalRow]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"metrics file not found: {path}")
     lines = read_lines(path)
     if lines[0].split("\t") != list(_METRIC_COLUMNS):
         raise DataError(f"{path}: not a metrics report (missing column header)")

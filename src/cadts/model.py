@@ -41,17 +41,7 @@ import numpy as np
 
 from . import cores
 from .errors import ConfigError
-from .numcore import (
-    Tensor,
-    conv_rows,
-    dense,
-    dropout,
-    matmul,
-    reshape,
-    softmax,
-    tmean,
-    transpose,
-)
+from .numcore.tensor import Tensor, conv_rows, dense, dropout, matmul, reshape, softmax, tmean, transpose
 
 VARIANTS = ("full", "no_gate", "no_selection", "no_sgate", "no_pgate", "no_conv", "single_task")
 

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import cores
-from .data import Scaler, WindowSet, atomic_write, split_lines
+from .data import Scaler, WindowSet, atomic_write, open_input, split_lines
 from .errors import ConfigError, DataError, NumericError
 from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
-from .numcore import AdamState, CosineSchedule, Tape, Tensor, adam_step, cosine_lr, square, sub, tmean
+from .numcore.optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from .numcore.tensor import Tape, Tensor, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
 CHECKPOINT_VERSION = 2
@@ -254,7 +255,7 @@ def _read_header(fh, path) -> dict[str, str]:
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """The stored model, its parameters checked against the layout its
     header implies, and its scaler."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         header = _read_header(fh, path)
         try:
             version = parse_value(int, "version", header["version"])

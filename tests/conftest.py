@@ -6,28 +6,22 @@ gone: a thread still alive, or a child not yet reaped, fails it."""
 
 import os
 import threading
-from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+from _procs import children
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
-def _children() -> set[int]:
-    """Pids of this process's children, running or unreaped (Linux /proc;
-    an empty set elsewhere)."""
-    tasks = Path(f"/proc/{os.getpid()}/task")
-    return {int(pid) for f in tasks.glob("*/children") for pid in f.read_text().split()}
-
-
 @pytest.fixture(autouse=True)
 def no_thread_or_child_left():
-    threads, children = set(threading.enumerate()), _children()
+    threads, started = set(threading.enumerate()), children(os.getpid())
     yield
     left = [t for t in threading.enumerate() if t not in threads]
     for thread in left:  # one that is returning gets a moment to end
         thread.join(timeout=5)
     assert [t.name for t in left if t.is_alive()] == [], "threads left alive"
-    assert sorted(_children() - children) == [], "child processes left unreaped"
+    assert sorted(children(os.getpid()) - started) == [], "child processes left unreaped"

@@ -24,7 +24,7 @@ from cadts.evaluate import (
     score_series,
 )
 from cadts.model import ModelConfig, build_model
-from cadts.numcore import Tape, Tensor
+from cadts.numcore.tensor import Tape, Tensor
 from cadts.train import TrainConfig, load_checkpoint, mse_loss, save_checkpoint, train_model
 
 from _gradcheck import central_diff, max_rel_err

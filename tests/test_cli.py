@@ -1,6 +1,11 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
+import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -13,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from cadts import cli
 from cadts.cli import main, make_train_config
-from cadts.data import load_series, make_windows, fit_minmax, apply_minmax
-from cadts.errors import ConfigError
+from cadts.data import load_labels, load_series, make_windows, fit_minmax, apply_minmax
+from cadts.errors import ConfigError, DataError
 from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
 from cadts.model import build_model, expert_embeddings
 from cadts.train import load_checkpoint, save_checkpoint, train_model
 
+from _procs import children, running
 from _synth import make_sines
 
 FAST = [
@@ -426,6 +432,36 @@ def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
         assert captured.out.startswith("trained e1:")
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path):
+    data = tmp_path / "data"
+    for i in range(3):
+        write_entity(data, f"e{i}", seed=20 + i)
+    argv = [sys.executable, "-m", "cadts.cli", "train", "--data-root", str(data),
+            "--out", str(tmp_path / "out"), "--jobs", "2"] + FAST
+    argv += ["--set", "max_epochs=40", "--set", "early_stop_patience=none"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_jobs_below_one_exits_1(tmp_path, capsys):
     data = tmp_path / "data"
     write_entity(data, "e1", seed=11)
@@ -647,6 +683,7 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "non-finite loss" in err and "epoch 1" in err
+    assert f"error: {entity / 'train.csv'}: " in err
     assert not (tmp_path / "out" / "e1" / "checkpoint.cadckpt").exists()
 
 
@@ -657,6 +694,66 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["explode"]) == 1
+
+
+# --- inputs that cannot be opened --------------------------------------------------
+
+
+# every reader of an input file, and each (command, flag) that hands it one
+READERS = {
+    "load_series": (load_series, [("score", "--input"), ("export-embeddings", "--input")]),
+    "load_labels": (load_labels, [("eval", "--labels")]),
+    "read_scores": (read_scores, [("eval", "--scores")]),
+    "read_metrics": (read_metrics, [("report", "--metrics")]),
+    "load_checkpoint": (load_checkpoint, [("score", "--checkpoint"), ("export-embeddings", "--checkpoint")]),
+    "make_train_config": (make_train_config, [("train", "--config")]),
+}
+
+
+def valid_argv(command, root):
+    """An argv of ``command`` whose inputs, made under ``root``, all open."""
+    root.mkdir()
+    if command in ("score", "export-embeddings"):
+        _, argv = score_argv(root)
+        return [command, *argv[1:]]
+    if command == "eval":
+        (root / "s.txt").write_text("0.1\n0.9\n")
+        (root / "l.txt").write_text("0\n1\n")
+        return ["eval", "--scores", str(root / "s.txt"), "--labels", str(root / "l.txt")]
+    if command == "report":
+        write_metrics(root / "m.tsv", [EvalRow("e1", "pa", None, 0.5, 1.0, 0.5, 2 / 3)])
+        return ["report", "--metrics", str(root / "m.tsv")]
+    write_entity(root / "data", "e1")
+    (root / "run.cfg").write_text("seed = 3\n")
+    return ["train", "--data-root", str(root / "data"), "--out", str(root / "out"),
+            "--config", str(root / "run.cfg")] + FAST
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "not found"), ("directory", "is a directory")])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_an_input_that_does_not_open_exits_2_naming_it(tmp_path, capsys, reader, kind, reason):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    read, uses = READERS[reader]
+    with pytest.raises(DataError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}: {reason}"
+    for command, flag in uses:
+        argv = valid_argv(command, tmp_path / command)
+        argv[argv.index(flag) + 1] = str(path)
+        assert run_main(argv, capsys) == (2, f"error: {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "score", "eval"])
+def test_a_data_root_that_is_missing_or_a_file_exits_2_naming_it(tmp_path, capsys, command):
+    root = tmp_path / "data"
+    argv = [command, "--data-root", str(root), "--run-dir", str(tmp_path / "runs")]
+    if command == "train":
+        argv[-2] = "--out"
+    assert run_main(argv, capsys) == (2, f"error: {root}: not found\n")
+    root.write_text("")
+    assert run_main(argv, capsys) == (2, f"error: {root}: is not a directory\n")
 
 
 # --- text that is not UTF-8 ------------------------------------------------------
@@ -717,13 +814,16 @@ def test_non_utf8_eval_input_exits_2_naming_the_line(tmp_path, capsys, which):
 # --- eval on damaged inputs --------------------------------------------------------
 
 
-def run_main(argv, capsys):
+def run_main(argv, capsys, exit_3_warns=False):
     """``cadts`` in process: its exit code and stderr, with every warning it
-    raises recorded and none expected."""
+    raises recorded and none expected; with ``exit_3_warns``, a numeric
+    failure (exit 3) may come after numpy's RuntimeWarnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(argv)
     err = capsys.readouterr().err
+    if exit_3_warns and rc == 3:
+        caught = [w for w in caught if not issubclass(w.category, RuntimeWarning)]
     assert caught == [] and "Warning:" not in err and "Traceback" not in err
     return rc, err
 
@@ -837,5 +937,78 @@ def test_score_and_export_on_a_damaged_input_exit_0_to_3_cleanly(tmp_path_factor
             lines = out.read_text().splitlines()
             cells = [line.split("\t")[2:] for line in lines] if command != "score" else lines
             assert len(lines) > 0 and np.isfinite(np.array(cells, dtype=np.float64)).all()
+
+    check()
+
+
+def trained_numbers(out) -> np.ndarray:
+    """The parameters of ``out``'s e1 checkpoint and the numbers of its
+    ``history.tsv``, as one float64 array."""
+    model, _ = load_checkpoint(out / "e1" / "checkpoint.cadckpt")
+    rows = (out / "e1" / "history.tsv").read_text().splitlines()[1:-1]
+    cells = [c for row in rows for c in row.split("\t") if c != "-"]
+    return np.concatenate([np.asarray(cells, dtype=np.float64)]
+                          + [p.data.astype(np.float64).ravel() for p in model.params.values()])
+
+
+def report_numbers(out) -> np.ndarray:
+    """The F1, P, R and F1* cells of a ``report --output`` file."""
+    rows = out.read_text().splitlines()[1:]
+    return np.array([row.split("\t")[3:] for row in rows], dtype=np.float64)
+
+
+@pytest.mark.parametrize("target, examples", [("train.csv", 40), ("--config", 40),
+                                              ("--checkpoint", 100), ("--metrics", 100)])
+def test_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys, target, examples):
+    """``train`` on a damaged ``train.csv`` or ``--config``, ``score`` on a
+    damaged ``--checkpoint`` and ``report`` on a damaged ``--metrics``:
+    exit 0 to 3, no traceback or warning, finite output on 0 (a metrics
+    file cut to its header reports no rows), an exit 2 that names the
+    file, and "is a directory" for a directory in the file's place."""
+    base = tmp_path_factory.mktemp("valid")
+    data = base / "data"
+    write_entity(data, "e1", t_train=120)
+    config = "".join(f"{kv.replace('=', ' = ')}\n" for kv in FAST if kv != "--set")
+    checkpoint, score = score_argv(base)
+    write_metrics(base / "m.tsv", [EvalRow("e1", "raw", None, 0.25, 0.5, 1.0, 2 / 3),
+                                   EvalRow("e1", "kpa", 10, 0.5, 1.0, 0.5, 2 / 3)])
+    valid = {"train.csv": (data / "e1" / "train.csv").read_bytes(), "--config": config.encode(),
+             "--checkpoint": checkpoint.read_bytes(), "--metrics": (base / "m.tsv").read_bytes()}
+
+    def argv(path, out):
+        train = ["train", "--entities", "e1", "--out", str(out)]
+        if target == "train.csv":
+            return train + ["--data-root", str(path.parents[1])] + FAST + ["--set", "max_epochs=1"]
+        if target == "--config":
+            return train + ["--data-root", str(data), "--config", str(path), "--set", "max_epochs=1"]
+        if target == "--checkpoint":
+            return score[:2] + [str(path)] + score[3:-1] + [str(out)]
+        return ["report", "--metrics", str(path), "--output", str(out)]
+
+    def finite_output(out):
+        if target == "--checkpoint":
+            return read_scores(out)
+        return report_numbers(out) if target == "--metrics" else trained_numbers(out)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(damage(valid[target]))
+    def check(blob):
+        root = tmp_path_factory.mktemp("damaged")
+        path = root / "data" / "e1" / "train.csv" if target == "train.csv" else root / "input"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if blob is None:
+            path.mkdir()
+        else:
+            path.write_bytes(blob)
+        out = root / "out"
+        # weights that a damaged checkpoint blows up overflow in the eval loop
+        rc, err = run_main(argv(path, out), capsys, exit_3_warns=target == "--checkpoint")
+        assert rc in (0, 1, 2, 3)
+        if rc == 2:
+            assert f"error: {path}: " in err
+        if blob is None:
+            assert rc == 2 and f"{path}: is a directory" in err
+        if rc == 0:
+            assert np.isfinite(finite_output(out)).all()
 
     check()

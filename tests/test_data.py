@@ -25,6 +25,8 @@ from cadts.data import (
 )
 from cadts.errors import DataError
 
+from _procs import running
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -156,9 +158,19 @@ def test_successful_load_reads_the_file_once(tmp_path, monkeypatch):
     def no_second_read(self, *args, **kwargs):
         raise AssertionError(f"{self} read again as text")
 
+    real_open, opened = data.open_input, []
+
+    def counted_open(path):
+        opened.append(Path(path))
+        return real_open(path)
+
+    monkeypatch.setattr(data, "open_input", counted_open)
     monkeypatch.setattr(Path, "read_text", no_second_read)
     monkeypatch.setattr(Path, "read_bytes", no_second_read)
-    np.testing.assert_array_equal(load_series(p).values, [[1, 2], [3, 4]])
+    values = load_series(p).values
+    monkeypatch.undo()  # pytest's failure report reads files through Path
+    np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
+    assert opened == [p]
 
 
 def assert_load_peak_within_twice_the_result(tmp_path):
@@ -330,15 +342,6 @@ def stall(pipe, buf):
 data._read_into = stall
 data.load_series(path)
 """
-
-
-def running(pid: int) -> bool:
-    """Whether ``pid`` is a process that has not ended (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")

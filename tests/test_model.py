@@ -14,7 +14,7 @@ from cadts.model import (
     expert_embeddings,
     gate_weights,
 )
-from cadts.numcore import Tape, square, tmean, tsum, mul, Tensor
+from cadts.numcore.tensor import Tape, square, tmean, tsum, mul, Tensor
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
 

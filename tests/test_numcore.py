@@ -9,15 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from cadts.errors import NumericError
 from cadts.model import VARIANTS, ModelConfig, build_model
-from cadts.numcore import (
-    AdamState,
-    CosineSchedule,
+from cadts.numcore.optim import BLOCK, AdamState, CosineSchedule, adam_step, cosine_lr
+from cadts.numcore.tensor import (
     Tape,
     Tensor,
-    adam_step,
+    _op,
     add,
     conv_rows,
-    cosine_lr,
     dense,
     dropout,
     matmul,
@@ -31,8 +29,6 @@ from cadts.numcore import (
     transpose,
     tsum,
 )
-from cadts.numcore.optim import BLOCK
-from cadts.numcore.tensor import _op
 from cadts.train import mse_loss
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err

@@ -10,7 +10,8 @@ from cadts.data import Scaler, SeriesMatrix, make_windows
 from cadts.errors import DataError, NumericError
 from cadts.evaluate import score_series
 from cadts.model import VARIANTS, ModelConfig, build_model
-from cadts.numcore import Tape, Tensor, adam_step, AdamState
+from cadts.numcore.optim import AdamState, adam_step
+from cadts.numcore.tensor import Tape, Tensor
 from cadts.train import (
     TrainConfig,
     load_checkpoint,
