@@ -1,10 +1,10 @@
 """Command-line surface: train, score, eval, report, export-embeddings.
 
-Exit codes: 0 success, 1 usage/config error, 2 data or IO error,
-3 numeric failure (non-finite loss). Entity runs write into per-entity
-subdirectories of the output root (flag ``--out`` or env ``CADTS_OUT_ROOT``),
-so a whole multi-entity dataset trains as one command; ``--jobs`` fans
-entities out across processes.
+Exit codes: 0 success, 1 usage/config error, 2 data or IO error (or a dead
+``--jobs`` worker), 3 numeric failure, 130 Ctrl-C. Entity runs write into
+per-entity subdirectories of the output root (flag ``--out`` or env
+``CADTS_OUT_ROOT``), so a whole multi-entity dataset trains as one command;
+``--jobs`` fans entities out across processes.
 
 Config files are ``key = value`` lines (``#`` comments); ``--set key=value``
 overrides file values, which override built-in defaults. Unknown keys are
@@ -14,12 +14,14 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .data import apply_minmax, atomic_write, fit_minmax, load_labels, load_seri
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
     SCORE_CHUNK,
+    MODES,
     EvalRow,
     aggregate_entities,
     eval_windows,
@@ -42,7 +45,7 @@ from .evaluate import (
     write_metrics,
     write_scores,
 )
-from .model import build_model, expert_embeddings
+from .model import build_model, expert_embeddings, parse_value
 from .train import (
     TrainConfig,
     load_checkpoint,
@@ -72,8 +75,9 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _parse_config_lines(lines: list[str], source: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_lines(lines: list[str], source: str) -> dict[str, tuple[str, str]]:
+    """``key -> (value text, where it was set)`` of a config file's lines."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,27 +85,31 @@ def _parse_config_lines(lines: list[str], source: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{source}: line {lineno}: expected key = value")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (value.strip(), f"{source}: line {lineno}")
     return values
 
 
 def make_train_config(config_path=None, overrides=()) -> TrainConfig:
     """Defaults < config file < --set overrides; unknown keys rejected."""
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[str, str]] = {}
     if config_path is not None:
         raw.update(_parse_config_lines(read_lines(config_path, ConfigError), str(config_path)))
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        raw[key.strip()] = value.strip()
-    unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
+        raw[key.strip()] = (value.strip(), f"--set {item}")
+    hints = get_type_hints(TrainConfig)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        cfg = TrainConfig.from_text(raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    values = {}
+    for key, (text, where) in raw.items():
+        try:
+            values[key] = parse_value(hints[key], key, text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    cfg = TrainConfig(**values)
     cfg.validate()
     return cfg
 
@@ -138,7 +146,8 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
     entity's run time grows with its input, so the longest one no longer
     starts last while the other workers sit idle at the end. Each worker
     takes its share of the cores and dies with this process
-    (``cores.enter_worker``)."""
+    (``cores.enter_worker``). A dead worker fails the first unfinished task
+    (DataError); a KeyboardInterrupt kills the workers."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
@@ -152,8 +161,16 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
         for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
             futures[i] = pool.submit(worker, *tasks[i])
         try:
-            for future in futures:
-                yield future.result()
+            for future, source in zip(futures, inputs):
+                try:
+                    yield future.result()
+                except BrokenProcessPool:
+                    raise DataError(f"{source}: a --jobs worker died before this entity finished") from None
+        except (KeyboardInterrupt, GeneratorExit):
+            # interrupted here or in the caller: the pool's shutdown would wait for the running tasks
+            for process in multiprocessing.active_children():
+                process.kill()
+            raise
         finally:
             # as Executor.map does: a failed task cancels those not started
             for future in futures:
@@ -203,7 +220,7 @@ def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
     try:
         scored = score_series(model, series, scaler)
     except (DataError, NumericError) as exc:
-        raise type(exc)(f"{input_csv}: {exc}") from None
+        raise type(exc)(f"{input_csv}: {exc} (checkpoint {checkpoint})") from None
     Path(output).parent.mkdir(parents=True, exist_ok=True)
     write_scores(output, scored)
     return f"scored {Path(input_csv).parent.name or input_csv}: {len(scored)} timestamps -> {output}"
@@ -222,8 +239,6 @@ def cmd_score(args) -> int:
         tasks = []
         for entity in _resolve_entities(data_root, args.entities, "test.csv"):
             checkpoint = run_dir / entity / CHECKPOINT_NAME
-            if not checkpoint.is_file():
-                raise DataError(f"missing checkpoint: {checkpoint}")
             tasks.append(
                 (str(checkpoint), str(data_root / entity / "test.csv"), str(run_dir / entity / SCORES_NAME))
             )
@@ -326,12 +341,8 @@ def cmd_report(args) -> int:
     for row in rows:
         groups.setdefault((row.mode, row.k), []).append(row)
 
-    def order(key):
-        mode, k = key
-        return ({"raw": 0, "pa": 1, "kpa": 2}.get(mode, 3), k if k is not None else -1)
-
     lines = ["mode\tk\tentities\tF1\tP\tR\tF1*"]
-    for key in sorted(groups, key=order):
+    for key in sorted(groups, key=lambda key: (MODES.index(key[0]), -1 if key[1] is None else key[1])):
         mode, k = key
         group = groups[key]
         f1_mean, p_bar, r_bar, f1_star = aggregate_entities(
@@ -456,6 +467,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

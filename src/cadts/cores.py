@@ -102,10 +102,12 @@ def die_with(parent: int) -> None:
 def enter_worker(workers: int, parent: int | None = None) -> None:
     """``ProcessPoolExecutor`` initializer: this process is one of
     ``workers`` sharing the affinity mask, and dies with ``parent``, the
-    process that started the pool, when one is given."""
+    process that started the pool, when one is given; then it ignores
+    SIGINT (a Ctrl-C), which the parent answers."""
     global _workers
     _workers = workers
     if parent is not None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         die_with(parent)
 
 

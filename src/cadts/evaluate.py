@@ -287,6 +287,8 @@ def _metric_cell(path, lineno: int, column: str, cell: str):
 
 
 def read_metrics(path) -> list[EvalRow]:
+    """The rows of a metrics report as ``format_metrics`` writes them: at
+    least one, each raw or pa with k '-', or kpa with an integer k."""
     lines = read_lines(path)
     if lines[0].split("\t") != list(_METRIC_COLUMNS):
         raise DataError(f"{path}: not a metrics report (missing column header)")
@@ -298,5 +300,11 @@ def read_metrics(path) -> list[EvalRow]:
         if len(cells) != len(_METRIC_COLUMNS):
             raise DataError(f"{path}: malformed metrics row at line {lineno}")
         numbers = (_metric_cell(path, lineno, *pair) for pair in zip(_METRIC_COLUMNS[2:], cells[2:]))
-        rows.append(EvalRow(*cells[:2], *numbers))
+        row = EvalRow(*cells[:2], *numbers)
+        if row.mode not in MODES or (row.k is None) == (row.mode == "kpa"):
+            raise DataError(f"{path}: line {lineno}: mode {row.mode!r} with k {cells[2]!r} is not"
+                            " raw or pa with k '-', or kpa with an integer k")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no metrics rows")
     return rows

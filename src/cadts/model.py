@@ -33,15 +33,15 @@ pass looks them up by name.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import numpy as np
 
 from . import cores
 from .errors import ConfigError
-from .numcore.tensor import Tensor, conv_rows, dense, dropout, matmul, reshape, softmax, tmean, transpose
+from .numcore.tensor import Tensor, add, conv_rows, dense, dropout, mul, reshape, softmax, tmean, transpose
 
 VARIANTS = ("full", "no_gate", "no_selection", "no_sgate", "no_pgate", "no_conv", "single_task")
 
@@ -115,13 +115,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    @classmethod
-    def from_text(cls, raw: Mapping[str, str]):
-        """An instance from ``field name -> text``, each value parsed by its
-        field's annotation (``parse_value``); unset fields keep defaults."""
-        hints = get_type_hints(cls)
-        return cls(**{key: parse_value(hints[key], key, text) for key, text in raw.items()})
-
 
 @dataclass
 class CadModel:
@@ -167,7 +160,7 @@ class CadModel:
             mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the K towers
         else:
             gate = self._gate_weights_batch(win)  # (B, K, M)
-            blended = matmul(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
+            blended = dense(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
             mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
 
         hidden = dense(mixed, p["tower.w1"], p["tower.b1"], relu=True)  # (K, B, hidden)
@@ -213,13 +206,13 @@ class CadModel:
 
         shared, pers = self.params.get("gate.shared"), self.params.get("gate.personalized")
         if shared is not None:
-            logits = matmul(shared_in, shared)  # (B, K|1, M)
+            logits = dense(shared_in, shared)  # (B, K|1, M)
         if pers is not None:
-            pers_logits = transpose(matmul(pers_in, pers), (1, 0, 2))  # (B, K, M)
+            pers_logits = transpose(dense(pers_in, pers), (1, 0, 2))  # (B, K, M)
             if shared is None:  # no_sgate
                 logits = pers_logits
             else:
-                logits = logits * cfg.epsilon + pers_logits * (1.0 - cfg.epsilon)
+                logits = add(mul(logits, cfg.epsilon), mul(pers_logits, 1.0 - cfg.epsilon))
         return softmax(logits, axis=-1)
 
 
@@ -240,7 +233,8 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -
     the process policy first, so each BLAS call runs one thread (unless the
     environment pins it) and no thread changes the setting while chunks
     run. The helpers are joined before return, and the first error of any
-    thread is raised here."""
+    thread is raised here. Each thread ignores numpy's floating-point errors:
+    an overflow shows as a non-finite error, for the caller to check."""
     errors = np.empty(count, dtype=np.float64)
     starts = iter(range(0, count, batch))
     take = threading.Lock()
@@ -248,15 +242,16 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -
 
     def forward_chunks() -> None:
         try:
-            while not failures:
-                with take:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                windows, targets = chunk(start, min(start + batch, count))
-                pred = model.forward_batch(windows, mode="eval")
-                err = pred.data - targets.astype(model.config.np_dtype)
-                errors[start : start + len(err)] = (err * err).mean(axis=1)
+            with np.errstate(all="ignore"):
+                while not failures:
+                    with take:
+                        start = next(starts, None)
+                    if start is None:
+                        return
+                    windows, targets = chunk(start, min(start + batch, count))
+                    pred = model.forward_batch(windows, mode="eval")
+                    err = pred.data - targets.astype(model.config.np_dtype)
+                    errors[start : start + len(err)] = (err * err).mean(axis=1)
         except BaseException as exc:
             failures.append(exc)
 

@@ -11,7 +11,7 @@ whole-array expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,21 +86,11 @@ def adam_step(state: AdamState, params: list[Tensor], grads, lr: float) -> None:
             np.subtract(pb, np.divide(s1, s2, out=s1), out=pb)
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
+def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float) -> float:
     """lr(s) = lr_min + (lr0 - lr_min) * (1 + cos(pi * s / total)) / 2."""
-
-    lr0: float
-    lr_min: float = 0.0
-    total_steps: int = field(default=1)
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-
-
-def cosine_lr(step: int, sched: CosineSchedule) -> float:
-    if not 0 <= step <= sched.total_steps:
-        raise ValueError(f"step {step} outside [0, {sched.total_steps}]")
-    frac = 0.5 * (1.0 + math.cos(math.pi * step / sched.total_steps))
-    return sched.lr_min + (sched.lr0 - sched.lr_min) * frac
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    if not 0 <= step <= total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    frac = 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+    return lr_min + (lr0 - lr_min) * frac

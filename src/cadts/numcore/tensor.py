@@ -14,8 +14,9 @@ masks, Python scalars) cost nothing on the backward pass.
 
 Dense layers are one primitive, ``dense(x, w, b=None, relu=False)``: the
 product, the bias add and the relu share one output buffer and one record,
-with values and gradients bitwise those of ``relu(matmul(x, w) + b)``;
-``matmul`` is ``dense`` without bias or relu.
+with values and gradients bitwise those of the three taken apart; a plain
+matrix product is ``dense`` alone. ``Tensor`` has no arithmetic operators:
+each op has one name.
 """
 
 from __future__ import annotations
@@ -68,27 +69,6 @@ class Tensor:
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{label})"
-
-    # operator sugar; scalars stay Python floats so numpy's weak promotion
-    # keeps float32 graphs in float32
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -236,23 +216,14 @@ def mul(a, b) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _op(-a.data, (a, lambda g: -g))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting on leading axes."""
-    return dense(a, b)
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``x @ w``, then ``+ b`` and ``max(., 0)`` if asked, in place on the
-    product's buffer: one output array and one record where
-    ``relu(matmul(x, w) + b)`` holds three. Values and gradients are bitwise
-    those of that form; backward masks the adjoint once, by ``y > 0`` in its
-    dtype, for all three operands. ``b`` must broadcast to the product."""
+    """``x @ w`` (leading axes broadcast as numpy's), then ``+ b`` and
+    ``max(., 0)`` if asked, in place on the product's buffer: one output
+    array and one record for three ops. Values and gradients are bitwise
+    those of the three apart; backward masks the adjoint once, by ``y > 0``
+    in its dtype, for all three operands. ``b`` must broadcast to the product."""
     if x.ndim < 2 or w.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
+        raise ValueError("dense operands must have ndim >= 2")
     xd, wd = x.data, w.data
     y = xd @ wd
     if b is not None:
@@ -348,25 +319,22 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return mul(a, Tensor(keep))
 
 
-def conv_rows(window, kernels, relu: bool = False) -> Tensor:
-    """Row-wise full-width convolution: out[k, n] = dot(window[k], kernels[n]),
-    followed by ``max(., 0)`` if ``relu`` (one fused ``dense`` op).
+def conv_rows(window: Tensor, kernels: Tensor, relu: bool = False) -> Tensor:
+    """Row-wise full-width convolution of a kernel bank (experts, count,
+    width): out[e, k, n] = dot(window[k], kernels[e, n]), followed by
+    ``max(., 0)`` if ``relu`` (one fused ``dense`` op).
 
     Kernel width must equal the window length, so each (metric, kernel)
     pair collapses to a single dot product and the whole layer is
-    ``window @ kernels.T``. Leading axes broadcast as in ``matmul``: a batch
-    axis on ``window``, an expert axis on ``kernels`` (experts, count, width).
+    ``window @ kernels.T``. Leading axes broadcast as in ``dense``: a batch
+    axis on ``window`` meets the bank's expert axis.
     """
-    window = window if isinstance(window, Tensor) else Tensor(window)
-    kernels = kernels if isinstance(kernels, Tensor) else Tensor(kernels)
-    if kernels.ndim not in (2, 3):
-        raise ValueError(
-            f"kernels must be (count, width) or (experts, count, width), got shape {kernels.shape}"
-        )
+    if kernels.ndim != 3:
+        raise ValueError(f"kernels must be (experts, count, width), got shape {kernels.shape}")
     if window.ndim < 2:
         raise ValueError(f"window must be at least 2-D, got shape {window.shape}")
     if window.shape[-1] != kernels.shape[-1]:
         raise ValueError(
             f"kernel width {kernels.shape[-1]} != window length {window.shape[-1]}"
         )
-    return dense(window, transpose(kernels, (1, 0) if kernels.ndim == 2 else (0, 2, 1)), relu=relu)
+    return dense(window, transpose(kernels, (0, 2, 1)), relu=relu)

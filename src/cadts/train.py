@@ -20,6 +20,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import cores
 from .data import Scaler, WindowSet, atomic_write, open_input, split_lines
 from .errors import ConfigError, DataError, NumericError
 from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
-from .numcore.optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from .numcore.optim import AdamState, adam_step, cosine_lr
 from .numcore.tensor import Tape, Tensor, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
@@ -86,10 +87,8 @@ class TrainHistory:
     stopping_reason: str = "max_epochs"
 
 
-def mse_loss(y, yhat) -> Tensor:
+def mse_loss(y: Tensor, yhat: Tensor) -> Tensor:
     """Mean of squared per-metric errors; doubles as the anomaly score."""
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    yhat = yhat if isinstance(yhat, Tensor) else Tensor(yhat)
     if y.shape != yhat.shape:
         raise ValueError(f"shape mismatch: y {y.shape} vs yhat {yhat.shape}")
     return tmean(square(sub(y, yhat)))
@@ -111,9 +110,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
         return val_x[start:stop], val_y[start:stop]
 
     batches_per_epoch = (n_train + cfg.batch - 1) // cfg.batch
-    sched = CosineSchedule(
-        lr0=cfg.lr0, lr_min=cfg.lr_min, total_steps=batches_per_epoch * cfg.max_epochs
-    )
+    total_steps = batches_per_epoch * cfg.max_epochs
     shuffle_rng, dropout_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2)
     )
@@ -129,13 +126,13 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(n_train)
-        epoch_lr = cosine_lr(step, sched)
+        epoch_lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
         loss_sum = 0.0
         for start in range(0, n_train, cfg.batch):
             idx = order[start : start + cfg.batch]
             xb = train_x[idx]
             yb = Tensor(train_y[idx].astype(model.config.np_dtype))
-            lr = cosine_lr(step, sched)
+            lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
             with Tape() as tape:
                 tape.watch(*params)
                 pred = model.forward_batch(xb, mode="train", rng=dropout_rng)
@@ -151,6 +148,8 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
             loss_sum += loss_value * len(idx)
 
         val_loss = float(window_errors(model, val_chunk, n_val, cfg.batch).mean()) if n_val else None
+        if val_loss is not None and not np.isfinite(val_loss):
+            raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -263,7 +262,8 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
                 raise DataError(f"{path}: checkpoint version 1 is no longer read; retrain")
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
-            config = ModelConfig.from_text({f.name: header[f.name] for f in fields(ModelConfig)})
+            hints = get_type_hints(ModelConfig)
+            config = ModelConfig(**{key: parse_value(hints[key], key, header[key]) for key in hints})
             n_metrics, n_params, seed = (
                 parse_value(int, key, header[key]) for key in ("n_metrics", "params", "seed")
             )

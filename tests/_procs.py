@@ -1,8 +1,9 @@
-"""Process probes through Linux /proc: a process's children, and whether a
-process has ended."""
+"""Process probes through Linux /proc: a process's children, whether it
+ignores SIGINT, and whether it has ended."""
 
 from __future__ import annotations
 
+import signal
 from pathlib import Path
 
 
@@ -11,6 +12,17 @@ def children(pid: int) -> set[int]:
     /proc has no children files."""
     tasks = Path(f"/proc/{pid}/task")
     return {int(child) for f in tasks.glob("*/children") for child in f.read_text().split()}
+
+
+def ignores_sigint(pid: int) -> bool:
+    """Whether ``pid`` ignores SIGINT (its ``SigIgn`` mask); False for a
+    process that has ended."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    (mask,) = (line.split()[1] for line in status.splitlines() if line.startswith("SigIgn:"))
+    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
 
 
 def running(pid: int) -> bool:

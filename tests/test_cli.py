@@ -24,7 +24,7 @@ from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_se
 from cadts.model import build_model, expert_embeddings
 from cadts.train import load_checkpoint, save_checkpoint, train_model
 
-from _procs import children, running
+from _procs import children, ignores_sigint, running
 from _synth import make_sines
 
 FAST = [
@@ -217,6 +217,25 @@ def test_report_bad_metrics_cell_exits_2_naming_it(tmp_path, capsys, column, cel
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [(None, "no metrics rows"),
+     ("e1\tbogus\t-\t0.5\t1.0\t0.5\t0.5", "line 3: mode 'bogus' with k '-' is not"),
+     ("e1\tpa\t7\t0.5\t1.0\t0.5\t0.5", "line 3: mode 'pa' with k '7' is not"),
+     ("e1\traw\t0\t0.5\t1.0\t0.5\t0.5", "line 3: mode 'raw' with k '0' is not"),
+     ("e1\tkpa\t-\t0.5\t1.0\t0.5\t0.5", "line 3: mode 'kpa' with k '-' is not")],
+    ids=["header-only", "bogus-mode", "pa-with-k", "raw-with-k", "kpa-without-k"],
+)
+def test_report_rejects_a_metrics_file_eval_never_writes(tmp_path, capsys, row, reason):
+    metrics = tmp_path / "m.tsv"
+    write_metrics(metrics, [EvalRow("e1", "raw", None, 0.5, 1.0, 0.5, 2 / 3)] if row else [])
+    if row:
+        metrics.write_text(metrics.read_text() + row + "\n")
+    rc, err = run_main(["report", "--metrics", str(metrics), "--output", str(tmp_path / "r.tsv")], capsys)
+    assert rc == 2 and err.startswith(f"error: {metrics}: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_report_accepts_an_infinite_threshold(tmp_path, capsys):
     # `eval --threshold inf` writes one: the all-negative prediction
     metrics = tmp_path / "m.tsv"
@@ -284,6 +303,22 @@ def test_config_file_bad_line_reports_position(tmp_path):
     cfg_file.write_text("l = 12\nnonsense\n")
     with pytest.raises(ConfigError, match="line 2"):
         make_train_config(cfg_file, [])
+
+
+@pytest.mark.parametrize("line", ["h = ", "l = \x001"])
+def test_bad_config_value_exits_1_naming_where_it_was_set(tmp_path, capsys, line):
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"experts = 2\n{line}\n")
+    key, _, value = line.partition(" = ")
+    train = ["train", "--data-root", str(data), "--out", str(tmp_path / "out")]
+    rc, err = run_main(train + ["--config", str(cfg_file)], capsys)
+    assert rc == 1 and err == f"error: {cfg_file}: line 2: bad value {value!r} for key {key!r}\n"
+    # a --set is named as given, and overrides the file's value before it is read
+    rc, err = run_main(train + ["--config", str(cfg_file), "--set", f"{key}=x"], capsys)
+    assert rc == 1 and err == f"error: --set {key}=x: bad value 'x' for key {key!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_score_eval_pipeline(tmp_path, capsys):
@@ -432,8 +467,10 @@ def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
         assert captured.out.startswith("trained e1:")
 
 
-@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
-def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path):
+def jobs_cli(tmp_path):
+    """A ``cadts train --jobs 2`` subprocess, in a session of its own, that
+    trains three entities for long enough to be stopped; the CLI and its
+    two worker pids, once both have started."""
     data = tmp_path / "data"
     for i in range(3):
         write_entity(data, f"e{i}", seed=20 + i)
@@ -441,25 +478,67 @@ def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path):
             "--out", str(tmp_path / "out"), "--jobs", "2"] + FAST
     argv += ["--set", "max_epochs=40", "--set", "early_stop_patience=none"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
     workers = set()
+    deadline = time.monotonic() + 30
+    while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+        workers = children(proc.pid)
+    return proc, workers
+
+
+def stop_jobs_cli(proc, workers, stop) -> tuple[int, str]:
+    """``stop(proc, workers)``, then the CLI's exit code and stderr; asserts
+    that no worker runs 10 s later (a zombie counts as gone)."""
     try:
-        deadline = time.monotonic() + 30
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = children(proc.pid)
         assert len(workers) == 2
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == -signal.SIGTERM
+        stop(proc, workers)
+        _, err = proc.communicate(timeout=30)
         deadline = time.monotonic() + 10
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(running, workers))
+        return proc.returncode, err.decode()
     finally:
         proc.kill()
-        proc.wait()
+        proc.communicate()
         for pid in filter(running, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+
+
+@needs_proc
+def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path):
+    proc, workers = jobs_cli(tmp_path)
+    rc, _ = stop_jobs_cli(proc, workers, lambda proc, _: proc.send_signal(signal.SIGTERM))
+    assert rc == -signal.SIGTERM
+
+
+@needs_proc
+def test_jobs_killed_worker_exits_2_naming_an_entity(tmp_path):
+    proc, workers = jobs_cli(tmp_path)
+    rc, err = stop_jobs_cli(proc, workers, lambda _, workers: os.kill(min(workers), signal.SIGKILL))
+    assert rc == 2 and err in {
+        f"error: {tmp_path / 'data' / entity / 'train.csv'}: a --jobs worker died before this entity finished\n"
+        for entity in ("e0", "e1", "e2")
+    }
+
+
+@needs_proc
+def test_jobs_ctrl_c_exits_130_with_one_line(tmp_path):
+    def ctrl_c(proc, workers):
+        # once the workers have set up (they ignore SIGINT from then on),
+        # signal the whole process group, as a terminal's Ctrl-C does
+        deadline = time.monotonic() + 10
+        while not all(map(ignores_sigint, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+
+    rc, err = stop_jobs_cli(*jobs_cli(tmp_path), ctrl_c)
+    assert rc == 130 and err == "error: interrupted\n"
 
 
 def test_jobs_below_one_exits_1(tmp_path, capsys):
@@ -548,6 +627,30 @@ def test_score_invalid_header_value_exits_2(tmp_path, capsys, key, value, reason
     err = capsys.readouterr().err
     assert str(checkpoint) in err and reason in err
     assert not (tmp_path / "scores.txt").exists()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_score_overflowing_checkpoint_exits_3_naming_it(tmp_path, capsys, dtype):
+    # finite weights whose products overflow, as a bit flip in an exponent gives
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"] + [f"dtype={dtype}"])
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    model.params["tower.w2"].data[...] = np.finfo(dtype).max / 4
+    checkpoint, argv = score_argv(tmp_path, model)
+    rc, err = run_main(argv, capsys)  # no RuntimeWarning either
+    assert rc == 3
+    assert err.startswith(f"error: {argv[4]}: non-finite prediction error at timestamp ")
+    assert err.endswith(f" (checkpoint {checkpoint})\n") and err.count("\n") == 1
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_run_dir_without_a_checkpoint_exits_2_naming_it(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_entity(data, "e1")
+    checkpoint = run / "e1" / "checkpoint.cadckpt"
+    argv = ["score", "--run-dir", str(run), "--data-root", str(data)]
+    assert run_main(argv, capsys) == (2, f"error: {checkpoint}: not found\n")
+    checkpoint.mkdir(parents=True)
+    assert run_main(argv, capsys) == (2, f"error: {checkpoint}: is a directory\n")
 
 
 def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):
@@ -814,16 +917,13 @@ def test_non_utf8_eval_input_exits_2_naming_the_line(tmp_path, capsys, which):
 # --- eval on damaged inputs --------------------------------------------------------
 
 
-def run_main(argv, capsys, exit_3_warns=False):
+def run_main(argv, capsys):
     """``cadts`` in process: its exit code and stderr, with every warning it
-    raises recorded and none expected; with ``exit_3_warns``, a numeric
-    failure (exit 3) may come after numpy's RuntimeWarnings."""
+    raises recorded and none expected."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(argv)
     err = capsys.readouterr().err
-    if exit_3_warns and rc == 3:
-        caught = [w for w in caught if not issubclass(w.category, RuntimeWarning)]
     assert caught == [] and "Warning:" not in err and "Traceback" not in err
     return rc, err
 
@@ -962,9 +1062,9 @@ def report_numbers(out) -> np.ndarray:
 def test_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys, target, examples):
     """``train`` on a damaged ``train.csv`` or ``--config``, ``score`` on a
     damaged ``--checkpoint`` and ``report`` on a damaged ``--metrics``:
-    exit 0 to 3, no traceback or warning, finite output on 0 (a metrics
-    file cut to its header reports no rows), an exit 2 that names the
-    file, and "is a directory" for a directory in the file's place."""
+    exit 0 to 3, no traceback or warning, finite output on 0, an exit 2
+    that names the file, an exit 3 of ``score`` that names the checkpoint,
+    and "is a directory" for a directory in the file's place."""
     base = tmp_path_factory.mktemp("valid")
     data = base / "data"
     write_entity(data, "e1", t_train=120)
@@ -1001,11 +1101,12 @@ def test_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys, target, 
         else:
             path.write_bytes(blob)
         out = root / "out"
-        # weights that a damaged checkpoint blows up overflow in the eval loop
-        rc, err = run_main(argv(path, out), capsys, exit_3_warns=target == "--checkpoint")
+        rc, err = run_main(argv(path, out), capsys)
         assert rc in (0, 1, 2, 3)
         if rc == 2:
             assert f"error: {path}: " in err
+        if rc == 3 and target == "--checkpoint":
+            assert f"(checkpoint {path})" in err
         if blob is None:
             assert rc == 2 and f"{path}: is a directory" in err
         if rc == 0:

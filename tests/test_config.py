@@ -80,7 +80,7 @@ def test_cli_rejects_other_keys(key):
 @pytest.mark.parametrize("key, text", [("l", "1x"), ("epsilon", "abc"), ("scale", "maybe"),
                                        ("early_stop_patience", "never")])
 def test_cli_rejects_unparseable_values(key, text):
-    with pytest.raises(ConfigError, match=f"bad value '{text}' for key '{key}'"):
+    with pytest.raises(ConfigError, match=f"^--set {key}={text}: bad value '{text}' for key '{key}'$"):
         make_train_config(overrides=[f"{key}={text}"])
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cadts import cores, data
 from cadts.data import (
@@ -434,8 +434,17 @@ def test_parts_load_bitwise_equal_to_one_loadtxt_call(tmp_path_factory):
     path = tmp_path_factory.mktemp("parts") / "series.csv"
     forked = []
 
+    # one file that each core count cuts into that many parts: the drawn
+    # files change with the constants Hypothesis gathers from the loaded
+    # source, so a draw alone may miss a count
+    lines = ["1.5,2.5", "3.5,4.5", "5.5,6.5", "7.5,8.5", "9.5,10.5"]
+    cut = ("\n".join(lines) + "\n", 0, lines)
+
     @settings(max_examples=60, deadline=None)
     @given(csv_files(), st.integers(2, 4))
+    @example(cut, 2)
+    @example(cut, 3)
+    @example(cut, 4)
     def check(file, cores):
         text, header, _ = file
         path.write_bytes(text.encode())

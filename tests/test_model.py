@@ -14,7 +14,7 @@ from cadts.model import (
     expert_embeddings,
     gate_weights,
 )
-from cadts.numcore.tensor import Tape, square, tmean, tsum, mul, Tensor
+from cadts.numcore.tensor import Tape, Tensor, mul, square, sub, tmean, tsum
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
 
@@ -214,7 +214,7 @@ def test_gate_gradients_match_finite_differences():
 
     def forward():
         pred = model.forward_batch(window[None])
-        return tmean(square(pred - target))
+        return tmean(square(sub(pred, target)))
 
     with Tape() as tape:
         tape.watch(*params)
@@ -400,7 +400,7 @@ def test_no_dead_wiring(variant):
     with Tape() as tape:
         tape.watch(*params)
         pred = model.forward_batch(windows, mode="train", rng=rng)
-        loss = tmean(square(pred - target))
+        loss = tmean(square(sub(pred, target)))
     grads = tape.grad(loss, params)
     for name, grad in zip(names, grads):
         assert np.any(grad.data != 0.0), f"{variant}: no gradient reaches {name}"

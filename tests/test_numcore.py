@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from cadts.errors import NumericError
 from cadts.model import VARIANTS, ModelConfig, build_model
-from cadts.numcore.optim import BLOCK, AdamState, CosineSchedule, adam_step, cosine_lr
+from cadts.numcore.optim import BLOCK, AdamState, adam_step, cosine_lr
 from cadts.numcore.tensor import (
     Tape,
     Tensor,
@@ -18,9 +18,7 @@ from cadts.numcore.tensor import (
     conv_rows,
     dense,
     dropout,
-    matmul,
     mul,
-    neg,
     reshape,
     softmax,
     square,
@@ -143,7 +141,7 @@ def _primitive_cases():
         a = Tensor(rng.normal(size=(3, 4)), name="a")
         b = Tensor(rng.normal(size=(4,)), name="b")
         r = Tensor(rng.normal(size=(3, 4)))
-        return [a, b], lambda: tsum(mul(a + b, r))
+        return [a, b], lambda: tsum(mul(add(a, b), r))
 
     def case_sub(rng):
         a = Tensor(rng.normal(size=(2, 3)), name="a")
@@ -157,28 +155,23 @@ def _primitive_cases():
         r = Tensor(rng.normal(size=(3, 2)))
         return [a, b], lambda: tsum(mul(mul(a, b), r))
 
-    def case_neg(rng):
-        a = Tensor(rng.normal(size=(5,)), name="a")
-        r = Tensor(rng.normal(size=(5,)))
-        return [a], lambda: tsum(mul(neg(a), r))
-
     def case_matmul(rng):
         a = Tensor(rng.normal(size=(3, 4)), name="a")
         b = Tensor(rng.normal(size=(4, 2)), name="b")
         r = Tensor(rng.normal(size=(3, 2)))
-        return [a, b], lambda: tsum(mul(matmul(a, b), r))
+        return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def case_matmul_broadcast(rng):
         a = Tensor(rng.normal(size=(5, 3, 4)), name="a")
         b = Tensor(rng.normal(size=(4, 2)), name="b")
         r = Tensor(rng.normal(size=(5, 3, 2)))
-        return [a, b], lambda: tsum(mul(matmul(a, b), r))
+        return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def case_matmul_unit_inner(rng):
         a = Tensor(rng.normal(size=(3, 4, 5)), name="a")
         b = Tensor(rng.normal(size=(3, 5, 1)), name="b")
         r = Tensor(rng.normal(size=(3, 4, 1)))
-        return [a, b], lambda: tsum(mul(matmul(a, b), r))
+        return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def dense_case(x_shape, w_shape, b_shape, relu):
         def case(rng):
@@ -243,8 +236,8 @@ def _primitive_cases():
 
     def case_conv_rows(rng):
         w = Tensor(rng.normal(size=(4, 6)), name="w")
-        k = Tensor(rng.normal(size=(3, 6)), name="k")
-        r = Tensor(rng.normal(size=(4, 3)))
+        k = Tensor(rng.normal(size=(1, 3, 6)), name="k")
+        r = Tensor(rng.normal(size=(1, 4, 3)))
         return [w, k], lambda: tsum(mul(conv_rows(w, k), r))
 
     def case_conv_rows_experts(rng):
@@ -257,7 +250,6 @@ def _primitive_cases():
         case_add,
         case_sub,
         case_mul,
-        case_neg,
         case_matmul,
         case_matmul_broadcast,
         case_matmul_unit_inner,
@@ -304,7 +296,7 @@ def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b
     r = rng.normal(size=a_shape[:-1] + (1,)).astype(dtype)
     with Tape() as tape:
         tape.watch(a)
-        loss = tsum(mul(matmul(a, b), Tensor(r)))
+        loss = tsum(mul(dense(a, b), Tensor(r)))
     grad = tape.grad(loss, [a])[0].data
     expected = r @ b.data.swapaxes(-1, -2)
     assert grad.dtype == expected.dtype and grad.shape == expected.shape
@@ -313,7 +305,7 @@ def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b
 
 def _relu_op(a):
     """relu as a tape op of its own: the last op of the three-op layer
-    ``relu(matmul(x, w) + b)`` that ``dense`` fuses."""
+    ``relu(add(dense(x, w), b))`` that ``dense`` fuses."""
     y = np.maximum(a.data, 0)
     return _op(y, (a, lambda g: g * (y > 0)))
 
@@ -332,7 +324,7 @@ def test_dense_is_bitwise_the_three_op_form(x_shape, w_shape, b_shape, dtype, re
     adjoint = Tensor(rng.normal(size=(x.data @ w.data).shape).astype(dtype))
 
     def three_op():
-        y = matmul(x, w) + b
+        y = add(dense(x, w), b)
         return _relu_op(y) if relu else y
 
     results = []
@@ -354,18 +346,18 @@ def _contract_cases():
     """(op, lhs, rhs): each operand is a watched tensor, an unwatched tensor
     ("const") or a Python scalar (elementwise ops only)."""
     cases = []
-    for op in (add, sub, mul, matmul):
+    for name, op in (("add", add), ("sub", sub), ("mul", mul), ("matmul", dense)):
         kinds = [("watched", "const"), ("const", "watched"), ("watched", "watched"), ("const", "const")]
-        if op is not matmul:
+        if op is not dense:
             kinds += [("watched", "scalar"), ("scalar", "watched"), ("const", "scalar")]
-        cases += [pytest.param(op, lhs, rhs, id=f"{op.__name__}-{lhs}-{rhs}") for lhs, rhs in kinds]
+        cases += [pytest.param(op, lhs, rhs, id=f"{name}-{lhs}-{rhs}") for lhs, rhs in kinds]
     return cases
 
 
 @pytest.mark.parametrize("op, lhs, rhs", _contract_cases())
 def test_op_records_exactly_the_tracked_operands(op, lhs, rhs):
     rng = np.random.default_rng(23)
-    shapes = ((2, 3), (3, 4)) if op is matmul else ((2, 3), (1, 3))
+    shapes = ((2, 3), (3, 4)) if op is dense else ((2, 3), (1, 3))
 
     def operand(kind, shape):
         return 1.5 if kind == "scalar" else Tensor(rng.normal(size=shape))
@@ -522,13 +514,13 @@ def test_softmax_empty_vector_rejected():
 
 
 def test_conv_rows_dot_products():
-    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 1.0]]))
-    assert out.data.tolist() == [[3.0], [7.0]]
+    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[[1.0, 1.0]]]))
+    assert out.data.tolist() == [[[3.0], [7.0]]]
 
 
 def test_conv_rows_selector_kernel():
-    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 0.0]]))
-    assert out.data.tolist() == [[1.0], [3.0]]
+    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[[1.0, 0.0]]]))
+    assert out.data.tolist() == [[[1.0], [3.0]]]
 
 
 def _naive_sliding_convolution(window, kernels):
@@ -552,7 +544,7 @@ def test_conv_rows_matches_naive_convolution_oracle():
     rng = np.random.default_rng(5)
     window = rng.normal(size=(5, 16))
     kernels = rng.normal(size=(16, 16))
-    got = conv_rows(Tensor(window), Tensor(kernels)).data
+    got = conv_rows(Tensor(window), Tensor(kernels[None])).data[0]
     want = _naive_sliding_convolution(window, kernels)[:, :, 0]
     assert got.shape == (5, 16)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -562,7 +554,7 @@ def test_conv_rows_equals_matrix_product_exactly():
     rng = np.random.default_rng(6)
     window = rng.normal(size=(7, 9))
     kernels = rng.normal(size=(4, 9))
-    got = conv_rows(Tensor(window), Tensor(kernels)).data
+    got = conv_rows(Tensor(window), Tensor(kernels[None])).data[0]
     assert np.array_equal(got, window @ kernels.T)
 
 
@@ -574,13 +566,14 @@ def test_conv_rows_expert_axis_matches_each_expert():
     assert got.shape == (3, 7, 4)
     for e in range(3):
         np.testing.assert_allclose(got[e], window @ kernels[e].T, rtol=1e-12)
-    with pytest.raises(ValueError, match="kernels"):
-        conv_rows(Tensor(window), Tensor(kernels[None]))
+    for bank in (kernels[None], kernels[0]):  # 4-D, and the 2-D (count, width) layout
+        with pytest.raises(ValueError, match="kernels"):
+            conv_rows(Tensor(window), Tensor(bank))
 
 
 def test_conv_rows_width_mismatch_rejected():
     with pytest.raises(ValueError, match="width"):
-        conv_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
+        conv_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 3, 5))))
 
 
 # --- Adam -------------------------------------------------------------------
@@ -690,21 +683,20 @@ def test_adam_is_bitwise_the_textbook_update(shape, dtype, lrs, seed):
 
 
 def test_cosine_endpoints_and_midpoint():
-    sched = CosineSchedule(lr0=0.001, lr_min=0.0001, total_steps=100)
-    assert cosine_lr(0, sched) == pytest.approx(0.001)
-    assert cosine_lr(100, sched) == pytest.approx(0.0001)
-    assert cosine_lr(50, sched) == pytest.approx((0.001 + 0.0001) / 2)
+    assert cosine_lr(0, 100, 0.001, 0.0001) == pytest.approx(0.001)
+    assert cosine_lr(100, 100, 0.001, 0.0001) == pytest.approx(0.0001)
+    assert cosine_lr(50, 100, 0.001, 0.0001) == pytest.approx((0.001 + 0.0001) / 2)
 
 
 def test_cosine_monotone_non_increasing():
-    sched = CosineSchedule(lr0=0.01, lr_min=0.0, total_steps=333)
-    values = [cosine_lr(s, sched) for s in range(334)]
+    values = [cosine_lr(s, 333, 0.01, 0.0) for s in range(334)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_cosine_step_out_of_range():
-    sched = CosineSchedule(lr0=0.01, lr_min=0.0, total_steps=10)
     with pytest.raises(ValueError):
-        cosine_lr(11, sched)
+        cosine_lr(11, 10, 0.01, 0.0)
     with pytest.raises(ValueError):
-        cosine_lr(-1, sched)
+        cosine_lr(-1, 10, 0.01, 0.0)
+    with pytest.raises(ValueError, match="total_steps"):
+        cosine_lr(0, 0, 0.01, 0.0)

@@ -50,20 +50,20 @@ def test_default_config_is_the_reference_setting():
 
 
 def test_mse_zero_residual():
-    assert mse_loss([1.0, 2.0], [1.0, 2.0]).item() == 0.0
+    assert mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
 
 
 def test_mse_two_metrics():
-    assert mse_loss([1.0, 0.0], [0.0, 0.0]).item() == 0.5
+    assert mse_loss(Tensor([1.0, 0.0]), Tensor([0.0, 0.0])).item() == 0.5
 
 
 def test_mse_single_metric():
-    assert mse_loss([2.0], [5.0]).item() == 9.0
+    assert mse_loss(Tensor([2.0]), Tensor([5.0])).item() == 9.0
 
 
 def test_mse_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        mse_loss([1.0, 2.0], [1.0])
+        mse_loss(Tensor([1.0, 2.0]), Tensor([1.0]))
 
 
 def test_mse_permutation_invariant():
@@ -71,8 +71,8 @@ def test_mse_permutation_invariant():
     for _ in range(20):
         y, yhat = rng.normal(size=(2, 9))
         perm = rng.permutation(9)
-        assert mse_loss(y[perm], yhat[perm]).item() == pytest.approx(
-            mse_loss(y, yhat).item(), rel=1e-12
+        assert mse_loss(Tensor(y[perm]), Tensor(yhat[perm])).item() == pytest.approx(
+            mse_loss(Tensor(y), Tensor(yhat)).item(), rel=1e-12
         )
 
 
@@ -179,6 +179,15 @@ def test_non_finite_loss_reports_epoch_and_batch():
     model.params["tower.w2"].data[:] = np.inf
     with pytest.raises(NumericError, match="epoch 1, batch 1"):
         train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
+
+
+def test_non_finite_validation_loss_reports_the_epoch():
+    # finite training windows, and validation windows whose errors overflow
+    series = make_sines(t=300, n_metrics=2, seed=9)
+    series.values[-20:, 0] = 1e30
+    cfg = small_cfg(seed=5)
+    with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
+        train_model(build_for(cfg, 2), make_windows(series, cfg.l, cfg.h), cfg)
 
 
 def test_history_file_deterministic(tmp_path):
