@@ -365,7 +365,10 @@ def cmd_report(args) -> int:
 def cmd_export_embeddings(args) -> int:
     """Every ``--stride``-th window's expert embeddings, ``SCORE_CHUNK``
     sampled windows at a time through the score chunks (``eval_windows``);
-    each chunk's lines are written before the next chunk is forwarded."""
+    each chunk's lines are written before the next chunk is forwarded. A
+    chunk is forwarded as ``window_errors`` forwards one, ignoring numpy's
+    floating-point errors; a non-finite embedding raises NumericError naming
+    its window, and ``--output`` keeps what it held."""
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     model, scaler = load_checkpoint(args.checkpoint)
@@ -384,7 +387,14 @@ def cmd_export_embeddings(args) -> int:
             # forward of a few rows may take another BLAS kernel
             reach = max(0, min(first, len(sampled) - SCORE_CHUNK))
             windows, _ = chunk(sampled[reach], indices[-1] + 1)
-            embedded = expert_embeddings(model, windows[:: args.stride])[first - reach :]
+            with np.errstate(all="ignore"):
+                embedded = expert_embeddings(model, windows[:: args.stride])[first - reach :]
+            bad = np.flatnonzero(~np.isfinite(embedded).all(axis=(1, 2)))
+            if bad.size:
+                raise NumericError(
+                    f"{args.input}: non-finite embedding at window {indices[bad[0]]}"
+                    f" (checkpoint {args.checkpoint})"
+                )
             yield "".join(
                 f"{index}\t{expert}\t" + "\t".join(repr(float(v)) for v in embedded[row, expert]) + "\n"
                 for row, index in enumerate(indices)

@@ -29,14 +29,19 @@ from .model import CadModel, ChunkSource, window_errors
 MODES = ("raw", "pa", "kpa")
 
 # Windows per eval chunk of ``score_series``, and sampled windows per chunk
-# of ``cadts export-embeddings``. Score chunks run on helper threads,
-# one per core of the process's budget, so the chunks in flight hold
-# budget x chunk windows: at 38 metrics one 256-window chunk, from its rows
-# to its errors, peaks at 7.8 MB in float32 (15.6 MB in float64). Scoring a
-# 28,479-row series on one thread peaks at 8.2 MB above the parsed series
-# (13.0 MB when the whole series was scaled first). It is a constant, never
-# derived from the core count, so a series scores the same on any host.
-SCORE_CHUNK = 256
+# of ``cadts export-embeddings``. Score chunks run on helper threads, one
+# per core of the process's budget, so the chunks in flight hold budget x
+# chunk windows. At 38 metrics a chunk's (windows, metrics, 128) mixed
+# embeddings dominate, so the footprint follows the chunk: scoring a
+# 28,479 x 38 series on one thread peaks at 4.2 MB above the parsed series
+# in float32 (8.1 MB in float64), against 8.1 MB (16.0) in 256-window
+# chunks, and a fresh ``cadts score`` of such a series peaks at 56 MB
+# against 66 MB. The smaller arrays stay nearer the cores' caches, so the
+# forward is no slower per window; the per-chunk Python overhead, paid
+# twice as often as at 256, shows only on tiny models. It is a constant,
+# never derived from the core count, so a series scores the same on any
+# host.
+SCORE_CHUNK = 128
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Scores and validation losses of every variant, for bitwise parity checks.
 
 ``parity_values()`` trains a small model per (variant, dtype, scaled) for
-two epochs and scores three test series with it. The series lengths sit at
-the eval chunk edges: fewer windows than one ``SCORE_CHUNK``, exactly one
-chunk, and one chunk plus a one-window last chunk; the 17 validation
-windows leave a one-window last chunk of 8-window batches.
+two epochs and scores three test series with it, of 40, 256 and 257
+windows. In 128-window ``SCORE_CHUNK``s these sit at the eval chunk edges:
+fewer windows than one chunk, exactly two full chunks, and two chunks plus
+a one-window last chunk. The 17 validation windows leave a one-window last
+chunk of 8-window batches. The lengths are literals, not derived from
+``SCORE_CHUNK``, because the fixture's keys name them.
 ``tests/fixtures/chunked_scoring.npz`` holds these values as the build
-before per-chunk scaling computed them; to record them again with the
-cadts on the path, run ``python tests/_parity.py OUT.npz``.
+before per-chunk scaling computed them, in 256-window chunks; to record
+them again with the cadts on the path, run
+``python tests/_parity.py OUT.npz``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import sys
 import numpy as np
 
 from cadts.data import SeriesMatrix, apply_minmax, fit_minmax, make_windows
-from cadts.evaluate import SCORE_CHUNK, score_series
+from cadts.evaluate import score_series
 from cadts.model import VARIANTS, build_model
 from cadts.train import TrainConfig, train_model
 
 from _synth import make_sines
 
-SCORE_WINDOWS = (40, SCORE_CHUNK, SCORE_CHUNK + 1)
+SCORE_WINDOWS = (40, 256, 257)
 
 
 def _config(variant: str, dtype: str) -> TrainConfig:

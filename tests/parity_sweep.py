@@ -1,0 +1,79 @@
+"""Every output of the CLI for every variant and dtype, for a byte-for-byte
+comparison of two checkouts.
+
+    python tests/parity_sweep.py OUT_DIR
+
+Runs this checkout's cadts (its own ``src/``) in process, on two small
+fixed-seed entities (``make_conflict_dataset``, test series of several
+score chunks). For each of the 7 variants in float32 and float64 it runs
+``train``, ``score``, ``eval``, ``report`` and ``export-embeddings`` into
+``OUT_DIR/<variant>-<dtype>/``: per entity the checkpoint, ``history.tsv``,
+scores, metrics and embeddings, plus the report. The generated inputs go to
+``OUT_DIR/data``. A change keeps every output when
+
+    diff -r OUT_PARENT OUT_CHANGE
+
+prints nothing. Not collected by pytest; it takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cadts.cli import CHECKPOINT_NAME, main  # noqa: E402
+from cadts.model import VARIANTS  # noqa: E402
+
+from _synth import make_conflict_dataset  # noqa: E402
+
+# (train rows, test rows, seed): 402 and 542 test windows at l + h = 19
+ENTITIES = {"e1": (400, 420, 1), "e2": (300, 560, 2)}
+CONFIG = ["experts=3", "kernels=4", "embed_dim=16", "tower_hidden=8", "batch=32", "max_epochs=2", "seed=7"]
+
+
+def write_data(root: Path) -> None:
+    for entity, (t_train, t_test, seed) in ENTITIES.items():
+        train, test = make_conflict_dataset(t_train, t_test, n_metrics=6, seed=seed)
+        (root / entity).mkdir(parents=True)
+        np.savetxt(root / entity / "train.csv", train.values, fmt="%.17g", delimiter=",")
+        np.savetxt(root / entity / "test.csv", test.values, fmt="%.17g", delimiter=",")
+        np.savetxt(root / entity / "test_label.csv", test.labels, fmt="%d")
+
+
+def cadts(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(list(argv))
+    if rc != 0:
+        raise SystemExit(f"cadts {' '.join(argv)}: exit {rc}")
+
+
+def sweep(out: Path) -> None:
+    data = out / "data"
+    write_data(data)
+    for variant in VARIANTS:
+        for dtype in ("float32", "float64"):
+            run = out / f"{variant}-{dtype}"
+            settings = [arg for kv in CONFIG + [f"variant={variant}", f"dtype={dtype}"] for arg in ("--set", kv)]
+            cadts("train", "--data-root", str(data), "--out", str(run), *settings)
+            cadts("score", "--run-dir", str(run), "--data-root", str(data))
+            cadts("eval", "--run-dir", str(run), "--data-root", str(data))
+            cadts("report", "--run-dir", str(run), "--output", str(run / "report.tsv"))
+            for entity in ENTITIES:
+                cadts("export-embeddings", "--checkpoint", str(run / entity / CHECKPOINT_NAME),
+                      "--input", str(data / entity / "test.csv"), "--output", str(run / entity / "embeddings.tsv"))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    target = Path(sys.argv[1])
+    if target.exists() and any(target.iterdir()):
+        raise SystemExit(f"{target}: not empty")
+    sweep(target)
+    print(f"{sum(1 for p in target.rglob('*') if p.is_file())} files in {target}")

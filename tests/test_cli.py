@@ -20,7 +20,7 @@ from cadts import cli
 from cadts.cli import main, make_train_config
 from cadts.data import load_labels, load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError, DataError
-from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
+from cadts.evaluate import SCORE_CHUNK, EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
 from cadts.model import build_model, expert_embeddings
 from cadts.train import load_checkpoint, save_checkpoint, train_model
 
@@ -728,8 +728,11 @@ def whole_batch_export(checkpoint, input_csv, stride) -> bytes:
 
 @pytest.mark.parametrize("dtype, scale", [("float32", True), ("float64", False)])
 @pytest.mark.parametrize("windows, stride", [
-    (1, 1), (255, 1), (256, 1), (257, 1),  # sampled 1, 255, 256, 257: the last chunk 1, 255, 256, 1
-    (511 * 3, 3), (512 * 2, 2), (513 * 5 - 4, 5),  # sampled 511, 512, 513
+    # sampled 1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1: the last chunk
+    # 1, SCORE_CHUNK - 1, SCORE_CHUNK, 1
+    (1, 1), (SCORE_CHUNK - 1, 1), (SCORE_CHUNK, 1), (SCORE_CHUNK + 1, 1),
+    (255, 1), (256, 1), (257, 1),  # the last 128-window chunk 127, 128, 1
+    (511 * 3, 3), (512 * 2, 2), (513 * 5 - 4, 5),  # sampled 511, 512, 513: as 255, 256, 257
 ])
 def test_export_in_chunks_is_bytewise_the_whole_batch(tmp_path, capsys, dtype, scale, windows, stride):
     cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"] + [f"dtype={dtype}"])
@@ -770,6 +773,19 @@ def test_export_memory_does_not_grow_with_the_series(tmp_path, monkeypatch):
     growth = traced_peak(4000) - traced_peak(2000)
     assert growth <= 16 << 10
     assert growth < 2000 * 38 * 8 / 8
+
+
+def test_export_overflowing_checkpoint_exits_3_naming_it(tmp_path, capsys):
+    # finite weights whose embeddings overflow, as a bit flip in an exponent gives
+    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
+    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
+    model.params["expert.ff2_w"].data[...] = np.finfo(np.float32).max / 2
+    model.params["expert.ff1_b"].data[...] = 100
+    checkpoint, argv = score_argv(tmp_path, model)
+    out = tmp_path / "emb.tsv"
+    rc, err = run_main(["export-embeddings", *argv[1:5], "--output", str(out), "--stride", "10"], capsys)
+    assert (rc, err) == (3, f"error: {argv[4]}: non-finite embedding at window 0 (checkpoint {checkpoint})\n")
+    assert list(tmp_path.glob("emb.tsv*")) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -13,6 +13,7 @@ from cadts.data import SeriesMatrix, fit_minmax, make_windows
 from cadts.errors import DataError
 from cadts.evaluate import (
     MODES,
+    SCORE_CHUNK,
     EvalRow,
     aggregate_entities,
     best_f1,
@@ -317,11 +318,13 @@ def test_score_series_matches_hand_rolled_forward():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_score_series_chunks_match_one_window_at_a_time(variant):
-    """Around the score chunk boundary (256 windows): 1, 256, 257, 1,500."""
+    """Around the score chunk boundaries: 1 window, ``SCORE_CHUNK`` - 1,
+    ``SCORE_CHUNK`` and ``SCORE_CHUNK`` + 1 windows, then 256 and 257 (two
+    full chunks, and two plus a one-window chunk) and 1,500."""
     cfg = ModelConfig(l=3, h=2, experts=2, kernels=2, embed_dim=8, tower_hidden=4, variant=variant)
     model = build_model(cfg, n_metrics=3, rng_seed=50)
     rng = np.random.default_rng(50)
-    for n_windows in (1, 256, 257, 1500):
+    for n_windows in (1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 256, 257, 1500):
         series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
         out = score_series(model, series)
         windows = make_windows(series, cfg.l, cfg.h)
@@ -343,7 +346,7 @@ RECORDED_PARITY = Path(__file__).parent / "fixtures" / "chunked_scoring.npz"
 
 def test_scores_and_val_losses_are_bitwise_the_recorded_ones():
     """Every variant in both dtypes, with and without a scaler, at series
-    lengths short of one score chunk, of exactly one, and of one chunk and
+    lengths short of one score chunk, of exactly two, and of two chunks and
     one window; validation ends in a one-window chunk (``_parity``)."""
     got = parity_values()
     with np.load(RECORDED_PARITY) as recorded:
@@ -382,6 +385,26 @@ def test_score_series_memory_grows_by_the_scores_alone():
         growth = traced_peak(8000) - traced_peak(4000)
     assert growth <= 4000 * 16 + (16 << 10)
     assert growth < 4000 * 38 * 12 / 8
+
+
+def test_score_series_peak_is_one_chunk_at_the_default_shape():
+    """A default-shape model (38 metrics, float32) scoring on one core peaks
+    at about 4.0 MB above the parsed series in 128-window chunks, against
+    7.9 MB in 256-window chunks: the chunk's mixed embeddings dominate, so
+    the peak follows ``SCORE_CHUNK``."""
+    model = build_model(ModelConfig(), n_metrics=38, rng_seed=1)
+    series = make_sines(1000, 38, seed=4)  # about eight chunks
+    scaler = fit_minmax(series)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        score_series(model, series, scaler)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_series(model, series, scaler)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 # --- plain-text files --------------------------------------------------------------
