@@ -26,7 +26,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import cores
-from .data import apply_minmax, atomic_write, fit_minmax, load_labels, load_series, make_windows, read_lines
+from .data import (apply_minmax, atomic_write, fit_minmax, load_labels, load_series, make_windows, read_lines,
+                   table_text)
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
     SCORE_CHUNK,
@@ -282,8 +283,7 @@ def _eval_rows(entity, scores, labels, modes, threshold) -> list[EvalRow]:
     rows = []
     for mode, k in modes:
         if threshold is None:
-            hit = best_f1(scores, labels, mode=mode, k=k)
-            rows.append(EvalRow(entity, mode, k, hit.threshold, hit.precision, hit.recall, hit.f1))
+            rows.append(EvalRow(entity, mode, k, *best_f1(scores, labels, mode=mode, k=k)))
         else:
             preds = (np.asarray(scores) >= threshold).astype(int)
             p, r, f1 = prf(labels, _adjust(labels, preds, mode, k))
@@ -334,28 +334,19 @@ def cmd_report(args) -> int:
         paths.extend(sorted(Path(args.run_dir).glob(f"*/{METRICS_NAME}")))
     if not paths:
         raise ConfigError("report needs --metrics files or --run-dir")
-    rows = []
-    for path in paths:
-        rows.extend(read_metrics(path))
+    rows = [row for path in paths for row in read_metrics(path)]
     groups: dict[tuple[str, int | None], list[EvalRow]] = {}
     for row in rows:
         groups.setdefault((row.mode, row.k), []).append(row)
 
-    lines = ["mode\tk\tentities\tF1\tP\tR\tF1*"]
+    table = [("mode", "k", "entities", "F1", "P", "R", "F1*")]
     for key in sorted(groups, key=lambda key: (MODES.index(key[0]), -1 if key[1] is None else key[1])):
-        mode, k = key
         group = groups[key]
-        f1_mean, p_bar, r_bar, f1_star = aggregate_entities(
-            [(r.precision, r.recall, r.f1) for r in group]
-        )
-        k_text = "-" if k is None else k
-        lines.append(
-            f"{mode}\t{k_text}\t{len(group)}\t{f1_mean!r}\t{p_bar!r}\t{r_bar!r}\t{f1_star!r}"
-        )
-    text = "\n".join(lines)
-    print(text)
+        table.append((*key, len(group), *aggregate_entities([(r.precision, r.recall, r.f1) for r in group])))
+    text = table_text(table)
+    print(text, end="")
     if args.output is not None:
-        atomic_write(args.output, [(text + "\n").encode()])
+        atomic_write(args.output, [text.encode()])
     return 0
 
 
@@ -395,11 +386,9 @@ def cmd_export_embeddings(args) -> int:
                     f"{args.input}: non-finite embedding at window {indices[bad[0]]}"
                     f" (checkpoint {args.checkpoint})"
                 )
-            yield "".join(
-                f"{index}\t{expert}\t" + "\t".join(repr(float(v)) for v in embedded[row, expert]) + "\n"
-                for row, index in enumerate(indices)
-                for expert in range(experts)
-            ).encode()
+            rows = ((index, e, *embedded[row, e].tolist())
+                    for row, index in enumerate(indices) for e in range(experts))
+            yield table_text(rows).encode()
 
     atomic_write(args.output, blocks())
     print(f"exported {len(sampled) * experts} embedding rows ({len(sampled)} windows x {experts} experts)")

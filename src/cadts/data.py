@@ -1,13 +1,13 @@
 """Series loading, train-fitted MinMax scaling, and sliding-window samples.
 
 One text layer: every input file is opened by ``open_input``, every text
-file is read as UTF-8 cut at LF, CRLF or a lone CR (``read_lines``), and
-every file is written by ``atomic_write``. Series, label and score files
-are one CSV format (``_read_csv``): an optional header row, then finite
-numbers (``#`` starts no comment); label and score files hold one column.
-An entity directory holds train.csv, test.csv and test_label.csv. A CSV of
-at least two ``MIN_PART_BYTES`` parts of data is parsed in one forked child
-per part and core.
+file is read as UTF-8 cut at LF, CRLF or a lone CR (``read_lines``), every
+table is made by ``table_text`` and every file written by ``atomic_write``.
+Series, label and score files are one CSV format (``_read_csv``): an
+optional header row, then finite numbers (``#`` starts no comment); label
+and score files hold one column. An entity directory holds train.csv,
+test.csv and test_label.csv. A CSV of at least two ``MIN_PART_BYTES`` parts
+of data is parsed in one forked child per part and core.
 """
 
 from __future__ import annotations
@@ -119,6 +119,22 @@ def atomic_write(path, blocks: Iterable[bytes]) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _cell(cell) -> str:
+    if isinstance(cell, float):
+        return repr(cell)
+    text = "-" if cell is None else str(cell)
+    if "\t" in text or "\n" in text or "\r" in text:
+        raise DataError(f"table cell {text!r} holds a tab or a line break")
+    return text
+
+
+def table_text(rows: Iterable[Iterable]) -> str:
+    """The one table rule: an LF-ended line per row, cells joined by tabs; a
+    float by ``repr`` (it reads back exactly), None as ``-``, any other cell
+    by ``str``, which must hold no tab, CR or LF (DataError naming it)."""
+    return "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
 
 
 # a cell that reads as a number or starts like one: a sign, then a digit or

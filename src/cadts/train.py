@@ -25,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import cores
-from .data import Scaler, WindowSet, atomic_write, open_input, split_lines
+from .data import Scaler, WindowSet, atomic_write, open_input, split_lines, table_text
 from .errors import ConfigError, DataError, NumericError
 from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
 from .numcore.optim import AdamState, adam_step, cosine_lr
@@ -172,16 +172,12 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
 
 
 def write_history(history: TrainHistory, path) -> None:
-    """Deterministic history file: per-epoch rows plus the stopping reason.
-
-    Wall time is intentionally omitted so fixed-seed runs are byte-identical.
-    """
-    lines = ["epoch\ttrain_loss\tval_loss\tlr"]
-    for e in history.epochs:
-        val = repr(e.val_loss) if e.val_loss is not None else "-"
-        lines.append(f"{e.epoch}\t{e.train_loss!r}\t{val}\t{e.lr!r}")
-    lines.append(f"stopping\t{history.stopping_reason}")
-    atomic_write(path, [("\n".join(lines) + "\n").encode()])
+    """Per-epoch rows and the stopping reason (``table_text``); no wall time,
+    so fixed-seed runs are byte-identical."""
+    rows = [("epoch", "train_loss", "val_loss", "lr")]
+    rows += [(e.epoch, e.train_loss, e.val_loss, e.lr) for e in history.epochs]
+    rows.append(("stopping", history.stopping_reason))
+    atomic_write(path, [table_text(rows).encode()])
 
 
 # --- checkpoint persistence ---------------------------------------------------

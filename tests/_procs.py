@@ -1,8 +1,9 @@
 """Process probes through Linux /proc: a process's children, whether it
-ignores SIGINT, and whether it has ended."""
+ignores SIGINT, its CPU time, and whether it has ended."""
 
 from __future__ import annotations
 
+import os
 import signal
 from pathlib import Path
 
@@ -32,3 +33,14 @@ def running(pid: int) -> bool:
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def cpu_seconds(pid: int) -> float:
+    """User plus system CPU seconds ``pid`` has run; 0.0 for a process that
+    has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return 0.0
+    utime, stime = stat.rsplit(")", 1)[1].split()[11:13]
+    return (int(utime) + int(stime)) / os.sysconf("SC_CLK_TCK")

@@ -21,10 +21,11 @@ from cadts.cli import main, make_train_config
 from cadts.data import load_labels, load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError, DataError
 from cadts.evaluate import SCORE_CHUNK, EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
-from cadts.model import build_model, expert_embeddings
-from cadts.train import load_checkpoint, save_checkpoint, train_model
+from cadts.model import ModelConfig, build_model, expert_embeddings
+from cadts.train import (EpochStats, TrainHistory, load_checkpoint, save_checkpoint, train_model,
+                         write_history)
 
-from _procs import children, ignores_sigint, running
+from _procs import children, cpu_seconds, ignores_sigint, running
 from _synth import make_sines
 
 FAST = [
@@ -106,6 +107,30 @@ def test_eval_huge_k_equals_pa(tmp_path, capsys, threshold):
     pa = rows[1][4:]
     assert float(pa[2]) == 1.0
     assert rows[2][4:] == pa and rows[3][4:] == pa
+
+
+@pytest.mark.parametrize("entity", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+def test_eval_entity_that_breaks_its_table_exits_2(tmp_path, capsys, entity):
+    # such a metrics file used to be written, and report then refused it
+    scores = tmp_path / "s.txt"
+    labels = tmp_path / "l.txt"
+    out = tmp_path / "m.tsv"
+    scores.write_text("0.1\n0.9\n0.2\n")
+    labels.write_text("0\n1\n0\n")
+    rc, err = run_eval(scores, labels, capsys, "--entity", entity, "--mode", "pa", "--output", str(out))
+    assert rc == 2 and err == f"error: table cell {entity!r} holds a tab or a line break\n"
+    assert sorted(tmp_path.iterdir()) == [labels, scores]
+
+
+def test_eval_entity_directory_that_breaks_its_table_exits_2(tmp_path, capsys):
+    data_root, run_dir = tmp_path / "data", tmp_path / "runs"
+    for path, text in ((data_root / "a\tb" / "test_label.csv", "0\n1\n0\n"),
+                       (run_dir / "a\tb" / "scores.txt", "0.1\n0.9\n0.2\n")):
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+    rc, err = run_main(["eval", "--run-dir", str(run_dir), "--data-root", str(data_root)], capsys)
+    assert rc == 2 and err == "error: table cell 'a\\tb' holds a tab or a line break\n"
+    assert list((run_dir / "a\tb").iterdir()) == [run_dir / "a\tb" / "scores.txt"]
 
 
 def test_eval_nan_threshold_is_usage_error(tmp_path, capsys):
@@ -234,6 +259,25 @@ def test_report_rejects_a_metrics_file_eval_never_writes(tmp_path, capsys, row, 
     rc, err = run_main(["report", "--metrics", str(metrics), "--output", str(tmp_path / "r.tsv")], capsys)
     assert rc == 2 and err.startswith(f"error: {metrics}: {reason}") and err.count("\n") == 1
     assert not (tmp_path / "r.tsv").exists()
+
+
+def test_history_and_report_tables_are_pinned_bytes(tmp_path, capsys):
+    # val_fraction=0 leaves every epoch without a validation loss
+    history = TrainHistory([EpochStats(1, 0.1 + 0.2, None, 1e-3, 9.0), EpochStats(2, 0.25, None, 5e-4, 9.0)])
+    write_history(history, tmp_path / "history.tsv")
+    assert (tmp_path / "history.tsv").read_bytes() == (
+        b"epoch\ttrain_loss\tval_loss\tlr\n1\t0.30000000000000004\t-\t0.001\n2\t0.25\t-\t0.0005\n"
+        b"stopping\tmax_epochs\n"
+    )
+    metrics = tmp_path / "m.tsv"
+    write_metrics(metrics, [EvalRow("e1", "pa", None, 0.5, 1.0, 0.5, 2 / 3),
+                            EvalRow("e2", "pa", None, 0.25, 0.5, 0.5, 0.5),
+                            EvalRow("e1", "kpa", 10, 0.5, 1.0, 0.5, 2 / 3)])
+    assert main(["report", "--metrics", str(metrics), "--output", str(tmp_path / "r.tsv")]) == 0
+    expected = ("mode\tk\tentities\tF1\tP\tR\tF1*\npa\t-\t2\t0.5833333333333333\t0.75\t0.5\t0.6\n"
+                "kpa\t10\t1\t0.6666666666666666\t1.0\t0.5\t0.6666666666666666\n")
+    assert capsys.readouterr().out == expected
+    assert (tmp_path / "r.tsv").read_bytes() == expected.encode()
 
 
 def test_report_accepts_an_infinite_threshold(tmp_path, capsys):
@@ -467,24 +511,43 @@ def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
         assert captured.out.startswith("trained e1:")
 
 
-def jobs_cli(tmp_path):
-    """A ``cadts train --jobs 2`` subprocess, in a session of its own, that
-    trains three entities for long enough to be stopped; the CLI and its
-    two worker pids, once both have started."""
-    data = tmp_path / "data"
+# the input a --jobs worker of each command reads per entity
+JOBS_INPUT = {"train": "train.csv", "score": "test.csv"}
+
+
+def jobs_cli(tmp_path, command):
+    """A ``cadts train`` or ``cadts score`` subprocess with ``--jobs 2``, in
+    a session of its own, on three entities that each take long enough to be
+    stopped; the CLI and its two worker pids, once both have started (for
+    ``score``, once both are scoring: a wide untrained checkpoint over a
+    30,000-row test series per entity, about 2 s each on a 2-core Xeon)."""
+    data, out = tmp_path / "data", tmp_path / "out"
     for i in range(3):
-        write_entity(data, f"e{i}", seed=20 + i)
-    argv = [sys.executable, "-m", "cadts.cli", "train", "--data-root", str(data),
-            "--out", str(tmp_path / "out"), "--jobs", "2"] + FAST
-    argv += ["--set", "max_epochs=40", "--set", "early_stop_patience=none"]
+        write_entity(data, f"e{i}", t_test=30_000 if command == "score" else 160, seed=20 + i)
+    if command == "train":
+        argv = ["train", "--data-root", str(data), "--out", str(out), "--jobs", "2"] + FAST
+        argv += ["--set", "max_epochs=40", "--set", "early_stop_patience=none"]
+    else:
+        config = ModelConfig(l=128, experts=16, embed_dim=256, tower_hidden=128)
+        (out / "e0").mkdir(parents=True)
+        save_checkpoint(build_model(config, n_metrics=3, rng_seed=0), None, out / "e0" / cli.CHECKPOINT_NAME)
+        for entity in ("e1", "e2"):
+            (out / entity).mkdir()
+            os.link(out / "e0" / cli.CHECKPOINT_NAME, out / entity / cli.CHECKPOINT_NAME)
+        argv = ["score", "--data-root", str(data), "--run-dir", str(out), "--jobs", "2"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-                            start_new_session=True)
+    proc = subprocess.Popen([sys.executable, "-m", "cadts.cli", *argv], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, env=env, start_new_session=True)
     workers = set()
     deadline = time.monotonic() + 30
     while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
         time.sleep(0.05)
         workers = children(proc.pid)
+    # past loading its checkpoint and series, a worker's CPU time is scoring
+    busy = command == "train"
+    while not busy and time.monotonic() < deadline:
+        time.sleep(0.05)
+        busy = min(map(cpu_seconds, workers), default=1) >= 0.5
     return proc, workers
 
 
@@ -510,25 +573,32 @@ def stop_jobs_cli(proc, workers, stop) -> tuple[int, str]:
 needs_proc = pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
 
 
+jobs_commands = pytest.mark.parametrize("command", sorted(JOBS_INPUT))
+
+
 @needs_proc
-def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path):
-    proc, workers = jobs_cli(tmp_path)
+@jobs_commands
+def test_jobs_workers_die_with_a_cli_stopped_by_sigterm(tmp_path, command):
+    proc, workers = jobs_cli(tmp_path, command)
     rc, _ = stop_jobs_cli(proc, workers, lambda proc, _: proc.send_signal(signal.SIGTERM))
     assert rc == -signal.SIGTERM
 
 
 @needs_proc
-def test_jobs_killed_worker_exits_2_naming_an_entity(tmp_path):
-    proc, workers = jobs_cli(tmp_path)
+@jobs_commands
+def test_jobs_killed_worker_exits_2_naming_an_entity(tmp_path, command):
+    proc, workers = jobs_cli(tmp_path, command)
     rc, err = stop_jobs_cli(proc, workers, lambda _, workers: os.kill(min(workers), signal.SIGKILL))
     assert rc == 2 and err in {
-        f"error: {tmp_path / 'data' / entity / 'train.csv'}: a --jobs worker died before this entity finished\n"
+        f"error: {tmp_path / 'data' / entity / JOBS_INPUT[command]}:"
+        " a --jobs worker died before this entity finished\n"
         for entity in ("e0", "e1", "e2")
     }
 
 
 @needs_proc
-def test_jobs_ctrl_c_exits_130_with_one_line(tmp_path):
+@jobs_commands
+def test_jobs_ctrl_c_exits_130_with_one_line(tmp_path, command):
     def ctrl_c(proc, workers):
         # once the workers have set up (they ignore SIGINT from then on),
         # signal the whole process group, as a terminal's Ctrl-C does
@@ -537,7 +607,7 @@ def test_jobs_ctrl_c_exits_130_with_one_line(tmp_path):
             time.sleep(0.05)
         os.killpg(proc.pid, signal.SIGINT)
 
-    rc, err = stop_jobs_cli(*jobs_cli(tmp_path), ctrl_c)
+    rc, err = stop_jobs_cli(*jobs_cli(tmp_path, command), ctrl_c)
     assert rc == 130 and err == "error: interrupted\n"
 
 

@@ -663,3 +663,19 @@ def test_atomic_write_replaces_the_file(tmp_path):
     data.atomic_write(p, [b"new", b"\n"])
     assert p.read_bytes() == b"new\n"
     assert list(tmp_path.iterdir()) == [p]
+
+
+# --- table_text -----------------------------------------------------------------
+
+
+def test_table_text_writes_each_cell_by_its_one_rule():
+    rows = [("entity", "k", "F1"), ("e1", None, 0.1 + 0.2), ("e 2", 10, float("-inf"))]
+    assert data.table_text(rows) == "entity\tk\tF1\ne1\t-\t0.30000000000000004\ne 2\t10\t-inf\n"
+    assert data.table_text([]) == ""
+
+
+@pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb", "\r\n"], ids=["tab", "lf", "cr", "crlf"])
+def test_table_text_refuses_a_cell_that_breaks_its_table(text):
+    with pytest.raises(DataError) as err:
+        data.table_text([("e1", 0.5), (text, 0.5)])
+    assert str(err.value) == f"table cell {text!r} holds a tab or a line break"

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cadts.data import SeriesMatrix, fit_minmax, make_windows
 from cadts.errors import DataError
@@ -419,12 +419,23 @@ def test_scores_file_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(back, scores)
 
 
-def test_metrics_file_roundtrip(tmp_path):
-    rows = [
-        EvalRow("m1", "raw", None, 0.5, 1.0, 0.5, 2 / 3),
-        EvalRow("m1", "kpa", 10, 0.25, 0.75, 1.0, 6 / 7),
-    ]
-    path = tmp_path / "metrics.tsv"
+# a row eval can write: printable entity text without tab, CR or LF; raw or
+# pa with no k, or kpa with a k >= 0; any real threshold; P, R, F1 in [0, 1]
+_unit = st.floats(0.0, 1.0)
+_metric_rows = st.builds(
+    lambda entity, mode_k, *numbers: EvalRow(entity, *mode_k, *numbers),
+    st.text(st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"),
+                          include_characters=" ")),
+    st.tuples(st.sampled_from(("raw", "pa")), st.none()) | st.tuples(st.just("kpa"), st.integers(min_value=0)),
+    st.floats(allow_nan=False), _unit, _unit, _unit,
+)
+
+
+@given(rows=st.lists(_metric_rows, min_size=1, max_size=5))
+@example(rows=[EvalRow("m1", "raw", None, 0.5, 1.0, 0.5, 2 / 3), EvalRow("m1", "kpa", 10, 0.25, 0.75, 1.0, 6 / 7)])
+@settings(max_examples=200, deadline=None)
+def test_metrics_file_roundtrip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.tsv"
     write_metrics(path, rows)
     assert read_metrics(path) == rows
 
