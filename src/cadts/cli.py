@@ -37,9 +37,6 @@ from .evaluate import (
     eval_windows,
     best_f1,
     format_metrics,
-    kth_point_adjust,
-    point_adjust,
-    prf,
     read_metrics,
     read_scores,
     score_series,
@@ -119,10 +116,13 @@ def _default_out_root() -> str:
     return os.environ.get(OUT_ROOT_ENV, "runs")
 
 
+def _require_dir(path: Path) -> None:
+    if not path.is_dir():
+        raise DataError(f"{path}: {'is not a directory' if path.exists() else 'not found'}")
+
+
 def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
-    if not data_root.is_dir():
-        reason = "is not a directory" if data_root.exists() else "not found"
-        raise DataError(f"{data_root}: {reason}")
+    _require_dir(data_root)
     if spec != "all":
         entities = [e.strip() for e in spec.split(",") if e.strip()]
         if not entities:
@@ -271,26 +271,6 @@ def _parse_modes(mode: str, ks: str) -> list[tuple[str, int | None]]:
     raise ConfigError(f"unknown mode {mode!r} (raw, pa, kpa or all)")
 
 
-def _adjust(labels, preds, mode: str, k: int | None):
-    if mode == "pa":
-        return point_adjust(labels, preds)
-    if mode == "kpa":
-        return kth_point_adjust(labels, preds, k)
-    return preds
-
-
-def _eval_rows(entity, scores, labels, modes, threshold) -> list[EvalRow]:
-    rows = []
-    for mode, k in modes:
-        if threshold is None:
-            rows.append(EvalRow(entity, mode, k, *best_f1(scores, labels, mode=mode, k=k)))
-        else:
-            preds = (np.asarray(scores) >= threshold).astype(int)
-            p, r, f1 = prf(labels, _adjust(labels, preds, mode, k))
-            rows.append(EvalRow(entity, mode, k, threshold, p, r, f1))
-    return rows
-
-
 def cmd_eval(args) -> int:
     modes = _parse_modes(args.mode, args.k)
     if args.threshold is not None and np.isnan(args.threshold):
@@ -310,18 +290,18 @@ def cmd_eval(args) -> int:
              run_dir / entity / METRICS_NAME)
             for entity in _resolve_entities(data_root, args.entities, "test_label.csv")
         ]
-    all_rows = []
-    for entity, scores_path, labels_path, metrics_path in runs:
+    for i, (entity, scores_path, labels_path, metrics_path) in enumerate(runs):
         scores = read_scores(scores_path)
         labels = load_labels(labels_path, expected_length=len(scores))
         try:
-            rows = _eval_rows(entity, scores, labels, modes, args.threshold)
+            rows = [EvalRow(entity, mode, k, *best_f1(scores, labels, mode, k, threshold=args.threshold))
+                    for mode, k in modes]
         except ValueError as exc:
             raise DataError(f"{entity}: {exc}") from None
         if metrics_path is not None:
             write_metrics(metrics_path, rows)
-        all_rows.extend(rows)
-    print(format_metrics(all_rows), end="")
+        # per entity, so a later entity's error leaves these rows shown; the header once
+        print(format_metrics(rows) if i == 0 else table_text(rows), end="", flush=True)
     return 0
 
 
@@ -331,7 +311,12 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     paths: list[Path] = [Path(p) for p in args.metrics or []]
     if args.run_dir is not None:
-        paths.extend(sorted(Path(args.run_dir).glob(f"*/{METRICS_NAME}")))
+        run_dir = Path(args.run_dir)
+        _require_dir(run_dir)
+        found = sorted(run_dir.glob(f"*/{METRICS_NAME}"))
+        if not found:
+            raise DataError(f"{run_dir}: no */{METRICS_NAME}")
+        paths.extend(found)
     if not paths:
         raise ConfigError("report needs --metrics files or --run-dir")
     rows = [row for path in paths for row in read_metrics(path)]

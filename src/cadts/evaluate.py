@@ -191,12 +191,14 @@ def prf(labels, preds) -> tuple[float, float, float]:
 # --- threshold sweep ----------------------------------------------------------
 
 
-def best_f1(scores, labels, mode: str = "pa", k: int | None = None) -> BestF1:
+def best_f1(scores, labels, mode: str = "pa", k: int | None = None, threshold: float | None = None) -> BestF1:
     """Best (threshold, P, R, F1) over all candidate thresholds.
 
     Candidates are the distinct score values plus +inf (the all-negative
-    prediction); the rule is ``score >= threshold`` and ties on F1 go to
-    the smallest threshold.
+    prediction), or ``threshold`` alone when one is given; the rule is
+    ``score >= threshold`` and ties on F1 go to the smallest threshold.
+    Labels with no positive point leave the sweep undefined, but a given
+    threshold counts them as P = R = F1 = 0.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -208,8 +210,10 @@ def best_f1(scores, labels, mode: str = "pa", k: int | None = None) -> BestF1:
         raise ValueError(f"length mismatch: {len(scores)} scores vs {len(labels)} labels")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    if not labels.any():
+    if threshold is None and not labels.any():
         raise ValueError("labels contain no positive points; best F1 is undefined")
+    if threshold is not None and np.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
 
     if mode == "raw":  # every positive point is a segment of its own
         starts = np.flatnonzero(labels)
@@ -221,7 +225,7 @@ def best_f1(scores, labels, mode: str = "pa", k: int | None = None) -> BestF1:
     prefix = np.concatenate(([0], np.cumsum((ends - starts)[order])))
     total = prefix[-1]
     negatives = np.sort(scores[labels == 0])
-    candidates = np.concatenate((np.unique(scores), [np.inf]))
+    candidates = np.concatenate((np.unique(scores), [np.inf])) if threshold is None else np.array([threshold], float)
     # TP(theta) = total length of segments whose detection stat >= theta
     tp = total - prefix[np.searchsorted(stats[order], candidates, side="left")]
     fp = len(negatives) - np.searchsorted(negatives, candidates, side="left")

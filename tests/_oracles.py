@@ -83,21 +83,25 @@ def naive_prf(labels, preds):
     return precision, recall, f1
 
 
+def naive_prf_at(scores, labels, mode, k, theta):
+    """Recount the confusion from scratch at threshold ``theta``: its
+    (theta, P, R, F1)."""
+    preds = [1 if float(s) >= theta else 0 for s in scores]
+    if mode == "pa":
+        adjusted = naive_point_adjust(labels, preds)
+    elif mode == "kpa":
+        adjusted = naive_kth_point_adjust(labels, preds, k)
+    else:
+        adjusted = preds
+    return (theta, *naive_prf(list(labels), adjusted))
+
+
 def naive_best_f1(scores, labels, mode, k=None):
-    """Recount the confusion from scratch at every candidate threshold."""
-    scores = [float(s) for s in scores]
-    labels = list(labels)
-    candidates = sorted(set(scores)) + [math.inf]
+    """``naive_prf_at`` at every candidate threshold."""
+    candidates = sorted(set(float(s) for s in scores)) + [math.inf]
     best = (math.inf, 0.0, 0.0, -1.0)
     for theta in candidates:
-        preds = [1 if s >= theta else 0 for s in scores]
-        if mode == "pa":
-            adjusted = naive_point_adjust(labels, preds)
-        elif mode == "kpa":
-            adjusted = naive_kth_point_adjust(labels, preds, k)
-        else:
-            adjusted = preds
-        precision, recall, f1 = naive_prf(labels, adjusted)
-        if f1 > best[3]:
-            best = (theta, precision, recall, f1)
+        row = naive_prf_at(scores, labels, mode, k, theta)
+        if row[3] > best[3]:
+            best = row
     return best

@@ -8,12 +8,17 @@ fixed-seed entities (``make_conflict_dataset``, test series of several
 score chunks). For each of the 7 variants in float32 and float64 it runs
 ``train``, ``score``, ``eval``, ``report`` and ``export-embeddings`` into
 ``OUT_DIR/<variant>-<dtype>/``: per entity the checkpoint, ``history.tsv``,
-scores, metrics and embeddings, plus the report. The generated inputs go to
-``OUT_DIR/data``. A change keeps every output when
+scores, metrics, the single-file ``eval --threshold`` metrics at each of
+``THRESHOLDS`` (``metrics_fixed_<threshold>.tsv``) and embeddings, plus the
+report. The generated inputs go to ``OUT_DIR/data``. To compare two
+checkouts, run each one's copy of this script (or this script copied into
+the other checkout, as it puts its own checkout's ``src/`` first); a change
+keeps every output when
 
     diff -r OUT_PARENT OUT_CHANGE
 
-prints nothing. Not collected by pytest; it takes a few seconds.
+prints nothing. Two runs of one checkout into two directories must agree
+the same way. Not collected by pytest; it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from _synth import make_conflict_dataset  # noqa: E402
 
 # (train rows, test rows, seed): 402 and 542 test windows at l + h = 19
 ENTITIES = {"e1": (400, 420, 1), "e2": (300, 560, 2)}
+# a threshold inside every variant's score range, and the all-negative one
+THRESHOLDS = ("0.4", "inf")
 CONFIG = ["experts=3", "kernels=4", "embed_dim=16", "tower_hidden=8", "batch=32", "max_epochs=2", "seed=7"]
 
 
@@ -65,6 +72,10 @@ def sweep(out: Path) -> None:
             cadts("eval", "--run-dir", str(run), "--data-root", str(data))
             cadts("report", "--run-dir", str(run), "--output", str(run / "report.tsv"))
             for entity in ENTITIES:
+                for threshold in THRESHOLDS:
+                    cadts("eval", "--scores", str(run / entity / "scores.txt"),
+                          "--labels", str(data / entity / "test_label.csv"), "--threshold", threshold,
+                          "--output", str(run / entity / f"metrics_fixed_{threshold}.tsv"))
                 cadts("export-embeddings", "--checkpoint", str(run / entity / CHECKPOINT_NAME),
                       "--input", str(data / entity / "test.csv"), "--output", str(run / entity / "embeddings.tsv"))
 

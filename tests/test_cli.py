@@ -133,6 +133,20 @@ def test_eval_entity_directory_that_breaks_its_table_exits_2(tmp_path, capsys):
     assert list((run_dir / "a\tb").iterdir()) == [run_dir / "a\tb" / "scores.txt"]
 
 
+def test_eval_prints_each_entity_before_a_later_one_fails(tmp_path, capsys):
+    data_root, run_dir = tmp_path / "data", tmp_path / "runs"
+    for entity in ("a", "b\tc"):
+        for path, text in ((data_root / entity / "test_label.csv", "0\n1\n0\n"),
+                           (run_dir / entity / "scores.txt", "0.1\n0.9\n0.2\n")):
+            path.parent.mkdir(parents=True)
+            path.write_text(text)
+    rc = main(["eval", "--run-dir", str(run_dir), "--data-root", str(data_root), "--mode", "pa"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == "error: table cell 'b\\tc' holds a tab or a line break\n"
+    assert captured.out == (run_dir / "a" / "metrics.tsv").read_text() == (
+        "entity\tmode\tk\tthreshold\tP\tR\tF1\na\tpa\t-\t0.9\t1.0\t1.0\t1.0\n")
+
+
 def test_eval_nan_threshold_is_usage_error(tmp_path, capsys):
     scores = tmp_path / "s.txt"
     labels = tmp_path / "l.txt"
@@ -181,14 +195,21 @@ def test_eval_repeated_k_counts_once(tmp_path, capsys, mode, ks, expected):
     assert all(cells[2] == "1" for cells in report)
 
 
-def test_eval_all_negative_labels_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("threshold", [None, "0.15"], ids=["sweep", "fixed"])
+def test_eval_all_negative_labels_is_data_error(tmp_path, capsys, threshold):
+    # the sweep has no best F1 to find; one fixed threshold counts P = R = F1 = 0
     scores = tmp_path / "s.txt"
     labels = tmp_path / "l.txt"
     scores.write_text("0.1\n0.2\n")
     labels.write_text("0\n0\n")
-    rc = main(["eval", "--scores", str(scores), "--labels", str(labels)])
-    assert rc == 2
-    assert "positive" in capsys.readouterr().err
+    argv = ["eval", "--scores", str(scores), "--labels", str(labels), "--entity", "toy", "--k", "3"]
+    if threshold is None:
+        assert main(argv) == 2
+        assert "positive" in capsys.readouterr().err
+    else:
+        assert main(argv + ["--threshold", threshold]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"toy\t{mode}\t{k}\t0.15\t0.0\t0.0\t0.0" for mode, k in (("raw", "-"), ("pa", "-"), ("kpa", "3"))]
 
 
 def test_eval_stdout_is_the_metrics_file(tmp_path, capsys):
@@ -278,6 +299,18 @@ def test_history_and_report_tables_are_pinned_bytes(tmp_path, capsys):
                 "kpa\t10\t1\t0.6666666666666666\t1.0\t0.5\t0.6666666666666666\n")
     assert capsys.readouterr().out == expected
     assert (tmp_path / "r.tsv").read_bytes() == expected.encode()
+
+
+def test_report_run_dir_that_is_missing_a_file_or_empty_exits_2_naming_it(tmp_path, capsys):
+    run_dir = tmp_path / "runs"
+    argv = ["report", "--run-dir", str(run_dir)]
+    assert run_main(argv, capsys) == (2, f"error: {run_dir}: not found\n")
+    run_dir.write_text("")
+    assert run_main(argv, capsys) == (2, f"error: {run_dir}: is not a directory\n")
+    run_dir.unlink()
+    (run_dir / "e1").mkdir(parents=True)
+    assert run_main(argv, capsys) == (2, f"error: {run_dir}: no */metrics.tsv\n")
+    assert run_main(["report"], capsys) == (1, "error: report needs --metrics files or --run-dir\n")
 
 
 def test_report_accepts_an_infinite_threshold(tmp_path, capsys):

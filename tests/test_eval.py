@@ -28,7 +28,7 @@ from cadts.evaluate import (
 )
 from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
 
-from _oracles import naive_best_f1, naive_kth_point_adjust, naive_point_adjust
+from _oracles import naive_best_f1, naive_kth_point_adjust, naive_point_adjust, naive_prf_at
 from _parity import SCORE_WINDOWS, parity_values
 from _synth import chunks_of, make_sines
 
@@ -193,13 +193,21 @@ def scored_labels(draw, max_n=60):
 
 
 @settings(max_examples=200)
-@given(scored_labels(), st.integers(0, 60) | st.sampled_from([2**63 - 2, 2**63, 10**30]))
-def test_best_f1_equals_brute_force_property(case, k):
+@given(scored_labels(), st.integers(0, 60) | st.sampled_from([2**63 - 2, 2**63, 10**30]), st.data())
+def test_best_f1_equals_brute_force_property(case, k, data):
     scores, labels = case
+    # a fixed threshold: a score, +-inf or a value between two levels; it
+    # also counts labels with no positive point
+    levels = np.unique(scores)
+    between = ((levels[1:] + levels[:-1]) / 2).tolist()
+    theta = data.draw(st.sampled_from([*scores.tolist(), -np.inf, np.inf, *between]))
+    fixed_labels = np.zeros_like(labels) if data.draw(st.booleans()) else labels
     for mode in MODES:
         got = best_f1(scores, labels, mode=mode, k=k)
         assert tuple(got) == naive_best_f1(scores, labels, mode, k=k)
-        assert all(type(v) is float for v in got)
+        fixed = best_f1(scores, fixed_labels, mode=mode, k=k, threshold=theta)
+        assert tuple(fixed) == naive_prf_at(scores, fixed_labels, mode, k, theta)
+        assert all(type(v) is float for v in (*got, *fixed))
 
 
 @settings(max_examples=100)
@@ -227,6 +235,12 @@ def test_best_f1_shift_invariance():
 def test_best_f1_requires_positives():
     with pytest.raises(ValueError, match="positive"):
         best_f1([0.1, 0.2], [0, 0], mode="pa")
+
+
+def test_best_f1_rejects_a_nan_threshold():
+    for labels in ([0, 1], [0, 0]):
+        with pytest.raises(ValueError, match="nan"):
+            best_f1([0.1, 0.2], labels, mode="pa", threshold=float("nan"))
 
 
 def test_best_f1_rejects_bad_mode_or_k():
