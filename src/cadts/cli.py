@@ -121,6 +121,14 @@ def _require_dir(path: Path) -> None:
         raise DataError(f"{path}: {'is not a directory' if path.exists() else 'not found'}")
 
 
+def _refuse_flags(args, form: str, flags: tuple[str, ...]) -> None:
+    """Exit 1 naming the first of ``flags`` given to a form that reads none
+    of them, rather than run without it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"{form} takes no {flag}")
+
+
 def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
     _require_dir(data_root)
     if spec != "all":
@@ -229,12 +237,14 @@ def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
 
 def cmd_score(args) -> int:
     if args.checkpoint is not None:
+        _refuse_flags(args, "score with --checkpoint", ("--data-root",))
         if args.input is None or args.output is None:
             raise ConfigError("score with --checkpoint needs --input and --output")
         tasks = [(args.checkpoint, args.input, args.output)]
     elif args.data_root is None:
         raise ConfigError("score needs either --checkpoint or --run-dir and --data-root")
     else:
+        _refuse_flags(args, "score with --data-root", ("--input", "--output"))
         run_dir = Path(args.run_dir)
         data_root = Path(args.data_root)
         tasks = []
@@ -276,6 +286,7 @@ def cmd_eval(args) -> int:
     if args.threshold is not None and np.isnan(args.threshold):
         raise ConfigError("--threshold must be a number, got nan")
     if args.scores is not None:
+        _refuse_flags(args, "eval with --scores", ("--data-root",))
         if args.labels is None:
             raise ConfigError("eval with --scores needs --labels")
         entity = args.entity or Path(args.scores).parent.name or "entity"
@@ -283,6 +294,7 @@ def cmd_eval(args) -> int:
     elif args.data_root is None:
         raise ConfigError("eval needs either --scores or --run-dir and --data-root")
     else:
+        _refuse_flags(args, "eval with --data-root", ("--labels", "--entity", "--output"))
         run_dir = Path(args.run_dir)
         data_root = Path(args.data_root)
         runs = [

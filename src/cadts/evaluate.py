@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cores
 from .data import (Scaler, SeriesMatrix, _read_csv, apply_minmax, atomic_write, make_windows, read_lines,
                    table_text)
 from .errors import DataError, NumericError
@@ -103,8 +104,9 @@ def score_series(model: CadModel, test: SeriesMatrix, scaler: Scaler | None = No
     """Eval-mode prediction error at every predictable timestamp, computed
     ``SCORE_CHUNK`` windows at a time (``eval_windows``); a non-finite one
     raises NumericError naming the first such timestamp. Memory grows with
-    the series by the scores and errors alone, 16 B per timestamp."""
-    genuine = window_errors(model, *eval_windows(model, test, scaler), SCORE_CHUNK)
+    the series by the scores and errors alone, 16 B per timestamp. The
+    chunks run on ``cores.eval_threads()`` threads."""
+    genuine = window_errors(model, *eval_windows(model, test, scaler), SCORE_CHUNK, cores.eval_threads())
     valid_from = model.config.l + model.config.h - 1
     bad = np.flatnonzero(~np.isfinite(genuine))
     if bad.size:

@@ -39,7 +39,6 @@ from typing import get_args
 
 import numpy as np
 
-from . import cores
 from .errors import ConfigError
 from .numcore.tensor import Tensor, add, conv_rows, dense, dropout, mul, reshape, softmax, tmean, transpose
 
@@ -220,7 +219,7 @@ class CadModel:
 ChunkSource = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
-def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -> np.ndarray:
+def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int, threads: int) -> np.ndarray:
     """Eval-mode mean squared prediction error of each of ``count`` windows,
     float64 (count,).
 
@@ -228,13 +227,15 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -
     targets (B, K); it is called for ``batch`` windows at a time, by the
     thread that forwards them, so memory holds only the chunks in flight. A
     chunk's errors depend only on the model and its windows, so the chunks
-    run on ``cores.eval_threads()`` threads: the caller's and helpers that
-    each take the next chunk start and write their own slice. That call sets
-    the process policy first, so each BLAS call runs one thread (unless the
+    run on up to ``threads`` threads: the caller's and helpers that each
+    take the next chunk start and write their own slice. The caller chooses
+    the count: scoring passes ``cores.eval_threads()``, which sets the
+    process policy first, so each BLAS call runs one thread (unless the
     environment pins it) and no thread changes the setting while chunks
-    run. The helpers are joined before return, and the first error of any
-    thread is raised here. Each thread ignores numpy's floating-point errors:
-    an overflow shows as a non-finite error, for the caller to check."""
+    run; training's validation passes 1 and forwards on its own thread. The
+    helpers are joined before return, and the first error of any thread is
+    raised here. Each thread ignores numpy's floating-point errors: an
+    overflow shows as a non-finite error, for the caller to check."""
     errors = np.empty(count, dtype=np.float64)
     starts = iter(range(0, count, batch))
     take = threading.Lock()
@@ -255,7 +256,7 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int) -
         except BaseException as exc:
             failures.append(exc)
 
-    threads = min(cores.eval_threads(), -(-count // batch))
+    threads = min(threads, -(-count // batch))
     helpers = [threading.Thread(target=forward_chunks) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()

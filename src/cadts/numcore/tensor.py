@@ -5,8 +5,11 @@ primitive is a forward expression plus one gradient function per operand,
 and records through ``_op``: while a ``Tape`` is active on the current
 thread, ``_op`` records the operands the tape tracks (watched tensors and
 anything derived from one) with their gradient functions. ``Tape.grad``
-replays those records in reverse to accumulate adjoints. The tape is
-rebuilt on every forward pass and consumed by a single ``grad`` call.
+replays those records in reverse to accumulate adjoints, popping each
+record as it runs that record's backward, so a record's output, its
+gradient functions and the activations they hold are freed once no earlier
+record needs them. The tape is rebuilt on every forward pass and consumed
+by a single ``grad`` call, even one that raises.
 
 Only first-order derivatives are supported. Backward computes gradients
 only for tracked operands, so constants (data windows, targets, dropout
@@ -115,7 +118,8 @@ class Tape:
 
         The loss must be scalar and every param must have been watched.
         Watched params the loss does not depend on get zero gradients.
-        The tape is cleared afterward and cannot be reused.
+        Each record is dropped as its backward runs; the tape is consumed
+        from the first one on and cannot be reused, even after an error.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by grad(); build a new tape")
@@ -127,9 +131,14 @@ class Tape:
                     f"parameter {p.name or '<unnamed>'} was not watched on this tape"
                 )
 
+        # before the first record goes: a backward that raises leaves a
+        # partial record list that no second call may replay
+        self._consumed = True
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for out, parents, bwd in reversed(self._records):
+        while self._records:
+            out, parents, bwd = self._records.pop()
             g = adjoints.pop(id(out), None)
+            del out
             if g is None:
                 continue
             for parent, pg in zip(parents, bwd(g)):
@@ -144,9 +153,7 @@ class Tape:
         for p in params:
             pg = adjoints.get(id(p))
             grads.append(Tensor(pg if pg is not None else np.zeros_like(p.data)))
-        self._records.clear()
         self._tracked.clear()
-        self._consumed = True
         return grads
 
 

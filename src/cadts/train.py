@@ -142,12 +142,14 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch + 1}"
                 )
-            grads = tape.grad(loss, params)
-            adam_step(state, params, grads, lr)
+            # unnamed, so the gradients are freed before the next forward
+            adam_step(state, params, tape.grad(loss, params), lr)
             step += 1
             loss_sum += loss_value * len(idx)
 
-        val_loss = float(window_errors(model, val_chunk, n_val, cfg.batch).mean()) if n_val else None
+        # on this thread alone: a helper thread would get a malloc arena of
+        # its own instead of the heap the train steps just freed
+        val_loss = float(window_errors(model, val_chunk, n_val, cfg.batch, threads=1).mean()) if n_val else None
         if val_loss is not None and not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.epochs.append(

@@ -756,6 +756,39 @@ def test_score_run_dir_without_a_checkpoint_exits_2_naming_it(tmp_path, capsys):
     assert run_main(argv, capsys) == (2, f"error: {checkpoint}: is a directory\n")
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A data root with one entity ``e1`` and a run dir holding its trained
+    checkpoint and, once scored, its scores."""
+    root = tmp_path_factory.mktemp("trained")
+    data, run = root / "data", root / "run"
+    write_entity(data, "e1")
+    assert main(["train", "--data-root", str(data), "--out", str(run)] + FAST) == 0
+    assert main(["score", "--run-dir", str(run), "--data-root", str(data)]) == 0
+    return data, run
+
+
+@pytest.mark.parametrize("command, form, flag", [
+    ("score", "--data-root", "--input"), ("score", "--data-root", "--output"),
+    ("score", "--checkpoint", "--data-root"),
+    ("eval", "--data-root", "--labels"), ("eval", "--data-root", "--entity"),
+    ("eval", "--data-root", "--output"), ("eval", "--scores", "--data-root"),
+])
+def test_flag_of_the_other_form_exits_1_naming_it(trained_run, tmp_path, capsys, command, form, flag):
+    """``score`` and ``eval`` each read either one file set or a run dir; a
+    flag that only the other form reads is refused, not ignored."""
+    data, run = trained_run
+    before = sorted(run.rglob("*"))
+    given = {"--data-root": data, "--run-dir": run, "--checkpoint": run / "e1" / "checkpoint.cadckpt",
+             "--input": data / "e1" / "test.csv", "--scores": run / "e1" / "scores.txt",
+             "--labels": data / "e1" / "test_label.csv", "--entity": "e1", "--output": tmp_path / "out.txt"}
+    single = {"score": ("--checkpoint", "--input", "--output"), "eval": ("--scores", "--labels")}[command]
+    names = (single if form != "--data-root" else ("--run-dir", "--data-root")) + (flag,)
+    argv = [command] + [arg for name in names for arg in (name, str(given[name]))]
+    assert run_main(argv, capsys) == (1, f"error: {command} with {form} takes no {flag}\n")
+    assert sorted(run.rglob("*")) == before and not (tmp_path / "out.txt").exists()
+
+
 def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):
     checkpoint, argv = score_argv(tmp_path)
     replace_header_value(checkpoint, "version", "1")

@@ -78,7 +78,7 @@ def test_window_errors_on_any_budget_bitwise_equal_to_the_serial_loop(variant, d
     windows = make_windows(series, cfg.l, cfg.h)
     want = serial_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
     with cores_and_blas(budget):
-        got = window_errors(model, *chunks_of(windows), SCORE_CHUNK)
+        got = window_errors(model, *chunks_of(windows), SCORE_CHUNK, cores.eval_threads())
     assert got.tobytes() == want.tobytes()
 
 
@@ -107,7 +107,7 @@ def test_many_threads_take_every_chunk_once_under_fast_switching(monkeypatch):
     try:
         with cores_and_blas(8):  # more threads than this host has cores
             run = threading.Thread(
-                target=lambda: got.append(window_errors(model, *chunks_of(windows), 1))
+                target=lambda: got.append(window_errors(model, *chunks_of(windows), 1, cores.eval_threads()))
             )
             run.start()
             run.join(timeout=120)
@@ -154,6 +154,23 @@ def test_score_series_leaves_no_thread_behind(thread_starts):
     assert len(thread_starts) == 2  # the caller plus two helpers
     assert not any(t.is_alive() for t in thread_starts)
     assert np.isfinite(scored.scores).all()
+
+
+def test_validation_runs_on_the_training_thread(thread_starts):
+    """Training's validation forwards its chunks on the caller's thread,
+    which reuses the heap the train steps freed; scoring keeps its helper."""
+    from cadts.train import TrainConfig, train_model
+
+    model, series = small_scoring_case()
+    cfg = TrainConfig(l=4, h=1, experts=2, kernels=2, embed_dim=8, tower_hidden=4, batch=16, max_epochs=1)
+    windows = make_windows(series, cfg.l, cfg.h)
+    assert int(len(windows) * cfg.val_fraction) > cfg.batch  # two validation chunks or more
+    with cores_and_blas(2):
+        _, history = train_model(model, windows, cfg)
+        assert history.epochs[0].val_loss is not None
+        assert thread_starts == []
+        score_series(model, series)
+    assert len(thread_starts) == 1
 
 
 def test_helper_error_is_raised_in_the_caller_and_the_blas_kept_at_one_thread(fake_blas, monkeypatch):

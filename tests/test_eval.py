@@ -342,7 +342,7 @@ def test_score_series_chunks_match_one_window_at_a_time(variant):
         series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
         out = score_series(model, series)
         windows = make_windows(series, cfg.l, cfg.h)
-        want = window_errors(model, *chunks_of(windows), batch=1)
+        want = window_errors(model, *chunks_of(windows), batch=1, threads=1)
         assert len(out) == len(series.values)
         assert out.valid_from == cfg.l + cfg.h - 1
         np.testing.assert_allclose(out.scores[out.valid_from :], want, rtol=1e-6)

@@ -1,6 +1,7 @@
 """Engine tests: tape gradients vs finite differences, Adam, cosine LR."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +81,57 @@ def test_tape_is_single_use():
     tape.grad(loss, [x])
     with pytest.raises(RuntimeError, match="consumed"):
         tape.grad(loss, [x])
+
+
+def test_backward_that_raises_leaves_the_tape_consumed():
+    x = Tensor(np.ones((2, 2)), name="x")
+
+    def failing(g):
+        raise ZeroDivisionError("backward failed")
+
+    with Tape() as tape:
+        tape.watch(x)
+        loss = tsum(_op(x.data * 2.0, (mul(x, x), failing)))
+    with pytest.raises(ZeroDivisionError, match="backward failed"):
+        tape.grad(loss, [x])
+    with pytest.raises(RuntimeError, match="consumed"):
+        tape.grad(loss, [x])
+
+
+def test_backward_frees_each_record_before_the_earlier_ones_run():
+    """A chain of ``dense`` ops: the late activations are freed by the time
+    the first record's backward runs, and the gradients still match finite
+    differences."""
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(5, 4)))
+    ws = [Tensor(rng.normal(size=shape), name=f"w{i}") for i, shape in enumerate([(4, 6), (6, 6), (6, 3)])]
+    freed = {}
+
+    def forward(watch_late=False):
+        h = x
+        for i, w in enumerate(ws):
+            h = dense(h, w, relu=i < len(ws) - 1)
+            if watch_late and i > 0:
+                freed[i] = False
+                weakref.finalize(h.data, freed.__setitem__, i, True)
+        return tmean(square(h))
+
+    with Tape() as tape:
+        tape.watch(*ws)
+        loss = forward(watch_late=True)
+    out, parents, bwd = tape._records[0]
+    seen = []
+
+    def first_backward(g):
+        seen.append(dict(freed))
+        return bwd(g)
+
+    tape._records[0] = (out, parents, first_backward)
+    del out, parents
+    analytic = tape.grad(loss, ws)
+    assert seen == [{1: True, 2: True}]
+    numeric = central_diff(lambda: forward().item(), ws)
+    assert max_rel_err(analytic, numeric) < TOLERANCE
 
 
 def test_nested_tapes_rejected():

@@ -1,6 +1,7 @@
 """Loss, training loop, early stopping and checkpoint persistence."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +130,35 @@ def test_fixed_seed_reproduces_history_exactly():
     assert a.stopping_reason == b.stopping_reason
     for ea, eb in zip(a.epochs, b.epochs):
         assert (ea.train_loss, ea.val_loss, ea.lr) == (eb.train_loss, eb.val_loss, eb.lr)
+
+
+def test_each_steps_gradients_die_with_their_adam_step(monkeypatch):
+    """No step's gradients outlive their ``adam_step``: by the next step's
+    forward, every gradient array of the steps before is freed."""
+    from cadts import train
+
+    series = make_sines(t=300, n_metrics=3, seed=8)
+    cfg = small_cfg(max_epochs=2, seed=5)
+    model = build_for(cfg, 3)
+    given, alive_at_forward = [], []
+    forward = type(model).forward_batch
+
+    def watched_adam(state, params, grads, lr):
+        given.extend(weakref.ref(g.data) for g in grads)
+        adam_step(state, params, grads, lr)
+
+    def watched_forward(self, windows, mode="eval", rng=None):
+        if mode == "train":
+            alive_at_forward.append(sum(ref() is not None for ref in given))
+        return forward(self, windows, mode, rng)
+
+    monkeypatch.setattr(train, "adam_step", watched_adam)
+    monkeypatch.setattr(type(model), "forward_batch", watched_forward)
+    windows = make_windows(series, cfg.l, cfg.h)
+    train_model(model, windows, cfg)
+    n_train = len(windows) - int(len(windows) * cfg.val_fraction)
+    assert alive_at_forward == [0] * (cfg.max_epochs * -(-n_train // cfg.batch))
+    assert len(given) == len(alive_at_forward) * len(model.parameters())
 
 
 def test_early_stop_after_patience_without_improvement():
