@@ -129,9 +129,11 @@ def _refuse_flags(args, form: str, flags: tuple[str, ...]) -> None:
             raise ConfigError(f"{form} takes no {flag}")
 
 
-def _resolve_entities(data_root: Path, spec: str, marker: str) -> list[str]:
+def _resolve_entities(data_root: Path, spec: str | None, marker: str) -> list[str]:
+    """The entities ``spec`` names (a comma list; 'all' or None for every
+    directory under ``data_root`` holding ``marker``)."""
     _require_dir(data_root)
-    if spec != "all":
+    if spec not in (None, "all"):
         entities = [e.strip() for e in spec.split(",") if e.strip()]
         if not entities:
             raise ConfigError("empty entity list")
@@ -237,7 +239,7 @@ def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
 
 def cmd_score(args) -> int:
     if args.checkpoint is not None:
-        _refuse_flags(args, "score with --checkpoint", ("--data-root",))
+        _refuse_flags(args, "score with --checkpoint", ("--data-root", "--run-dir", "--entities"))
         if args.input is None or args.output is None:
             raise ConfigError("score with --checkpoint needs --input and --output")
         tasks = [(args.checkpoint, args.input, args.output)]
@@ -245,7 +247,7 @@ def cmd_score(args) -> int:
         raise ConfigError("score needs either --checkpoint or --run-dir and --data-root")
     else:
         _refuse_flags(args, "score with --data-root", ("--input", "--output"))
-        run_dir = Path(args.run_dir)
+        run_dir = Path(_default_out_root() if args.run_dir is None else args.run_dir)
         data_root = Path(args.data_root)
         tasks = []
         for entity in _resolve_entities(data_root, args.entities, "test.csv"):
@@ -286,7 +288,7 @@ def cmd_eval(args) -> int:
     if args.threshold is not None and np.isnan(args.threshold):
         raise ConfigError("--threshold must be a number, got nan")
     if args.scores is not None:
-        _refuse_flags(args, "eval with --scores", ("--data-root",))
+        _refuse_flags(args, "eval with --scores", ("--data-root", "--run-dir", "--entities"))
         if args.labels is None:
             raise ConfigError("eval with --scores needs --labels")
         entity = args.entity or Path(args.scores).parent.name or "entity"
@@ -295,7 +297,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs either --scores or --run-dir and --data-root")
     else:
         _refuse_flags(args, "eval with --data-root", ("--labels", "--entity", "--output"))
-        run_dir = Path(args.run_dir)
+        run_dir = Path(_default_out_root() if args.run_dir is None else args.run_dir)
         data_root = Path(args.data_root)
         runs = [
             (entity, run_dir / entity / SCORES_NAME, data_root / entity / "test_label.csv",
@@ -415,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--checkpoint", help="single checkpoint file")
     p_score.add_argument("--input", help="test CSV (with --checkpoint)")
     p_score.add_argument("--output", help="scores file (with --checkpoint)")
-    p_score.add_argument("--run-dir", default=_default_out_root(), help="root of per-entity outputs")
+    p_score.add_argument("--run-dir", help=f"root of per-entity outputs (default ${OUT_ROOT_ENV} or runs)")
     p_score.add_argument("--data-root", help="directory of <entity>/test.csv")
-    p_score.add_argument("--entities", default="all")
+    p_score.add_argument("--entities", help="comma list or 'all' (the default)")
     p_score.add_argument("--jobs", type=int, default=1)
     p_score.set_defaults(func=cmd_score)
 
@@ -425,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scores", help="scores file (one real per line)")
     p_eval.add_argument("--labels", help="label file (one 0/1 per line)")
     p_eval.add_argument("--entity", help="entity name for the report rows")
-    p_eval.add_argument("--run-dir", default=_default_out_root())
+    p_eval.add_argument("--run-dir", help=f"root of per-entity outputs (default ${OUT_ROOT_ENV} or runs)")
     p_eval.add_argument("--data-root", help="directory of <entity>/test_label.csv")
-    p_eval.add_argument("--entities", default="all")
+    p_eval.add_argument("--entities", help="comma list or 'all' (the default)")
     p_eval.add_argument("--mode", default="all", help="raw, pa, kpa or all")
     p_eval.add_argument("--k", default="10,20,30", help="comma list of kpa delay budgets")
     p_eval.add_argument("--threshold", type=float, help="fixed threshold instead of the sweep")

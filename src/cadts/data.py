@@ -1,8 +1,9 @@
 """Series loading, train-fitted MinMax scaling, and sliding-window samples.
 
 One text layer: every input file is opened by ``open_input``, every text
-file is read as UTF-8 cut at LF, CRLF or a lone CR (``read_lines``), every
-table is made by ``table_text`` and every file written by ``atomic_write``.
+file is read as UTF-8 cut at LF, CRLF or a lone CR, a leading byte-order
+mark dropped (``read_lines``), every table is made by ``table_text`` and
+every file written by ``atomic_write``.
 Series, label and score files are one CSV format (``_read_csv``): an
 optional header row, then finite numbers (``#`` starts no comment); label
 and score files hold one column. An entity directory holds train.csv,
@@ -12,6 +13,7 @@ of data is parsed in one forked child per part and core.
 
 from __future__ import annotations
 
+import codecs
 import io
 import mmap
 import os
@@ -94,11 +96,11 @@ def open_input(path):
 
 
 def read_lines(path, error: type[Exception] = DataError) -> list[str]:
-    """A UTF-8 text file's lines (``split_lines``), opened by ``open_input``;
-    a byte that does not decode raises ``error`` naming the file and the
-    byte's line."""
+    """A UTF-8 text file's lines (``split_lines``), opened by ``open_input``,
+    without a leading byte-order mark; a byte that does not decode raises
+    ``error`` naming the file and the byte's line."""
     with open_input(path) as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is not text
     try:
         return split_lines(raw.decode())
     except UnicodeDecodeError as exc:
@@ -295,8 +297,9 @@ def _read_csv(path: Path) -> np.ndarray:
 
     The file is opened by ``open_input`` and read as UTF-8. The header
     decision comes from its literal first line, which ends at LF, CRLF or a
-    lone CR (a blank first line counts as a header); the data bytes start
-    after it. Data of at least two MIN_PART_BYTES parts is cut after LF
+    lone CR (a blank first line counts as a header), less a leading
+    byte-order mark; the data bytes start after the header line, or else
+    after the mark. Data of at least two MIN_PART_BYTES parts is cut after LF
     bytes into parts, one per core; one forked child per part parses it
     with ``_parse`` and pipes back its raw rows, which land in the result in
     place, so the values are bitwise those of one in-process parse.
@@ -311,8 +314,10 @@ def _read_csv(path: Path) -> np.ndarray:
             first = fh.readline()
         except UnicodeDecodeError:
             _diagnose_csv(path, 0)  # names the line that does not decode
-        skip = 1 if _looks_like_header(first) else 0
-        bounds = _part_bounds(path, len(first.encode()) if skip else 0)
+        # a leading byte-order mark is not text: the data starts after it
+        mark = "\ufeff" if first.startswith("\ufeff") else ""
+        skip = 1 if _looks_like_header(first[len(mark) :]) else 0
+        bounds = _part_bounds(path, len((first if skip else mark).encode()))
         values = _load_parts(path, bounds) if len(bounds) > 2 else None
         if values is None:
             try:

@@ -33,16 +33,17 @@ MODES = ("raw", "pa", "kpa")
 # Windows per eval chunk of ``score_series``, and sampled windows per chunk
 # of ``cadts export-embeddings``. Score chunks run on helper threads, one
 # per core of the process's budget, so the chunks in flight hold budget x
-# chunk windows. At 38 metrics a chunk's (windows, metrics, 128) mixed
-# embeddings dominate, so the footprint follows the chunk: scoring a
-# 28,479 x 38 series on one thread peaks at 4.2 MB above the parsed series
-# in float32 (8.1 MB in float64), against 8.1 MB (16.0) in 256-window
-# chunks, and a fresh ``cadts score`` of such a series peaks at 56 MB
-# against 66 MB. The smaller arrays stay nearer the cores' caches, so the
-# forward is no slower per window; the per-chunk Python overhead, paid
-# twice as often as at 256, shows only on tiny models. It is a constant,
-# never derived from the core count, so a series scores the same on any
-# host.
+# chunk windows. At 38 metrics the chunk's expert stage (conv outputs and
+# embeddings) sets the footprint, as the towers mix one block of metrics at
+# a time (``model.TOWER_BLOCK``), so it follows the chunk: scoring a
+# 28,479 x 38 series on one thread peaks at 2.9 MB above the parsed series
+# in float32 (5.5 MB in float64), against 4.2 MB (8.1) with every metric
+# mixed at once and 8.1 MB (16.0) in 256-window chunks; a fresh ``cadts
+# score`` of such a series peaks at 49 MB, against 56 MB and 66 MB. The
+# smaller arrays stay nearer the cores' caches, so the forward is no slower
+# per window; the per-chunk Python overhead, paid twice as often as at 256,
+# shows only on tiny models. It is a constant, never derived from the core
+# count, so a series scores the same on any host.
 SCORE_CHUNK = 128
 
 
@@ -104,7 +105,8 @@ def score_series(model: CadModel, test: SeriesMatrix, scaler: Scaler | None = No
     """Eval-mode prediction error at every predictable timestamp, computed
     ``SCORE_CHUNK`` windows at a time (``eval_windows``); a non-finite one
     raises NumericError naming the first such timestamp. Memory grows with
-    the series by the scores and errors alone, 16 B per timestamp. The
+    the series by the scores and errors alone, 16 B per timestamp, and
+    ``write_scores`` adds none: it writes the text a block at a time. The
     chunks run on ``cores.eval_threads()`` threads."""
     genuine = window_errors(model, *eval_windows(model, test, scaler), SCORE_CHUNK, cores.eval_threads())
     valid_from = model.config.l + model.config.h - 1
@@ -253,12 +255,19 @@ def aggregate_entities(per_entity) -> tuple[float, float, float, float]:
 _METRIC_COLUMNS = ("entity", "mode", "k", "threshold", "P", "R", "F1")
 
 
+# The values a scores file's text is made and written for at a time: a
+# series' scores never exist as one text, whose Python floats and strings
+# take about 116 B a value. A constant, like SCORE_CHUNK.
+SCORES_TEXT_BLOCK = 4096
+
+
 # One value per line, not through ``table_text``: a 28,479-value scores file
 # took ~68 ms that way against ~41 ms here (medians of 9 alternating runs on a
 # 2-core Xeon), about 4% of scoring a 28,479 x 38 series end to end.
 def write_scores(path, scores) -> None:
     values = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
-    atomic_write(path, ["".join(f"{v!r}\n" for v in values.tolist()).encode()])
+    atomic_write(path, ("".join(f"{v!r}\n" for v in values[i : i + SCORES_TEXT_BLOCK].tolist()).encode()
+                        for i in range(0, len(values), SCORES_TEXT_BLOCK)))
 
 
 def read_scores(path) -> np.ndarray:

@@ -40,11 +40,18 @@ from typing import get_args
 import numpy as np
 
 from .errors import ConfigError
-from .numcore.tensor import Tensor, add, conv_rows, dense, dropout, mul, reshape, softmax, tmean, transpose
+from .numcore.tensor import (Tensor, add, conv_rows, dense, dropout, mul, recording, reshape, softmax, tmean,
+                             transpose)
 
 VARIANTS = ("full", "no_gate", "no_selection", "no_sgate", "no_pgate", "no_conv", "single_task")
 
 EMBED_DIM = 128
+
+# The most metrics an unrecorded forward's towers take at once: a constant,
+# never derived from the host. Replaying smd-score's passes (38 metrics,
+# 2-core Xeon) peaked at 49.0-49.4 MB with blocks of 4, 8 or 16 and at
+# 54.0 MB with one block; 8 makes half the calls of 4.
+TOWER_BLOCK = 8
 
 _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
@@ -140,6 +147,15 @@ class CadModel:
 
         ``mode='train'`` enables tower dropout and requires ``rng``; eval
         mode is a pure function of (parameters, input).
+
+        While a tape records (whatever the mode), the towers run over all
+        metrics at once: in blocks, the embeddings' gradient would sum per
+        block, then across blocks, and round otherwise. Unrecorded, they run
+        over ``ceil(K / TOWER_BLOCK)`` blocks of metrics into one (B, K)
+        array, so one block's (B, k, W) mix is alive at a time. The blocks'
+        sizes differ by at most one, so none holds a single metric when
+        K > 1: numpy blends one metric by gemv, which rounds otherwise. Both
+        ways give the same bits and the same dropout draws.
         """
         cfg = self.config
         if mode not in ("train", "eval"):
@@ -148,25 +164,44 @@ class CadModel:
         use_dropout = mode == "train" and cfg.dropout_rate > 0.0
         if use_dropout and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        batch = win.shape[0]
-        p = self.params
+        rng = rng if use_dropout else None
+        batch, k = win.shape[0], self.n_metrics
 
         # expert outputs are computed once and reused across all metrics
         embeddings = self._embed(win)  # (E, B, W)
-        if cfg.variant == "single_task":
-            mixed = embeddings  # expert k is metric k's own
-        elif cfg.variant == "no_gate":
-            mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the K towers
-        else:
-            gate = self._gate_weights_batch(win)  # (B, K, M)
-            blended = dense(gate, transpose(embeddings, (1, 0, 2)))  # (B, K, W)
-            mixed = transpose(blended, (1, 0, 2))  # (K, B, W)
+        gate = self._gate_weights_batch(win) if cfg.variant not in ("no_gate", "single_task") else None
+        if recording():
+            raw = self._towers(embeddings, gate, None, rng)  # (K, B, 1)
+            return transpose(reshape(raw, (k, batch)), (1, 0))
+        preds = np.empty((batch, k), dtype=cfg.np_dtype)
+        blocks = -(-k // TOWER_BLOCK)
+        bounds = [i * k // blocks for i in range(blocks + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            raw = self._towers(embeddings, gate, slice(start, stop), rng)
+            preds[:, start:stop] = raw.data.reshape(stop - start, batch).T
+        return Tensor(preds)
 
-        hidden = dense(mixed, p["tower.w1"], p["tower.b1"], relu=True)  # (K, B, hidden)
-        if use_dropout:
-            hidden = dropout(hidden, cfg.dropout_rate, rng)
-        raw = dense(hidden, p["tower.w2"], p["tower.b2"])  # (K, B, 1)
-        return transpose(reshape(raw, (self.n_metrics, batch)), (1, 0))
+    def _towers(self, embeddings: Tensor, gate: Tensor | None, metrics: slice | None, rng) -> Tensor:
+        """Tower outputs (k, B, 1) of ``metrics``, all when None: each
+        metric's mix of the embeddings (E, B, W) by its gate (B, K, M), the
+        experts' mean or its own expert, then tower 1, dropout if ``rng``,
+        tower 2. A slice works on the tensors' data, which no tape sees."""
+
+        def take(t: Tensor, axis: int = 0) -> Tensor:
+            return t if metrics is None else Tensor(t.data[(slice(None),) * axis + (metrics,)])
+
+        p = self.params
+        if self.config.variant == "single_task":
+            mixed = take(embeddings)  # expert k is metric k's own
+        elif gate is None:
+            mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the towers
+        else:
+            blended = dense(take(gate, 1), transpose(embeddings, (1, 0, 2)))  # (B, k, W)
+            mixed = transpose(blended, (1, 0, 2))  # (k, B, W)
+        hidden = dense(mixed, take(p["tower.w1"]), take(p["tower.b1"]), relu=True)  # (k, B, hidden)
+        if rng is not None:
+            hidden = dropout(hidden, self.config.dropout_rate, rng)
+        return dense(hidden, take(p["tower.w2"]), take(p["tower.b2"]))
 
     def _as_windows(self, windows) -> Tensor:
         """``windows`` as a (B, K, l) tensor in the model dtype."""

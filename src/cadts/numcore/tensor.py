@@ -38,6 +38,11 @@ def _active_tape() -> "Tape | None":
     return getattr(_TLS, "tape", None)
 
 
+def recording() -> bool:
+    """Whether a tape is active on this thread, so that ops record."""
+    return _active_tape() is not None
+
+
 class Tensor:
     """Shape + flat row-major values; all graph state lives on the tape."""
 

@@ -3,9 +3,10 @@ comparison of two checkouts.
 
     python tests/parity_sweep.py OUT_DIR
 
-Runs this checkout's cadts (its own ``src/``) in process, on two small
+Runs this checkout's cadts (its own ``src/``) in process, on three small
 fixed-seed entities (``make_conflict_dataset``, test series of several
-score chunks). For each of the 7 variants in float32 and float64 it runs
+score chunks): two of 6 metrics, and one of 17, whose towers an unrecorded
+forward runs in three blocks (``model.TOWER_BLOCK``). For each of the 7 variants in float32 and float64 it runs
 ``train``, ``score``, ``eval``, ``report`` and ``export-embeddings`` into
 ``OUT_DIR/<variant>-<dtype>/``: per entity the checkpoint, ``history.tsv``,
 scores, metrics, the single-file ``eval --threshold`` metrics at each of
@@ -37,16 +38,17 @@ from cadts.model import VARIANTS  # noqa: E402
 
 from _synth import make_conflict_dataset  # noqa: E402
 
-# (train rows, test rows, seed): 402 and 542 test windows at l + h = 19
-ENTITIES = {"e1": (400, 420, 1), "e2": (300, 560, 2)}
+# (train rows, test rows, seed, metrics): 402, 542 and 402 test windows at
+# l + h = 19; 17 metrics make three tower blocks, of 5, 6 and 6 metrics
+ENTITIES = {"e1": (400, 420, 1, 6), "e2": (300, 560, 2, 6), "e3": (300, 420, 3, 17)}
 # a threshold inside every variant's score range, and the all-negative one
 THRESHOLDS = ("0.4", "inf")
 CONFIG = ["experts=3", "kernels=4", "embed_dim=16", "tower_hidden=8", "batch=32", "max_epochs=2", "seed=7"]
 
 
 def write_data(root: Path) -> None:
-    for entity, (t_train, t_test, seed) in ENTITIES.items():
-        train, test = make_conflict_dataset(t_train, t_test, n_metrics=6, seed=seed)
+    for entity, (t_train, t_test, seed, metrics) in ENTITIES.items():
+        train, test = make_conflict_dataset(t_train, t_test, n_metrics=metrics, seed=seed)
         (root / entity).mkdir(parents=True)
         np.savetxt(root / entity / "train.csv", train.values, fmt="%.17g", delimiter=",")
         np.savetxt(root / entity / "test.csv", test.values, fmt="%.17g", delimiter=",")

@@ -770,9 +770,11 @@ def trained_run(tmp_path_factory):
 
 @pytest.mark.parametrize("command, form, flag", [
     ("score", "--data-root", "--input"), ("score", "--data-root", "--output"),
-    ("score", "--checkpoint", "--data-root"),
+    ("score", "--checkpoint", "--data-root"), ("score", "--checkpoint", "--run-dir"),
+    ("score", "--checkpoint", "--entities"),
     ("eval", "--data-root", "--labels"), ("eval", "--data-root", "--entity"),
     ("eval", "--data-root", "--output"), ("eval", "--scores", "--data-root"),
+    ("eval", "--scores", "--run-dir"), ("eval", "--scores", "--entities"),
 ])
 def test_flag_of_the_other_form_exits_1_naming_it(trained_run, tmp_path, capsys, command, form, flag):
     """``score`` and ``eval`` each read either one file set or a run dir; a
@@ -781,7 +783,8 @@ def test_flag_of_the_other_form_exits_1_naming_it(trained_run, tmp_path, capsys,
     before = sorted(run.rglob("*"))
     given = {"--data-root": data, "--run-dir": run, "--checkpoint": run / "e1" / "checkpoint.cadckpt",
              "--input": data / "e1" / "test.csv", "--scores": run / "e1" / "scores.txt",
-             "--labels": data / "e1" / "test_label.csv", "--entity": "e1", "--output": tmp_path / "out.txt"}
+             "--labels": data / "e1" / "test_label.csv", "--entity": "e1", "--output": tmp_path / "out.txt",
+             "--entities": "e1"}
     single = {"score": ("--checkpoint", "--input", "--output"), "eval": ("--scores", "--labels")}[command]
     names = (single if form != "--data-root" else ("--run-dir", "--data-root")) + (flag,)
     argv = [command] + [arg for name in names for arg in (name, str(given[name]))]

@@ -1,5 +1,6 @@
 """Loader, scaler and windowing contracts."""
 
+import codecs
 import errno
 import os
 import signal
@@ -24,6 +25,7 @@ from cadts.data import (
     make_windows,
 )
 from cadts.errors import DataError
+from cadts.evaluate import read_scores
 
 from _procs import running
 
@@ -470,6 +472,35 @@ def test_cr_terminated_header_parses_in_parts(tmp_path, monkeypatch):
     pids = parse_in_parts(monkeypatch, p.stat().st_size // 5)
     assert_bitwise_equal(load_series(p).values, expected)
     assert len(pids) > 1
+
+
+@pytest.mark.parametrize("columns, header", [(1, False), (1, True), (7, False), (7, True)])
+def test_series_after_a_byte_order_mark_loads_the_same_values(tmp_path, monkeypatch, columns, header):
+    """A leading UTF-8 byte-order mark is not text: it is neither a header
+    nor part of the first cell, in process and in forked parts alike."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    values = np.random.default_rng(301).normal(size=(300, columns)) * 1e3
+    np.savetxt(plain, values, delimiter=",", fmt="%.17g", header=",".join("m" * columns) if header else "",
+               comments="")
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    expected = load_in_process(plain).values
+    assert len(expected) == 300
+    assert_bitwise_equal(load_in_process(marked).values, expected)
+    pids = parse_in_parts(monkeypatch, marked.stat().st_size // 5)
+    assert_bitwise_equal(load_series(marked).values, expected)
+    assert len(pids) > 1
+
+
+def test_labels_and_scores_after_a_byte_order_mark_load_every_row(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(codecs.BOM_UTF8 + b"1\n0\n1\n")
+    assert load_labels(labels).tolist() == [1, 0, 1]
+    scores = tmp_path / "scores.txt"
+    scores.write_bytes(codecs.BOM_UTF8 + b"0.5\n0.25\n0.75\n")
+    assert read_scores(scores).tolist() == [0.5, 0.25, 0.75]
+    scores.write_bytes(codecs.BOM_UTF8 + b"0.5\nhello\n")
+    with pytest.raises(DataError, match=r"value 'hello' at line 2, column 1"):
+        read_scores(scores)
 
 
 def test_bad_cell_in_last_part_gives_the_in_process_message(tmp_path_factory):

@@ -14,6 +14,7 @@ from cadts.errors import DataError
 from cadts.evaluate import (
     MODES,
     SCORE_CHUNK,
+    SCORES_TEXT_BLOCK,
     EvalRow,
     aggregate_entities,
     best_f1,
@@ -403,9 +404,9 @@ def test_score_series_memory_grows_by_the_scores_alone():
 
 def test_score_series_peak_is_one_chunk_at_the_default_shape():
     """A default-shape model (38 metrics, float32) scoring on one core peaks
-    at about 4.0 MB above the parsed series in 128-window chunks, against
-    7.9 MB in 256-window chunks: the chunk's mixed embeddings dominate, so
-    the peak follows ``SCORE_CHUNK``."""
+    at about 2.5 MiB above the parsed series in 128-window chunks (3.8 MiB
+    with every metric's tower mix at once, 7.9 in 256-window chunks): the
+    chunk's arrays dominate, so the peak follows ``SCORE_CHUNK``."""
     model = build_model(ModelConfig(), n_metrics=38, rng_seed=1)
     series = make_sines(1000, 38, seed=4)  # about eight chunks
     scaler = fit_minmax(series)
@@ -431,6 +432,30 @@ def test_scores_file_roundtrip_exact(tmp_path):
     write_scores(path, scores)
     back = read_scores(path)
     np.testing.assert_array_equal(back, scores)
+
+
+@pytest.mark.parametrize("length", [0, 1, SCORES_TEXT_BLOCK - 1, SCORES_TEXT_BLOCK, SCORES_TEXT_BLOCK + 1,
+                                    2 * SCORES_TEXT_BLOCK, 2 * SCORES_TEXT_BLOCK + 1])
+def test_scores_file_written_in_blocks_is_the_one_text(tmp_path, length):
+    scores = np.random.default_rng(length).normal(size=length)
+    path = tmp_path / "scores.txt"
+    write_scores(path, scores)
+    assert path.read_bytes() == "".join(f"{v!r}\n" for v in scores.tolist()).encode()
+
+
+def test_write_scores_peak_is_one_block_of_text(tmp_path):
+    """100k scores are written a block of text at a time: the traced peak
+    stays under 1 MB, where the whole text as one string took 10.8 MB."""
+    scores = np.random.default_rng(50).random(100_000)
+    write_scores(tmp_path / "warm.txt", scores[:10])  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_scores(tmp_path / "scores.txt", scores)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # a row eval can write: printable entity text without tab, CR or LF; raw or

@@ -1,5 +1,6 @@
 """Network composition: experts, dual gate, towers, ablation variants."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from cadts.errors import ConfigError
 from cadts.model import (
+    EMBED_DIM,
+    TOWER_BLOCK,
     VARIANTS,
     CadModel,
     ModelConfig,
@@ -366,6 +369,50 @@ def test_vectorized_forward_matches_per_metric_recompute(variant):
     got = model.forward_batch(windows).data
     want = np.stack([naive_forward(model, w) for w in windows])
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unrecorded_forward_equals_the_recorded_one_bitwise(variant, dtype):
+    """An unrecorded forward runs the towers over near-equal blocks of at
+    most TOWER_BLOCK metrics, a forward under a tape over all of them at
+    once; both give the same bits, in eval mode and in train mode from one
+    rng seed (the blocks draw their dropout masks in the metric axis'
+    order). K spans one block, a full one, and 9 and 17, where blocks of
+    exactly TOWER_BLOCK would leave a one-metric block, which numpy blends
+    by gemv and which rounds otherwise."""
+    assert TOWER_BLOCK == 8
+    for k in (1, 2, 7, 8, 9, 16, 17, 38):
+        model = build_model(ModelConfig(variant=variant, dtype=dtype), n_metrics=k, rng_seed=k)
+        windows = np.random.default_rng(k).normal(size=(128, k, 16))
+        for mode, seed in (("eval", None), ("train", 3)):
+
+            def forward():
+                rng = None if seed is None else np.random.default_rng(seed)
+                return model.forward_batch(windows, mode=mode, rng=rng).data
+
+            unrecorded = forward()
+            with Tape():
+                recorded = forward()
+            assert unrecorded.dtype == recorded.dtype == np.dtype(dtype), (k, mode)
+            assert np.array_equal(unrecorded, recorded), (k, mode)
+
+
+def test_unrecorded_forward_holds_no_mix_of_all_metrics():
+    """A 128-window forward at 38 metrics in float32 mixes one block of
+    metrics at a time, so its traced peak stays below the bytes of one
+    (B, K, W) mix of all of them (2.49 MB; the whole mix peaked at 3.58 MB)."""
+    model = build_model(ModelConfig(), n_metrics=38, rng_seed=0)
+    windows = np.random.default_rng(0).normal(size=(128, 38, 16)).astype(np.float32)
+    model.forward_batch(windows)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.forward_batch(windows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 38 * EMBED_DIM * 4
 
 
 @pytest.mark.parametrize("variant", ["full", "no_selection", "no_sgate", "no_pgate"])
