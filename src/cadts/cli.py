@@ -121,20 +121,13 @@ def _require_dir(path: Path) -> None:
         raise DataError(f"{path}: {'is not a directory' if path.exists() else 'not found'}")
 
 
-def _refuse_flags(args, form: str, flags: tuple[str, ...]) -> None:
-    """Exit 1 naming the first of ``flags`` given to a form that reads none
-    of them, rather than run without it."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ConfigError(f"{form} takes no {flag}")
-
-
 def _resolve_entities(data_root: Path, spec: str | None, marker: str) -> list[str]:
-    """The entities ``spec`` names (a comma list; 'all' or None for every
-    directory under ``data_root`` holding ``marker``)."""
+    """The entities ``spec`` names (a comma list, each name once, so no two
+    workers write one entity's files; 'all' or None for every directory
+    under ``data_root`` holding ``marker``)."""
     _require_dir(data_root)
     if spec not in (None, "all"):
-        entities = [e.strip() for e in spec.split(",") if e.strip()]
+        entities = list(dict.fromkeys(e.strip() for e in spec.split(",") if e.strip()))
         if not entities:
             raise ConfigError("empty entity list")
         for entity in entities:
@@ -147,12 +140,39 @@ def _resolve_entities(data_root: Path, spec: str | None, marker: str) -> list[st
     return entities
 
 
-def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
+def _entity_dirs(args, command: str, single: str, needs: tuple[str, ...], others: tuple[str, ...],
+                 marker: str) -> list[tuple[str, Path, Path]] | None:
+    """None for the single-file form of ``command`` (``single`` and all of
+    ``needs`` given), else the run-dir form's ``(entity, run dir, data dir)``
+    per entity holding ``marker``. Either form first refuses, naming it, a
+    flag only the other reads (the single-file form's are ``others``)."""
+    def given(flag: str) -> bool:
+        return getattr(args, flag[2:].replace("-", "_")) is not None
+
+    if given(single):
+        form, refused = single, ("--data-root", "--run-dir", "--entities")
+    elif args.data_root is None:
+        raise ConfigError(f"{command} needs either {single} or --run-dir and --data-root")
+    else:
+        form, refused = "--data-root", others
+    for flag in filter(given, refused):
+        raise ConfigError(f"{command} with {form} takes no {flag}")
+    if form == single:
+        if not all(map(given, needs)):
+            raise ConfigError(f"{command} with {single} needs {' and '.join(needs)}")
+        return None
+    run_dir = Path(_default_out_root() if args.run_dir is None else args.run_dir)
+    data_root = Path(args.data_root)
+    return [(entity, run_dir / entity, data_root / entity)
+            for entity in _resolve_entities(data_root, args.entities, marker)]
+
+
+def _run_tasks(worker, tasks, jobs: int) -> Iterator[str]:
     """``worker(*task)`` for every task, on at most ``jobs`` processes and
     never more processes than tasks; results are yielded in task order as
     they finish, so a later task's error comes after the earlier results.
 
-    ``inputs[i]`` is the file task ``i`` reads. With more than one worker the
+    ``task[0]`` is the file the task reads. With more than one worker the
     task with the largest input starts first (ties keep task order): an
     entity's run time grows with its input, so the longest one no longer
     starts last while the other workers sit idle at the end. Each worker
@@ -169,14 +189,14 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
         max_workers=workers, initializer=cores.enter_worker, initargs=(workers, os.getpid())
     ) as pool:
         futures = [None] * len(tasks)
-        for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(inputs[i])):
+        for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(tasks[i][0])):
             futures[i] = pool.submit(worker, *tasks[i])
         try:
-            for future, source in zip(futures, inputs):
+            for future, task in zip(futures, tasks):
                 try:
                     yield future.result()
                 except BrokenProcessPool:
-                    raise DataError(f"{source}: a --jobs worker died before this entity finished") from None
+                    raise DataError(f"{task[0]}: a --jobs worker died before this entity finished") from None
         except (KeyboardInterrupt, GeneratorExit):
             # interrupted here or in the caller: the pool's shutdown would wait for the running tasks
             for process in multiprocessing.active_children():
@@ -191,8 +211,7 @@ def _run_tasks(worker, tasks, jobs: int, inputs) -> Iterator[str]:
 # --- train ---------------------------------------------------------------------
 
 
-def _train_entity(data_root: str, out_root: str, entity: str, cfg: TrainConfig) -> str:
-    train_csv = Path(data_root) / entity / "train.csv"
+def _train_entity(train_csv: Path, entity_dir: Path, cfg: TrainConfig) -> str:
     series = load_series(train_csv)
     scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
     if scaler is not None:  # training holds the scaled rows only
@@ -203,21 +222,18 @@ def _train_entity(data_root: str, out_root: str, entity: str, cfg: TrainConfig) 
         model, history = train_model(model, windows, cfg)
     except (DataError, NumericError) as exc:
         raise type(exc)(f"{train_csv}: {exc}") from None
-    entity_dir = Path(out_root) / entity
     entity_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, scaler, entity_dir / CHECKPOINT_NAME, cfg)
     write_history(history, entity_dir / HISTORY_NAME)
-    return f"trained {entity}: epochs={len(history.epochs)} stop={history.stopping_reason}"
+    return f"trained {entity_dir.name}: epochs={len(history.epochs)} stop={history.stopping_reason}"
 
 
 def cmd_train(args) -> int:
     cfg = make_train_config(args.config, args.set)
     data_root = Path(args.data_root)
-    entities = _resolve_entities(data_root, args.entities, "train.csv")
-    out_root = Path(args.out)
-    tasks = [(str(data_root), str(out_root), entity, cfg) for entity in entities]
-    inputs = [data_root / entity / "train.csv" for entity in entities]
-    for line in _run_tasks(_train_entity, tasks, args.jobs, inputs):
+    tasks = [(data_root / entity / "train.csv", Path(args.out) / entity, cfg)
+             for entity in _resolve_entities(data_root, args.entities, "train.csv")]
+    for line in _run_tasks(_train_entity, tasks, args.jobs):
         print(line, flush=True)
     return 0
 
@@ -225,7 +241,7 @@ def cmd_train(args) -> int:
 # --- score ---------------------------------------------------------------------
 
 
-def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
+def _score_one(input_csv: str | Path, checkpoint: str | Path, output: str | Path) -> str:
     model, scaler = load_checkpoint(checkpoint)
     series = load_series(input_csv)
     try:
@@ -238,25 +254,14 @@ def _score_one(checkpoint: str, input_csv: str, output: str) -> str:
 
 
 def cmd_score(args) -> int:
-    if args.checkpoint is not None:
-        _refuse_flags(args, "score with --checkpoint", ("--data-root", "--run-dir", "--entities"))
-        if args.input is None or args.output is None:
-            raise ConfigError("score with --checkpoint needs --input and --output")
-        tasks = [(args.checkpoint, args.input, args.output)]
-    elif args.data_root is None:
-        raise ConfigError("score needs either --checkpoint or --run-dir and --data-root")
-    else:
-        _refuse_flags(args, "score with --data-root", ("--input", "--output"))
-        run_dir = Path(_default_out_root() if args.run_dir is None else args.run_dir)
-        data_root = Path(args.data_root)
-        tasks = []
-        for entity in _resolve_entities(data_root, args.entities, "test.csv"):
-            checkpoint = run_dir / entity / CHECKPOINT_NAME
-            tasks.append(
-                (str(checkpoint), str(data_root / entity / "test.csv"), str(run_dir / entity / SCORES_NAME))
-            )
-    inputs = [input_csv for _, input_csv, _ in tasks]
-    for line in _run_tasks(_score_one, tasks, args.jobs, inputs):
+    files = ("--input", "--output")
+    dirs = _entity_dirs(args, "score", "--checkpoint", files, files, "test.csv")
+    tasks = (
+        [(args.input, args.checkpoint, args.output)]
+        if dirs is None
+        else [(data / "test.csv", run / CHECKPOINT_NAME, run / SCORES_NAME) for _, run, data in dirs]
+    )
+    for line in _run_tasks(_score_one, tasks, args.jobs):
         print(line, flush=True)
     return 0
 
@@ -287,23 +292,13 @@ def cmd_eval(args) -> int:
     modes = _parse_modes(args.mode, args.k)
     if args.threshold is not None and np.isnan(args.threshold):
         raise ConfigError("--threshold must be a number, got nan")
-    if args.scores is not None:
-        _refuse_flags(args, "eval with --scores", ("--data-root", "--run-dir", "--entities"))
-        if args.labels is None:
-            raise ConfigError("eval with --scores needs --labels")
-        entity = args.entity or Path(args.scores).parent.name or "entity"
-        runs = [(entity, args.scores, args.labels, args.output)]
-    elif args.data_root is None:
-        raise ConfigError("eval needs either --scores or --run-dir and --data-root")
-    else:
-        _refuse_flags(args, "eval with --data-root", ("--labels", "--entity", "--output"))
-        run_dir = Path(_default_out_root() if args.run_dir is None else args.run_dir)
-        data_root = Path(args.data_root)
-        runs = [
-            (entity, run_dir / entity / SCORES_NAME, data_root / entity / "test_label.csv",
-             run_dir / entity / METRICS_NAME)
-            for entity in _resolve_entities(data_root, args.entities, "test_label.csv")
-        ]
+    dirs = _entity_dirs(args, "eval", "--scores", ("--labels",), ("--labels", "--entity", "--output"),
+                        "test_label.csv")
+    runs = (
+        [(args.entity or Path(args.scores).parent.name or "entity", args.scores, args.labels, args.output)]
+        if dirs is None
+        else [(entity, run / SCORES_NAME, data / "test_label.csv", run / METRICS_NAME) for entity, run, data in dirs]
+    )
     for i, (entity, scores_path, labels_path, metrics_path) in enumerate(runs):
         scores = read_scores(scores_path)
         labels = load_labels(labels_path, expected_length=len(scores))
@@ -333,7 +328,11 @@ def cmd_report(args) -> int:
         paths.extend(found)
     if not paths:
         raise ConfigError("report needs --metrics files or --run-dir")
-    rows = [row for path in paths for row in read_metrics(path)]
+    # a file given twice (or also found under --run-dir) is one entity's rows, read once
+    once: dict[str, Path] = {}
+    for path in paths:
+        once.setdefault(os.path.realpath(path), path)
+    rows = [row for path in once.values() for row in read_metrics(path)]
     groups: dict[tuple[str, int | None], list[EvalRow]] = {}
     for row in rows:
         groups.setdefault((row.mode, row.k), []).append(row)

@@ -229,18 +229,12 @@ class CadModel:
     def _gate_weights_batch(self, win: Tensor) -> Tensor:
         """Gate weights (B, K, M) of windows (B, K, l)."""
         cfg = self.config
-        batch = win.shape[0]
-        if cfg.variant == "no_selection":
-            flat = reshape(win, (batch, 1, self.n_metrics * cfg.l))
-            shared_in = flat  # (B, 1, K*l)
-            pers_in = transpose(flat, (1, 0, 2))  # (1, B, K*l)
-        else:
-            shared_in = win  # (B, K, l): shared matrix applied to each metric's own window
-            pers_in = transpose(win, (1, 0, 2))  # (K, B, l)
-
+        # (B, K, l): each metric's own window; no_selection's (B, 1, K*l): the flattened full window
+        gate_in = reshape(win, (win.shape[0], 1, -1)) if cfg.variant == "no_selection" else win
+        pers_in = transpose(gate_in, (1, 0, 2))  # (K|1, B, in): one personalized matrix per metric
         shared, pers = self.params.get("gate.shared"), self.params.get("gate.personalized")
         if shared is not None:
-            logits = dense(shared_in, shared)  # (B, K|1, M)
+            logits = dense(gate_in, shared)  # (B, K|1, M)
         if pers is not None:
             pers_logits = transpose(dense(pers_in, pers), (1, 0, 2))  # (B, K, M)
             if shared is None:  # no_sgate

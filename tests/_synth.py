@@ -20,6 +20,12 @@ def make_sines(t: int, n_metrics: int, seed: int = 0) -> SeriesMatrix:
     return SeriesMatrix(values=np.column_stack(columns))
 
 
+# the test half's anomaly segments, one per equal slot; a slot holds a
+# 30-row lead, a segment of up to 25 rows and at least 5 rows more
+CONFLICT_SEGMENTS = 6
+MIN_CONFLICT_TEST = CONFLICT_SEGMENTS * (30 + 25 + 5 + 1)
+
+
 def make_conflict_dataset(
     t_train: int = 2000,
     t_test: int = 2000,
@@ -34,7 +40,11 @@ def make_conflict_dataset(
     regression. Labeled anomalies are injected only into the test half,
     as moderate simultaneous level shifts on two stable metrics, sized so
     that detectability hinges on how well the stable metrics are modeled.
+    Needs ``t_test >= MIN_CONFLICT_TEST`` and ``n_metrics >= 3`` (ValueError).
     """
+    if t_test < MIN_CONFLICT_TEST or n_metrics < 3:
+        raise ValueError(f"make_conflict_dataset needs t_test >= {MIN_CONFLICT_TEST} and n_metrics >= 3"
+                         f" (two stable metrics per anomaly, plus the drift metric), got {t_test} and {n_metrics}")
     rng = np.random.default_rng(seed)
     total = t_train + t_test
     tt = np.arange(total)
@@ -65,9 +75,8 @@ def make_conflict_dataset(
     labels = np.zeros(total, dtype=np.int64)
 
     # anomaly segments, one per equal slot of the test half
-    n_segments = 6
-    slot = t_test // n_segments
-    for i in range(n_segments):
+    slot = t_test // CONFLICT_SEGMENTS
+    for i in range(CONFLICT_SEGMENTS):
         length = int(rng.integers(10, 26))
         start = t_train + i * slot + int(rng.integers(30, slot - length - 5))
         hit = rng.choice(n_metrics - 1, size=2, replace=False)

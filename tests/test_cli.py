@@ -322,6 +322,22 @@ def test_report_accepts_an_infinite_threshold(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split("\t")[:3] == ["pa", "-", "1"]
 
 
+def test_report_reads_a_metrics_file_given_twice_once(tmp_path, capsys):
+    run = tmp_path / "run"
+    for entity, recall in (("e1", 0.5), ("e2", 1.0)):
+        (run / entity).mkdir(parents=True)
+        write_metrics(run / entity / "metrics.tsv", [EvalRow(entity, "pa", None, 0.5, 1.0, recall, 2 / 3)])
+    assert main(["report", "--run-dir", str(run)]) == 0
+    expected = capsys.readouterr().out
+    assert expected.splitlines()[1].split("\t")[:3] == ["pa", "-", "2"]
+    e1 = str(run / "e1" / "metrics.tsv")
+    for given in ([e1], [e1, e1], [e1, f"{run}/./e1/metrics.tsv"]):
+        assert main(["report", "--run-dir", str(run), "--metrics", *given]) == 0
+        assert capsys.readouterr().out == expected
+    assert main(["report", "--metrics", e1, e1]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:3] == ["pa", "-", "1"]
+
+
 # --- train ---------------------------------------------------------------------
 
 
@@ -521,11 +537,28 @@ def test_jobs_start_largest_entity_first(tmp_path, serial_pool, capsys):
     assert main(["score", "--run-dir", str(out), "--data-root", str(data), "--jobs", "2"]) == 0
     score_out = capsys.readouterr().out
     train_tasks, score_tasks = serial_pool["submitted"][:3], serial_pool["submitted"][3:]
-    assert train_tasks[0][2] == "e2"
-    assert score_tasks[0][1] == str(data / "e2" / "test.csv")
+    assert train_tasks[0][0] == data / "e2" / "train.csv"
+    assert score_tasks[0][0] == data / "e2" / "test.csv"
     for printed, verb in ((train_out, "trained"), (score_out, "scored")):
         names = [line.split()[1].rstrip(":") for line in printed.splitlines()]
         assert printed.startswith(verb) and names == ["e1", "e2", "e3"]
+
+
+def test_an_entity_named_twice_runs_once(tmp_path, serial_pool, capsys):
+    """Two workers given one entity would write its files at once."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_entity(data, "e1", seed=9)
+    write_entity(data, "e2", seed=10)
+    twice = ["--entities", "e1,e2,e1", "--jobs", "2"]
+    assert main(["train", "--data-root", str(data), "--out", str(out)] + twice + FAST) == 0
+    train_out = capsys.readouterr().out
+    assert main(["score", "--run-dir", str(out), "--data-root", str(data)] + twice) == 0
+    score_out = capsys.readouterr().out
+    for printed in (train_out, score_out):
+        assert [line.split()[1].rstrip(":") for line in printed.splitlines()] == ["e1", "e2"]
+    assert len(serial_pool["submitted"]) == 4
+    assert main(["eval", "--run-dir", str(out), "--data-root", str(data), "--entities", "e1,e1", "--mode", "pa"]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["entity", "e1"]
 
 
 def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
@@ -790,6 +823,34 @@ def test_flag_of_the_other_form_exits_1_naming_it(trained_run, tmp_path, capsys,
     argv = [command] + [arg for name in names for arg in (name, str(given[name]))]
     assert run_main(argv, capsys) == (1, f"error: {command} with {form} takes no {flag}\n")
     assert sorted(run.rglob("*")) == before and not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["score", "--checkpoint", "c", "--output", "o"], "score with --checkpoint needs --input and --output"),
+    (["score", "--checkpoint", "c", "--input", "i"], "score with --checkpoint needs --input and --output"),
+    (["score", "--checkpoint", "c", "--run-dir", "r"], "score with --checkpoint takes no --run-dir"),
+    (["eval", "--scores", "s"], "eval with --scores needs --labels"),
+    (["eval", "--scores", "s", "--data-root", "d"], "eval with --scores takes no --data-root"),
+    (["score", "--input", "i", "--run-dir", "r"], "score needs either --checkpoint or --run-dir and --data-root"),
+    (["eval", "--labels", "l"], "eval needs either --scores or --run-dir and --data-root"),
+])
+def test_a_form_without_its_flags_exits_1_naming_what_it_needs(capsys, argv, message):
+    """A form refuses a flag of the other form before it asks for its own."""
+    assert run_main(argv, capsys) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, marker", [("train", "train.csv"), ("score", "test.csv"),
+                                             ("eval", "test_label.csv")])
+def test_an_entity_list_with_nothing_to_run_exits_naming_why(tmp_path, capsys, command, marker):
+    data = tmp_path / "data"
+    data.mkdir()
+    argv = [command, "--data-root", str(data), "--out" if command == "train" else "--run-dir", str(tmp_path / "r")]
+    for _ in range(2):  # an empty data root, then one whose only directory lacks the marker
+        assert run_main(argv, capsys) == (2, f"error: no entity directories with {marker} under {data}\n")
+        (data / "e1").mkdir(exist_ok=True)
+    assert run_main(argv + ["--entities", "e1"], capsys) == (2, f"error: {data / 'e1' / marker}: not found\n")
+    assert run_main(argv + ["--entities", ","], capsys) == (1, "error: empty entity list\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):

@@ -261,7 +261,7 @@ def test_blas_lookup_falls_back_to_plain_openblas_names(blas_library):
     assert calls == [1]
 
 
-def probe_worker() -> tuple[int, int, int | None]:
+def probe_worker(_input) -> tuple[int, int, int | None]:
     return cores.budget(), cores.eval_threads(), blas_threads()
 
 
@@ -275,7 +275,7 @@ def test_jobs_worker_takes_its_share_of_the_cores(tmp_path, monkeypatch):
     share = max(1, len(os.sched_getaffinity(0)) // 2)
     inputs = [tmp_path / "input"] * 2
     inputs[0].write_text("x")
-    results = list(cli._run_tasks(probe_worker, [(), ()], 2, inputs))
+    results = list(cli._run_tasks(probe_worker, [(inputs[0],), (inputs[1],)], 2))
     assert results == [(share, share, 1)] * 2
     assert cores.budget() == len(os.sched_getaffinity(0))  # this process keeps every core
 
