@@ -217,82 +217,83 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
     atomic_write(path, blob)
 
 
-def _read_exact(fh, n: int, path) -> bytearray:
-    """``n`` bytes, writable; a length past the end of the file is a
-    truncation, found before anything is allocated for it."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise DataError(f"{path}: truncated checkpoint")
-    buf = bytearray(n)
-    if fh.readinto(buf) != n:
-        raise DataError(f"{path}: truncated checkpoint")
-    return buf
-
-
-def _read_u64(fh, path) -> int:
-    return struct.unpack("<Q", _read_exact(fh, 8, path))[0]
-
-
-def _read_header(fh, path) -> dict[str, str]:
-    """Check the magic bytes and return the key=value header block."""
-    if _read_exact(fh, len(CHECKPOINT_MAGIC), path) != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: bad magic bytes, not a checkpoint")
-    try:
-        text = _read_exact(fh, _read_u64(fh, path), path).decode("utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: checkpoint header is not UTF-8") from None
-    header: dict[str, str] = {}
-    for line in filter(None, split_lines(text)):  # blank lines are skipped
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DataError(f"{path}: malformed checkpoint header line {line!r}")
-        header[key] = value
-    return header
-
-
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """The stored model, its parameters checked against the layout its
-    header implies, and its scaler."""
+    header implies, and its scaler. The magic bytes are read first, so a file
+    of any size that is not a checkpoint is refused after them; the rest is
+    read into one buffer, and ``take`` checks every length against the bytes
+    left in it. Each parameter is a view of that buffer, or an aligned copy
+    where its offset is not aligned for the dtype."""
     with open_input(path) as fh:
-        header = _read_header(fh, path)
+        if (magic := fh.read(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
+            whole = len(magic) == len(CHECKPOINT_MAGIC)
+            raise DataError(f"{path}: {'bad magic bytes, not a checkpoint' if whole else 'truncated checkpoint'}")
+        buf = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        view = memoryview(buf)[: fh.readinto(buf)]
+    at = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal at
+        if n > len(view) - at:
+            raise DataError(f"{path}: truncated checkpoint")
+        at += n
+        return view[at - n : at]
+
+    def text(what: str) -> str:
         try:
-            version = parse_value(int, "version", header["version"])
-            if version == 1:
-                raise DataError(f"{path}: checkpoint version 1 is no longer read; retrain")
-            if version != CHECKPOINT_VERSION:
-                raise DataError(f"{path}: unsupported checkpoint version {version}")
-            hints = get_type_hints(ModelConfig)
-            config = ModelConfig(**{key: parse_value(hints[key], key, header[key]) for key in hints})
-            n_metrics, n_params, seed = (
-                parse_value(int, key, header[key]) for key in ("n_metrics", "params", "seed")
-            )
-            scaler = None
-            if header["scaler"] == "minmax":
-                mins, maxs = (
-                    np.array([parse_value(float, key, v) for v in header[key].split(",")])
-                    for key in ("scaler_min", "scaler_max")
-                )
-                if not len(mins) == len(maxs) == n_metrics:
-                    raise DataError(
-                        f"{path}: scaler has {len(mins)} mins and {len(maxs)} maxs"
-                        f" for {n_metrics} metrics"
-                    )
-                clip = parse_value(bool, "scaler_clip", header["scaler_clip"])
-                scaler = Scaler(mins=mins, maxs=maxs, clip=clip)
-            elif header["scaler"] != "none":
-                raise DataError(f"{path}: unknown scaler {header['scaler']!r} (none or minmax)")
-        except KeyError as exc:
-            raise DataError(f"{path}: checkpoint header missing key {exc}") from None
+            return str(take(int.from_bytes(take(8), "little")), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: {what} is not UTF-8") from None
+
+    header: dict[str, str] = {}
+    for line in filter(None, split_lines(text("checkpoint header"))):  # blank lines are skipped
+        key, sep, rest = line.partition("=")
+        if not sep:
+            raise DataError(f"{path}: malformed checkpoint header line {line!r}")
+        header[key] = rest
+
+    def value(kind, key: str):
+        """``key``'s text as a ``kind`` (``parse_value``; ``list``: a comma
+        list of floats); DataError naming a missing key or a bad value."""
+        if key not in header:
+            raise DataError(f"{path}: checkpoint header missing key {key!r}")
+        try:
+            if kind is list:
+                return np.array([parse_value(float, key, v) for v in header[key].split(",")])
+            return parse_value(kind, key, header[key])
         except ValueError as exc:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
-        try:
-            layout = parameter_layout(config, n_metrics)
-        except ConfigError as exc:
-            raise DataError(f"{path}: checkpoint header: {exc}") from None
 
-        wire = config.np_dtype.newbyteorder("<")
-        stored = dict(_read_record(fh, path, wire.itemsize) for _ in range(n_params))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing data after last parameter")
+    version = value(int, "version")
+    if version == 1:
+        raise DataError(f"{path}: checkpoint version 1 is no longer read; retrain")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    hints = get_type_hints(ModelConfig)
+    config = ModelConfig(**{key: value(hints[key], key) for key in hints})
+    n_metrics, n_params, seed = (value(int, key) for key in ("n_metrics", "params", "seed"))
+    scaler = None
+    if (kind := value(str, "scaler")) == "minmax":
+        mins, maxs = value(list, "scaler_min"), value(list, "scaler_max")
+        if not len(mins) == len(maxs) == n_metrics:
+            raise DataError(f"{path}: scaler has {len(mins)} mins and {len(maxs)} maxs for {n_metrics} metrics")
+        scaler = Scaler(mins=mins, maxs=maxs, clip=value(bool, "scaler_clip"))
+    elif kind != "none":
+        raise DataError(f"{path}: unknown scaler {kind!r} (none or minmax)")
+    try:
+        layout = parameter_layout(config, n_metrics)
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint header: {exc}") from None
+
+    wire = config.np_dtype.newbyteorder("<")
+    stored = {}
+    for _ in range(n_params):
+        name = text("parameter name")
+        rank = int.from_bytes(take(8), "little")
+        extents = struct.unpack(f"<{rank}Q", take(8 * rank))
+        stored[name] = extents, take(wire.itemsize * math.prod(extents))
+    if at < len(view):
+        raise DataError(f"{path}: trailing data after last parameter")
 
     if stored.keys() - layout.keys():
         raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - layout.keys())}")
@@ -303,18 +304,6 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         extents, raw = stored[name]
         if extents != shape:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
-        # a view of the record's own buffer when the wire is the native dtype
-        values = np.frombuffer(raw, dtype=wire).reshape(extents)
-        params[name] = Tensor(values.astype(config.np_dtype, copy=False), name=name)
+        values = np.require(np.frombuffer(raw, dtype=wire).reshape(extents), config.np_dtype, "A")
+        params[name] = Tensor(values, name=name)
     return CadModel(config, n_metrics, params, seed), scaler
-
-
-def _read_record(fh, path, itemsize: int) -> tuple[str, tuple[tuple[int, ...], bytearray]]:
-    """One stored parameter: its name, extents and undecoded values."""
-    try:
-        name = _read_exact(fh, _read_u64(fh, path), path).decode("utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: parameter name is not UTF-8") from None
-    rank = _read_u64(fh, path)
-    extents = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
-    return name, (extents, _read_exact(fh, itemsize * math.prod(extents), path))
