@@ -122,14 +122,19 @@ def _require_dir(path: Path) -> None:
 
 
 def _resolve_entities(data_root: Path, spec: str | None, marker: str) -> list[str]:
-    """The entities ``spec`` names (a comma list, each name once, so no two
-    workers write one entity's files; 'all' or None for every directory
-    under ``data_root`` holding ``marker``)."""
+    """The entities ``spec`` names (a comma list, each directory once by its
+    ``normpath``, so no two workers write one entity's files; 'all' or None
+    for every directory under ``data_root`` holding ``marker``). A name
+    that is absolute, ``.`` or leads out through ``..`` is refused."""
     _require_dir(data_root)
     if spec not in (None, "all"):
-        entities = list(dict.fromkeys(e.strip() for e in spec.split(",") if e.strip()))
-        if not entities:
+        names = [name.strip() for name in spec.split(",") if name.strip()]
+        if not names:
             raise ConfigError("empty entity list")
+        for name in names:
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] in (os.curdir, os.pardir):
+                raise ConfigError(f"--entities: {name!r} is not a directory under {data_root}")
+        entities = list(dict.fromkeys(map(os.path.normpath, names)))
         for entity in entities:
             if not (data_root / entity / marker).exists():
                 raise DataError(f"{data_root / entity / marker}: not found")
@@ -222,7 +227,6 @@ def _train_entity(train_csv: Path, entity_dir: Path, cfg: TrainConfig) -> str:
         model, history = train_model(model, windows, cfg)
     except (DataError, NumericError) as exc:
         raise type(exc)(f"{train_csv}: {exc}") from None
-    entity_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, scaler, entity_dir / CHECKPOINT_NAME, cfg)
     write_history(history, entity_dir / HISTORY_NAME)
     return f"trained {entity_dir.name}: epochs={len(history.epochs)} stop={history.stopping_reason}"
@@ -248,7 +252,6 @@ def _score_one(input_csv: str | Path, checkpoint: str | Path, output: str | Path
         scored = score_series(model, series, scaler)
     except (DataError, NumericError) as exc:
         raise type(exc)(f"{input_csv}: {exc} (checkpoint {checkpoint})") from None
-    Path(output).parent.mkdir(parents=True, exist_ok=True)
     write_scores(output, scored)
     return f"scored {Path(input_csv).parent.name or input_csv}: {len(scored)} timestamps -> {output}"
 

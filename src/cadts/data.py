@@ -110,10 +110,11 @@ def read_lines(path, error: type[Exception] = DataError) -> list[str]:
 
 def atomic_write(path, blocks: Iterable[bytes]) -> None:
     """Write the byte blocks ``blocks`` in turn to ``{path}.tmp``, then move
-    it over ``path``; a generator's blocks are written as they come. On
-    failure, the generator's too, the temporary file is removed and the old
-    file keeps its bytes."""
+    it over ``path``, making its directory first; a generator's blocks are
+    written as they come. On failure, the generator's too, the temporary
+    file is removed and the old file keeps its bytes."""
     tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with tmp.open("wb") as fh:
             for block in blocks:

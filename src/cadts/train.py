@@ -6,11 +6,12 @@ field, seed, parameter record count, scaler arrays; read in any order), then
 each parameter as a u64-length-prefixed UTF-8 name, u64 rank, u64 extents,
 and raw little-endian values in the model dtype (``<f4`` or ``<f8``) in
 row-major order, under the stacked names (``expert.kernels`` with a leading
-expert axis, ...). Only version 2 is read: a version-1 file (one
-``expert.{i}.*`` record per expert, from builds before the stacked expert
-bank) is rejected, to be retrained. Every length is checked against the
-bytes left in the file before it is read. The checkpoint and ``history.tsv``
-are written by ``data.atomic_write``; header lines split by ``split_lines``.
+expert axis, ...), and last the u32 little-endian ``zlib.crc32`` of every
+byte before it. Only version 3 is read: versions 1 (one ``expert.{i}.*``
+record per expert) and 2 (no CRC) are rejected, to be retrained. Every
+length is checked against the bytes left in the file before it is read, and
+the CRC after every other check. The checkpoint and ``history.tsv`` are
+written by ``data.atomic_write``; header lines split by ``split_lines``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -32,7 +34,7 @@ from .numcore.optim import AdamState, adam_step, cosine_lr
 from .numcore.tensor import Tape, Tensor, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -188,10 +190,7 @@ def write_history(history: TrainHistory, path) -> None:
 def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None) -> str:
     pairs = [("version", CHECKPOINT_VERSION), ("n_metrics", model.n_metrics)]
     pairs += [(f.name, getattr(model.config, f.name)) for f in fields(ModelConfig)]
-    pairs += [
-        ("seed", cfg.seed if cfg is not None else model.seed),
-        ("params", len(model.params)),
-    ]
+    pairs += [("seed", cfg.seed if cfg is not None else model.seed), ("params", len(model.params))]
     if scaler is None:
         pairs.append(("scaler", "none"))
     else:
@@ -203,7 +202,7 @@ def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None
 
 
 def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConfig | None = None) -> None:
-    """Write the checkpoint atomically."""
+    """Write the checkpoint atomically, sealed by the CRC of its blocks."""
     header = _header_text(model, scaler, cfg).encode("utf-8")
     blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
     wire = model.config.np_dtype.newbyteorder("<")
@@ -214,16 +213,18 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
         blob.append(struct.pack("<Q", tensor.ndim))
         blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
         blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
-    atomic_write(path, blob)
+    crc = 0
+    for block in blob:
+        crc = zlib.crc32(block, crc)
+    atomic_write(path, [*blob, struct.pack("<I", crc)])
 
 
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """The stored model, its parameters checked against the layout its
-    header implies, and its scaler. The magic bytes are read first, so a file
-    of any size that is not a checkpoint is refused after them; the rest is
-    read into one buffer, and ``take`` checks every length against the bytes
-    left in it. Each parameter is a view of that buffer, or an aligned copy
-    where its offset is not aligned for the dtype."""
+    header implies, and its scaler. A file that is not a checkpoint is refused
+    after its magic bytes; the rest is read into one buffer, where ``take``
+    checks every length, and each parameter is a view of it (an aligned copy
+    where its offset is not aligned for the dtype)."""
     with open_input(path) as fh:
         if (magic := fh.read(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
             whole = len(magic) == len(CHECKPOINT_MAGIC)
@@ -245,12 +246,12 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         except UnicodeDecodeError:
             raise DataError(f"{path}: {what} is not UTF-8") from None
 
-    header: dict[str, str] = {}
-    for line in filter(None, split_lines(text("checkpoint header"))):  # blank lines are skipped
-        key, sep, rest = line.partition("=")
+    # blank lines are skipped
+    pairs = [line.partition("=") for line in filter(None, split_lines(text("checkpoint header")))]
+    for line, sep, _ in pairs:
         if not sep:
             raise DataError(f"{path}: malformed checkpoint header line {line!r}")
-        header[key] = rest
+    header = {key: rest for key, _, rest in pairs}
 
     def value(kind, key: str):
         """``key``'s text as a ``kind`` (``parse_value``; ``list``: a comma
@@ -265,8 +266,8 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
             raise DataError(f"{path}: checkpoint header: {exc}") from None
 
     version = value(int, "version")
-    if version == 1:
-        raise DataError(f"{path}: checkpoint version 1 is no longer read; retrain")
+    if version < CHECKPOINT_VERSION:
+        raise DataError(f"{path}: checkpoint version {version} is no longer read; retrain")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     hints = get_type_hints(ModelConfig)
@@ -292,9 +293,9 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         rank = int.from_bytes(take(8), "little")
         extents = struct.unpack(f"<{rank}Q", take(8 * rank))
         stored[name] = extents, take(wire.itemsize * math.prod(extents))
+    crc = int.from_bytes(take(4), "little")
     if at < len(view):
         raise DataError(f"{path}: trailing data after last parameter")
-
     if stored.keys() - layout.keys():
         raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - layout.keys())}")
     if layout.keys() - stored.keys():
@@ -306,4 +307,6 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
         values = np.require(np.frombuffer(raw, dtype=wire).reshape(extents), config.np_dtype, "A")
         params[name] = Tensor(values, name=name)
+    if crc != zlib.crc32(view[: at - 4], zlib.crc32(CHECKPOINT_MAGIC)):
+        raise DataError(f"{path}: checksum mismatch")
     return CadModel(config, n_metrics, params, seed), scaler

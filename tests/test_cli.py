@@ -561,6 +561,47 @@ def test_an_entity_named_twice_runs_once(tmp_path, serial_pool, capsys):
     assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["entity", "e1"]
 
 
+def test_entity_names_run_once_per_directory_and_stay_under_the_data_root(tmp_path, capsys):
+    """e1, e1/ and ./e1 name one directory and run it once; a name that is
+    absolute, . or leads out through .. exits 1 naming it, before any work."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_entity(data, "e1", seed=9)
+    write_entity(tmp_path, "other", seed=10)  # what data/../other names
+    commands = {
+        "train": ["train", "--data-root", str(data), "--out", str(out)] + FAST,
+        "score": ["score", "--run-dir", str(out), "--data-root", str(data)],
+        "eval": ["eval", "--run-dir", str(out), "--data-root", str(data), "--mode", "pa"],
+    }
+    spellings = ["--entities", "e1,e1/,./e1,e1/./"]
+    for argv in (commands["train"], commands["score"]):
+        assert main(argv + spellings) == 0
+        assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == ["e1:"]
+    assert main(commands["eval"] + spellings) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["entity", "e1"]
+    for name in ("../other", str(tmp_path / "other"), ".", "e1/..", "e1/../.."):
+        for argv in commands.values():
+            assert run_main(argv + ["--entities", f"e1,{name}"], capsys) == (
+                1, f"error: --entities: {name!r} is not a directory under {data}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["e1"]
+    assert sorted(p.name for p in (tmp_path / "other").iterdir()) == ["test.csv", "test_label.csv", "train.csv"]
+
+
+def test_an_output_in_a_new_directory_makes_it(tmp_path, capsys):
+    checkpoint, argv = score_argv(tmp_path)
+    assert main(argv) == 0
+    scores, labels = tmp_path / "scores.txt", tmp_path / "labels.csv"
+    labels.write_text("0\n" * (len(read_scores(scores)) - 5) + "1\n" * 5)
+    metrics, report, rows = tmp_path / "m" / "metrics.tsv", tmp_path / "r" / "a" / "report.tsv", tmp_path / "x" / "rows"
+    for argv, output in (
+        (["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "pa", "--output", str(metrics)], metrics),
+        (["report", "--metrics", str(metrics), "--output", str(report)], report),
+        (["export-embeddings", "--checkpoint", str(checkpoint), "--input", argv[4], "--output", str(rows)], rows),
+    ):
+        rc, _ = run_main(argv, capsys)
+        assert rc == 0 and output.is_file() and os.listdir(output.parent) == [output.name]
+    assert read_metrics(metrics)[0].mode == "pa"
+
+
 def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
     data = tmp_path / "data"
     write_entity(data, "e1", seed=12)
@@ -859,6 +900,19 @@ def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{checkpoint}: checkpoint version 1 is no longer read; retrain" in err
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_checkpoint_of_an_older_version_or_a_flipped_byte_exits_2_naming_why(tmp_path, capsys):
+    checkpoint, argv = score_argv(tmp_path)
+    blob = checkpoint.read_bytes()
+    replace_header_value(checkpoint, "version", "2")
+    assert run_main(argv, capsys) == (2, f"error: {checkpoint}: checkpoint version 2 is no longer read; retrain\n")
+    for position in (len(blob) - 5, len(blob) - 1, blob.index(b"\nseed=") + 6):  # a value, the CRC, the header
+        flipped = bytearray(blob)
+        flipped[position] ^= 0x01
+        checkpoint.write_bytes(flipped)
+        assert run_main(argv, capsys) == (2, f"error: {checkpoint}: checksum mismatch\n")
     assert not (tmp_path / "scores.txt").exists()
 
 

@@ -1,7 +1,9 @@
 """Loss, training loop, early stopping and checkpoint persistence."""
 
 import struct
+import tracemalloc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -351,7 +353,7 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
     tampered = tmp_path / "v9.ckpt"
-    tampered.write_bytes(blob.replace(b"version=2", b"version=9", 1))
+    tampered.write_bytes(blob.replace(b"version=3", b"version=9", 1))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(tampered)
 
@@ -372,12 +374,27 @@ def test_checkpoint_header_line_order_is_free(tmp_path):
     (n,) = struct.unpack("<Q", blob[8:16])
     lines = blob[16 : 16 + n].decode("utf-8").splitlines()
     reordered = tmp_path / "reordered.ckpt"
-    reordered.write_bytes(blob[:16] + "".join(f"{x}\n" for x in reversed(lines)).encode() + blob[16 + n :])
+    body = blob[:16] + "".join(f"{x}\n" for x in reversed(lines)).encode() + blob[16 + n : -4]
+    reordered.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # sealed again
     loaded, loaded_scaler = load_checkpoint(reordered)
     assert loaded.config == model.config
     np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
     for a, b in zip(model.params.values(), loaded.params.values()):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_a_large_file_that_is_not_a_checkpoint_is_refused_after_its_magic(tmp_path):
+    path = tmp_path / "large.bin"
+    with path.open("wb") as fh:
+        fh.truncate(32 << 20)  # 32 MB of zero bytes, sparse on disk
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="bad magic"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- the loader under corruption ---------------------------------------------------
@@ -421,10 +438,10 @@ def _byte_offset(blob: bytes, field: str) -> int:
 @example(field="l", bit=2, truncate=False)  # l=4 -> l=0
 @example(field="scaler", bit=0, truncate=False)  # minmax -> linmax
 @example(field="rank", bit=0, truncate=True)
-def test_corrupt_checkpoint_loads_or_raises_data_error(tiny_checkpoint, field, bit, truncate):
-    """A single flipped bit, or a cut, at any position either still loads or
-    raises DataError: no MemoryError, OverflowError, UnicodeDecodeError or
-    ConfigError, and no scaler silently dropped."""
+def test_corrupt_checkpoint_raises_data_error(tiny_checkpoint, field, bit, truncate):
+    """A single flipped bit, or a cut, at any position raises DataError: no
+    MemoryError, OverflowError, UnicodeDecodeError or ConfigError, and no
+    checkpoint that loads with other values."""
     blob, path = tiny_checkpoint
     position = (8 * _byte_offset(blob, field) + bit) % (8 * len(blob))
     corrupt = bytearray(blob)
@@ -433,8 +450,13 @@ def test_corrupt_checkpoint_loads_or_raises_data_error(tiny_checkpoint, field, b
     else:
         corrupt[position // 8] ^= 1 << (position % 8)
     path.write_bytes(corrupt)
-    try:
-        _, scaler = load_checkpoint(path)
-    except DataError:
-        return
-    assert scaler is not None
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_every_cut_of_a_checkpoint_raises_data_error(tiny_checkpoint):
+    blob, path = tiny_checkpoint
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            load_checkpoint(path)
