@@ -223,8 +223,9 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     """The stored model, its parameters checked against the layout its
     header implies, and its scaler. A file that is not a checkpoint is refused
     after its magic bytes; the rest is read into one buffer, where ``take``
-    checks every length, and each parameter is a view of it (an aligned copy
-    where its offset is not aligned for the dtype)."""
+    checks every length. Each parameter is copied out of it: a record's
+    offset is rarely aligned for its dtype, and an unaligned array is copied
+    again by every product that reads it."""
     with open_input(path) as fh:
         if (magic := fh.read(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
             whole = len(magic) == len(CHECKPOINT_MAGIC)
@@ -305,8 +306,7 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         extents, raw = stored[name]
         if extents != shape:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
-        values = np.require(np.frombuffer(raw, dtype=wire).reshape(extents), config.np_dtype, "A")
-        params[name] = Tensor(values, name=name)
+        params[name] = Tensor(np.frombuffer(raw, dtype=wire).reshape(extents).astype(config.np_dtype), name=name)
     if crc != zlib.crc32(view[: at - 4], zlib.crc32(CHECKPOINT_MAGIC)):
         raise DataError(f"{path}: checksum mismatch")
     return CadModel(config, n_metrics, params, seed), scaler

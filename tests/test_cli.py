@@ -587,15 +587,15 @@ def test_entity_names_run_once_per_directory_and_stay_under_the_data_root(tmp_pa
 
 
 def test_an_output_in_a_new_directory_makes_it(tmp_path, capsys):
-    checkpoint, argv = score_argv(tmp_path)
-    assert main(argv) == 0
+    checkpoint, score = score_argv(tmp_path)
+    assert main(score) == 0
     scores, labels = tmp_path / "scores.txt", tmp_path / "labels.csv"
     labels.write_text("0\n" * (len(read_scores(scores)) - 5) + "1\n" * 5)
     metrics, report, rows = tmp_path / "m" / "metrics.tsv", tmp_path / "r" / "a" / "report.tsv", tmp_path / "x" / "rows"
     for argv, output in (
         (["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "pa", "--output", str(metrics)], metrics),
         (["report", "--metrics", str(metrics), "--output", str(report)], report),
-        (["export-embeddings", "--checkpoint", str(checkpoint), "--input", argv[4], "--output", str(rows)], rows),
+        (["export-embeddings", "--checkpoint", str(checkpoint), "--input", score[4], "--output", str(rows)], rows),
     ):
         rc, _ = run_main(argv, capsys)
         assert rc == 0 and output.is_file() and os.listdir(output.parent) == [output.name]
