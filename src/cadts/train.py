@@ -220,12 +220,9 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
 
 
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
-    """The stored model, its parameters checked against the layout its
-    header implies, and its scaler. A file that is not a checkpoint is refused
-    after its magic bytes; the rest is read into one buffer, where ``take``
-    checks every length. Each parameter is copied out of it: a record's
-    offset is rarely aligned for its dtype, and an unaligned array is copied
-    again by every product that reads it."""
+    """The stored model, checked against the layout its header implies, and
+    its scaler: the magic bytes first, then the rest in one buffer, where
+    ``take`` checks every length; each parameter is a view of that buffer."""
     with open_input(path) as fh:
         if (magic := fh.read(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
             whole = len(magic) == len(CHECKPOINT_MAGIC)
@@ -247,7 +244,6 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         except UnicodeDecodeError:
             raise DataError(f"{path}: {what} is not UTF-8") from None
 
-    # blank lines are skipped
     pairs = [line.partition("=") for line in filter(None, split_lines(text("checkpoint header")))]
     for line, sep, _ in pairs:
         if not sep:
@@ -255,8 +251,7 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     header = {key: rest for key, _, rest in pairs}
 
     def value(kind, key: str):
-        """``key``'s text as a ``kind`` (``parse_value``; ``list``: a comma
-        list of floats); DataError naming a missing key or a bad value."""
+        """``key`` by ``parse_value`` (``list``: of floats), or DataError."""
         if key not in header:
             raise DataError(f"{path}: checkpoint header missing key {key!r}")
         try:
@@ -293,8 +288,9 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         name = text("parameter name")
         rank = int.from_bytes(take(8), "little")
         extents = struct.unpack(f"<{rank}Q", take(8 * rank))
-        stored[name] = extents, take(wire.itemsize * math.prod(extents))
-    crc = int.from_bytes(take(4), "little")
+        stored[name] = extents, at
+        take(wire.itemsize * math.prod(extents))
+    sealed = int.from_bytes(take(4), "little") == zlib.crc32(view[:-4], zlib.crc32(CHECKPOINT_MAGIC))
     if at < len(view):
         raise DataError(f"{path}: trailing data after last parameter")
     if stored.keys() - layout.keys():
@@ -303,10 +299,14 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         raise DataError(f"{path}: missing parameters {sorted(layout.keys() - stored.keys())}")
     params = {}
     for name, (shape, _) in layout.items():
-        extents, raw = stored[name]
+        extents, start = stored[name]
         if extents != shape:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
-        params[name] = Tensor(np.frombuffer(raw, dtype=wire).reshape(extents).astype(config.np_dtype), name=name)
-    if crc != zlib.crc32(view[: at - 4], zlib.crc32(CHECKPOINT_MAGIC)):
+        # moved over its record's extents (parsed already) to an offset aligned
+        # for the dtype: every product would copy an unaligned array again
+        to, size = start - start % wire.itemsize, wire.itemsize * math.prod(shape)
+        view[to : to + size] = view[start : start + size]
+        params[name] = Tensor(np.frombuffer(view[to : to + size], wire).reshape(shape), config.np_dtype, name)
+    if not sealed:
         raise DataError(f"{path}: checksum mismatch")
     return CadModel(config, n_metrics, params, seed), scaler
