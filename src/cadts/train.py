@@ -302,8 +302,8 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         extents, start = stored[name]
         if extents != shape:
             raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
-        # moved over its record's extents (parsed already) to an offset aligned
-        # for the dtype: every product would copy an unaligned array again
+        # moved over its record's extents (parsed, and sealed above) to an offset
+        # aligned for the dtype: every product would copy an unaligned array again
         to, size = start - start % wire.itemsize, wire.itemsize * math.prod(shape)
         view[to : to + size] = view[start : start + size]
         params[name] = Tensor(np.frombuffer(view[to : to + size], wire).reshape(shape), config.np_dtype, name)
