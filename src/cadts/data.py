@@ -21,6 +21,7 @@ import re
 import signal
 import warnings
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,18 +82,28 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def open_input(path):
-    """The one open of an input file, for binary reading. A path that
-    cannot be opened raises DataError: ``<path>: not found``, ``<path>: is a
-    directory``, or ``<path>: <strerror>``."""
+@contextmanager
+def _naming(path):
+    """An OSError in the block raises DataError naming ``path``: ``<path>:
+    not found``, ``<path>: is a directory``, ``<path>: a parent is not a
+    directory``, or ``<path>: <strerror>``. Any other error passes through."""
     try:
-        return open(path, "rb")
+        yield
     except FileNotFoundError:
         raise DataError(f"{path}: not found") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory") from None
+    except (NotADirectoryError, FileExistsError):  # FileExistsError: mkdir met a file
+        raise DataError(f"{path}: a parent is not a directory") from None
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
+
+
+def open_input(path):
+    """The one open of an input file, for binary reading; a path that
+    cannot be opened raises DataError naming it (``_naming``)."""
+    with _naming(path):
+        return open(path, "rb")
 
 
 def read_lines(path, error: type[Exception] = DataError) -> list[str]:
@@ -111,17 +122,19 @@ def read_lines(path, error: type[Exception] = DataError) -> list[str]:
 def atomic_write(path, blocks: Iterable[bytes]) -> None:
     """Write the byte blocks ``blocks`` in turn to ``{path}.tmp``, then move
     it over ``path``, making its directory first; a generator's blocks are
-    written as they come. On failure, the generator's too, the temporary
-    file is removed and the old file keeps its bytes."""
+    written as they come. An OSError there raises DataError naming ``path``
+    (``_naming``); the generator's own errors pass through. On failure the
+    temporary file is removed and the old file keeps its bytes."""
     tmp = Path(f"{path}.tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with tmp.open("wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _naming(path):
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("wb") as fh:
+                for block in blocks:
+                    fh.write(block)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _cell(cell) -> str:

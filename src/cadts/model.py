@@ -5,22 +5,13 @@ blending a shared matrix with a per-metric personalized matrix over the
 metric's own local window, mixes the expert embeddings; a per-metric tower
 condenses the mixed embedding into one predicted value.
 
-Variant wiring (ablations, selectable at build time):
-
-    full          experts + dual gate on the metric's local window
-    no_gate       shared-bottom: unweighted mean of expert embeddings
-    no_selection  dual gate, but fed the flattened full window
-    no_sgate      personalized gate only
-    no_pgate      shared gate only
-    no_conv       experts are two dense layers on the flattened window
-    single_task   one isolated expert+tower per metric, input is only
-                  that metric's own window
-
 Forward passes are vectorized over the batch. Experts are stored stacked
 along an expert axis (the MMoE layout), towers and personalized gate
 matrices along the metric axis, so every variant runs its experts, gates and
-towers as a handful of batched matrix products; single_task is the same
-expert path with one expert per metric, each reading only its metric's row.
+towers as a handful of batched matrix products. Each variant (an ablation,
+``config.variant``) is a row of ``WIRING``, the one variant table; the
+validator, the parameter table and the forward read the row's features,
+never the name.
 
 ``parameter_layout`` is the one parameter table: the name, shape and fan-in
 of every tensor a variant holds (``expert.*``, ``gate.shared``,
@@ -35,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import get_args
+from typing import NamedTuple, get_args
 
 import numpy as np
 
@@ -43,7 +34,27 @@ from .errors import ConfigError
 from .numcore.tensor import (Tensor, add, conv_rows, dense, dropout, mul, recording, reshape, softmax, tmean,
                              transpose)
 
-VARIANTS = ("full", "no_gate", "no_selection", "no_sgate", "no_pgate", "no_conv", "single_task")
+
+class Wiring(NamedTuple):
+    """What a variant wires; a row holds what it drops from full."""
+
+    conv: bool = True  # convolutional experts, else two dense layers on the flattened window
+    isolated: bool = False  # one expert per metric, reading only its own row: no sharing
+    shared_gate: bool = True  # one gate matrix for every metric
+    personalized_gate: bool = True  # a gate matrix per metric; with a shared one, blended by epsilon
+    whole_window: bool = False  # gates read the flattened whole window, else the metric's own
+
+
+WIRING = {
+    "full": Wiring(),
+    "no_gate": Wiring(shared_gate=False, personalized_gate=False),
+    "no_selection": Wiring(whole_window=True),
+    "no_sgate": Wiring(shared_gate=False),
+    "no_pgate": Wiring(personalized_gate=False),
+    "no_conv": Wiring(conv=False),
+    "single_task": Wiring(isolated=True, shared_gate=False, personalized_gate=False),
+}
+VARIANTS = tuple(WIRING)
 
 EMBED_DIM = 128
 
@@ -94,7 +105,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         bad = []
-        if self.variant not in VARIANTS:
+        wiring = WIRING.get(self.variant)
+        if wiring is None:
             bad.append(f"variant={self.variant!r} (known: {', '.join(VARIANTS)})")
         if self.l < 1:
             bad.append(f"l={self.l} (need >= 1)")
@@ -104,7 +116,7 @@ class ModelConfig:
             bad.append(f"experts={self.experts} (need >= 1)")
         if self.kernels < 1:
             bad.append(f"kernels={self.kernels} (need >= 1)")
-        if self.variant in ("full", "no_selection") and not 0.5 < self.epsilon <= 1.0:
+        if wiring is not None and wiring.shared_gate and wiring.personalized_gate and not 0.5 < self.epsilon <= 1.0:
             bad.append(f"epsilon={self.epsilon} (need 0.5 < epsilon <= 1)")
         if self.embed_dim < 1:
             bad.append(f"embed_dim={self.embed_dim} (need >= 1)")
@@ -120,6 +132,10 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
+
+    @property
+    def wiring(self) -> Wiring:
+        return WIRING[self.variant]
 
 
 @dataclass
@@ -137,12 +153,7 @@ class CadModel:
 
     # --- forward --------------------------------------------------------
 
-    def forward_batch(
-        self,
-        windows: np.ndarray,
-        mode: str = "eval",
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def forward_batch(self, windows: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None) -> Tensor:
         """Predictions (B, K) for a batch of windows (B, K, l).
 
         ``mode='train'`` enables tower dropout and requires ``rng``; eval
@@ -169,7 +180,7 @@ class CadModel:
 
         # expert outputs are computed once and reused across all metrics
         embeddings = self._embed(win)  # (E, B, W)
-        gate = self._gate_weights_batch(win) if cfg.variant not in ("no_gate", "single_task") else None
+        gate = self._gate_weights_batch(win) if cfg.wiring.shared_gate or cfg.wiring.personalized_gate else None
         if recording():
             raw = self._towers(embeddings, gate, None, rng)  # (K, B, 1)
             return transpose(reshape(raw, (k, batch)), (1, 0))
@@ -191,7 +202,7 @@ class CadModel:
             return t if metrics is None else Tensor(t.data[(slice(None),) * axis + (metrics,)])
 
         p = self.params
-        if self.config.variant == "single_task":
+        if self.config.wiring.isolated:
             mixed = take(embeddings)  # expert k is metric k's own
         elif gate is None:
             mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the towers
@@ -216,11 +227,11 @@ class CadModel:
         """Embeddings (E, B, W) of windows (B, K, l), all experts at once."""
         batch, k, l = win.shape
         p = self.params
-        if self.config.variant == "single_task":
+        if self.config.wiring.isolated:
             rows = transpose(win, (1, 0, 2))  # (K, B, l): expert k reads metric k's row
         else:
             rows = reshape(win, (batch * k, l))  # every expert reads every row
-        if "expert.kernels" in p:
+        if self.config.wiring.conv:
             rows = conv_rows(rows, p["expert.kernels"], relu=True)  # (E, B*K, N) or (K, B, N)
         flat = reshape(rows, (-1, batch, p["expert.ff1_w"].shape[1]))  # (E or 1, B, ff1 input)
         hidden = dense(flat, p["expert.ff1_w"], p["expert.ff1_b"], relu=True)
@@ -228,19 +239,15 @@ class CadModel:
 
     def _gate_weights_batch(self, win: Tensor) -> Tensor:
         """Gate weights (B, K, M) of windows (B, K, l)."""
-        cfg = self.config
-        # (B, K, l): each metric's own window; no_selection's (B, 1, K*l): the flattened full window
-        gate_in = reshape(win, (win.shape[0], 1, -1)) if cfg.variant == "no_selection" else win
+        cfg, wiring = self.config, self.config.wiring
+        # (B, K, l): each metric's own window, or (B, 1, K*l): the flattened whole window
+        gate_in = reshape(win, (win.shape[0], 1, -1)) if wiring.whole_window else win
         pers_in = transpose(gate_in, (1, 0, 2))  # (K|1, B, in): one personalized matrix per metric
-        shared, pers = self.params.get("gate.shared"), self.params.get("gate.personalized")
-        if shared is not None:
-            logits = dense(gate_in, shared)  # (B, K|1, M)
-        if pers is not None:
-            pers_logits = transpose(dense(pers_in, pers), (1, 0, 2))  # (B, K, M)
-            if shared is None:  # no_sgate
-                logits = pers_logits
-            else:
-                logits = add(mul(logits, cfg.epsilon), mul(pers_logits, 1.0 - cfg.epsilon))
+        if wiring.shared_gate:
+            logits = dense(gate_in, self.params["gate.shared"])  # (B, K|1, M)
+        if wiring.personalized_gate:
+            pers = transpose(dense(pers_in, self.params["gate.personalized"]), (1, 0, 2))  # (B, K, M)
+            logits = add(mul(logits, cfg.epsilon), mul(pers, 1.0 - cfg.epsilon)) if wiring.shared_gate else pers
         return softmax(logits, axis=-1)
 
 
@@ -301,19 +308,16 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int, t
 
 
 def expert_embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
-    """Eval-mode embeddings, shape (n_windows, n_experts, embed_dim).
-
-    For single_task models expert k embeds only metric k's row, matching
-    the forward pass.
-    """
+    """Eval-mode embeddings, shape (n_windows, n_experts, embed_dim), as the
+    forward pass embeds them: an isolated variant's expert k reads metric k's row."""
     return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
 
 
 def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:
     """Eval-mode gate weights, shape (n_windows, n_metrics, n_experts): each
-    metric's simplex over the experts, as the forward pass blends them.
-    Gateless variants (no_gate, single_task) raise ValueError."""
-    if model.config.variant in ("no_gate", "single_task"):
+    metric's simplex over the experts, as the forward pass blends them. A
+    variant with neither gate matrix raises ValueError."""
+    if not (model.config.wiring.shared_gate or model.config.wiring.personalized_gate):
         raise ValueError(f"variant {model.config.variant!r} has no gate")
     return model._gate_weights_batch(model._as_windows(windows)).data
 
@@ -328,22 +332,21 @@ def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tup
         raise ConfigError(f"n_metrics must be >= 1, got {n_metrics}")
     k, l, m, n, w = n_metrics, config.l, config.experts, config.kernels, config.embed_dim
 
-    conv = config.variant != "no_conv"
-    count, rows = (k, 1) if config.variant == "single_task" else (m, k)
-    flat_in = rows * (n if conv else l)
-    layout = {"expert.kernels": ((count, n, l), l)} if conv else {}
+    wiring = config.wiring
+    count, rows = (k, 1) if wiring.isolated else (m, k)
+    flat_in = rows * (n if wiring.conv else l)
+    layout = {"expert.kernels": ((count, n, l), l)} if wiring.conv else {}
     layout.update({
         "expert.ff1_w": ((count, flat_in, w), flat_in),
         "expert.ff1_b": ((count, 1, w), flat_in),
         "expert.ff2_w": ((count, w, w), w),
         "expert.ff2_b": ((count, 1, w), w),
     })
-    if config.variant not in ("no_gate", "single_task"):
-        gate_in = k * l if config.variant == "no_selection" else l
-        if config.variant != "no_sgate":
-            layout["gate.shared"] = ((gate_in, m), gate_in)
-        if config.variant != "no_pgate":
-            layout["gate.personalized"] = ((k, gate_in, m), gate_in)
+    gate_in = k * l if wiring.whole_window else l
+    if wiring.shared_gate:
+        layout["gate.shared"] = ((gate_in, m), gate_in)
+    if wiring.personalized_gate:
+        layout["gate.personalized"] = ((k, gate_in, m), gate_in)
     hidden = config.tower_hidden
     layout.update({
         "tower.w1": ((k, w, hidden), w),

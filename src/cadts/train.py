@@ -58,10 +58,10 @@ class TrainConfig(ModelConfig):
     def validate(self) -> None:
         super().validate()
         bad = []
-        if self.lr0 <= 0:
-            bad.append(f"lr0={self.lr0} (need > 0)")
-        if self.lr_min < 0:
-            bad.append(f"lr_min={self.lr_min} (need >= 0)")
+        if not 0.0 < self.lr0 < math.inf:
+            bad.append(f"lr0={self.lr0} (need finite > 0)")
+        if not 0.0 <= self.lr_min < math.inf:
+            bad.append(f"lr_min={self.lr_min} (need finite >= 0)")
         if self.batch < 1:
             bad.append(f"batch={self.batch} (need >= 1)")
         if self.max_epochs < 1:

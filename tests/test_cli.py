@@ -21,7 +21,7 @@ from cadts.cli import main, make_train_config
 from cadts.data import load_labels, load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError, DataError
 from cadts.evaluate import SCORE_CHUNK, EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
-from cadts.model import ModelConfig, build_model, expert_embeddings
+from cadts.model import VARIANTS, ModelConfig, build_model, expert_embeddings
 from cadts.train import (EpochStats, TrainHistory, load_checkpoint, save_checkpoint, train_model,
                          write_history)
 
@@ -414,6 +414,25 @@ def test_bad_config_value_exits_1_naming_where_it_was_set(tmp_path, capsys, line
     assert not (tmp_path / "out").exists()
 
 
+def test_epsilon_is_checked_wherever_both_gate_matrices_blend(tmp_path, capsys):
+    blended = {"full", "no_selection", "no_conv"}
+    for variant in VARIANTS:
+        for epsilon in (0.3, 7.0, float("nan")):
+            config = ModelConfig(variant=variant, epsilon=epsilon)
+            if variant in blended:
+                with pytest.raises(ConfigError, match=rf"^invalid model config: epsilon={epsilon} \("):
+                    config.validate()
+            else:
+                config.validate()
+    data = tmp_path / "data"
+    write_entity(data, "e1")
+    argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), *FAST,
+            "--set", "variant=no_conv", "--set", "epsilon=7"]
+    rc, err = run_main(argv, capsys)
+    assert rc == 1 and err == "error: invalid model config: epsilon=7.0 (need 0.5 < epsilon <= 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_score_eval_pipeline(tmp_path, capsys):
     data = tmp_path / "data"
     write_entity(data, "e1", seed=0)
@@ -600,6 +619,28 @@ def test_an_output_in_a_new_directory_makes_it(tmp_path, capsys):
         rc, _ = run_main(argv, capsys)
         assert rc == 0 and output.is_file() and os.listdir(output.parent) == [output.name]
     assert read_metrics(metrics)[0].mode == "pa"
+
+
+@pytest.mark.parametrize("command", ["score", "eval", "report", "export-embeddings"])
+def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, command):
+    checkpoint, score = score_argv(tmp_path)
+    scores, labels, metrics = tmp_path / "s.txt", tmp_path / "l.txt", tmp_path / "metrics.tsv"
+    scores.write_text("0.1\n0.9\n0.2\n")
+    labels.write_text("0\n1\n0\n")
+    eval_ = ["eval", "--scores", str(scores), "--labels", str(labels), "--output"]
+    assert main(eval_ + [str(metrics)]) == 0
+    argv = {
+        "score": score[:-1],
+        "eval": eval_,
+        "report": ["report", "--metrics", str(metrics), "--output"],
+        "export-embeddings": ["export-embeddings", "--checkpoint", str(checkpoint), "--input", score[4], "--output"],
+    }[command]
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_bytes(b"kept\n")
+    for output, reason in ((a_dir, "is a directory"), (a_file / "m.tsv", "a parent is not a directory")):
+        assert run_main(argv + [str(output)], capsys) == (2, f"error: {output}: {reason}\n")
+    assert os.listdir(a_dir) == [] and a_file.read_bytes() == b"kept\n"
 
 
 def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):

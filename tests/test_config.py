@@ -84,9 +84,26 @@ def test_cli_rejects_unparseable_values(key, text):
         make_train_config(overrides=[f"{key}={text}"])
 
 
+@pytest.mark.parametrize("key, text", [("lr0", "nan"), ("lr0", "inf"), ("lr0", "-inf"), ("lr0", "0"),
+                                       ("lr_min", "nan"), ("lr_min", "inf"), ("lr_min", "-1")])
+def test_learning_rates_must_be_finite(key, text):
+    need = "> 0" if key == "lr0" else ">= 0"
+    with pytest.raises(ConfigError, match=rf"^invalid train config: {key}={float(text)} \(need finite {need}\)$"):
+        make_train_config(overrides=[f"{key}={text}"])
+
+
+def configuration_section() -> str:
+    return README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_table_lists_the_train_config_fields():
-    section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
     keys = set()
-    for row in re.findall(r"^\| (`.*?) \|", section, flags=re.M):
+    for row in re.findall(r"^\| (`.*?) \|", configuration_section(), flags=re.M):
         keys.update(re.findall(r"`(\w+)`", row))
     assert keys == {f.name for f in fields(TrainConfig)}
+
+
+def test_readme_variant_row_lists_the_variants():
+    (row,) = re.findall(r"^\| `variant` \|.*$", configuration_section(), flags=re.M)
+    meaning = row.split(" | ")[2]
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == VARIANTS

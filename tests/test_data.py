@@ -682,8 +682,10 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatc
 
     monkeypatch.setattr(os, "replace", replace)
     blocks = {"write": ["not bytes"], "replace": [b"new\n"], "block": failing_blocks()}[fault]
-    with pytest.raises({"write": TypeError, "replace": OSError, "block": RuntimeError}[fault]):
+    # the move's OSError is a DataError naming the path; the others pass through
+    with pytest.raises({"write": TypeError, "replace": DataError, "block": RuntimeError}[fault]) as raised:
         data.atomic_write(p, blocks)
+    assert fault != "replace" or str(raised.value) == f"{p}: cross-device link"
     assert p.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [p]
 
