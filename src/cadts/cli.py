@@ -1,4 +1,4 @@
-"""Command-line surface: train, score, eval, report, export-embeddings.
+"""Command-line surface: train, score, eval and report.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or IO error (or a dead
 ``--jobs`` worker), 3 numeric failure, 130 Ctrl-C. Entity runs write into
@@ -30,11 +30,9 @@ from .data import (apply_minmax, atomic_write, fit_minmax, load_labels, load_ser
                    table_text)
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import (
-    SCORE_CHUNK,
     MODES,
     EvalRow,
     aggregate_entities,
-    eval_windows,
     best_f1,
     format_metrics,
     read_metrics,
@@ -43,7 +41,7 @@ from .evaluate import (
     write_metrics,
     write_scores,
 )
-from .model import build_model, expert_embeddings, parse_value
+from .model import build_model, parse_value
 from .train import (
     TrainConfig,
     load_checkpoint,
@@ -351,51 +349,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-# --- export-embeddings -----------------------------------------------------------
-
-
-def cmd_export_embeddings(args) -> int:
-    """Every ``--stride``-th window's expert embeddings, ``SCORE_CHUNK``
-    sampled windows at a time through the score chunks (``eval_windows``);
-    each chunk's lines are written before the next chunk is forwarded. A
-    chunk is forwarded as ``window_errors`` forwards one, ignoring numpy's
-    floating-point errors; a non-finite embedding raises NumericError naming
-    its window, and ``--output`` keeps what it held."""
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    model, scaler = load_checkpoint(args.checkpoint)
-    series = load_series(args.input)
-    try:
-        chunk, count = eval_windows(model, series, scaler)
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
-    sampled = range(0, count, args.stride)
-    experts = model.params["expert.ff1_w"].shape[0]
-
-    def blocks() -> Iterator[bytes]:
-        for first in range(0, len(sampled), SCORE_CHUNK):
-            indices = sampled[first : first + SCORE_CHUNK]
-            # a short last chunk reaches back to SCORE_CHUNK windows: a
-            # forward of a few rows may take another BLAS kernel
-            reach = max(0, min(first, len(sampled) - SCORE_CHUNK))
-            windows, _ = chunk(sampled[reach], indices[-1] + 1)
-            with np.errstate(all="ignore"):
-                embedded = expert_embeddings(model, windows[:: args.stride])[first - reach :]
-            bad = np.flatnonzero(~np.isfinite(embedded).all(axis=(1, 2)))
-            if bad.size:
-                raise NumericError(
-                    f"{args.input}: non-finite embedding at window {indices[bad[0]]}"
-                    f" (checkpoint {args.checkpoint})"
-                )
-            rows = ((index, e, *embedded[row, e].tolist())
-                    for row, index in enumerate(indices) for e in range(experts))
-            yield table_text(rows).encode()
-
-    atomic_write(args.output, blocks())
-    print(f"exported {len(sampled) * experts} embedding rows ({len(sampled)} windows x {experts} experts)")
-    return 0
-
-
 # --- parser --------------------------------------------------------------------
 
 
@@ -444,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--output", help="aggregate file to write")
     p_report.set_defaults(func=cmd_report)
 
-    p_export = sub.add_parser("export-embeddings", help="dump expert embeddings")
-    p_export.add_argument("--checkpoint", required=True)
-    p_export.add_argument("--input", required=True, help="series CSV to embed")
-    p_export.add_argument("--output", required=True)
-    p_export.add_argument("--stride", type=int, default=1, help="sample every Nth window")
-    p_export.set_defaults(func=cmd_export_embeddings)
     return parser
 
 

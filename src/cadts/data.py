@@ -123,13 +123,18 @@ def atomic_write(path, blocks: Iterable[bytes]) -> None:
     """Write the byte blocks ``blocks`` in turn to ``{path}.tmp``, then move
     it over ``path``, making its directory first; a generator's blocks are
     written as they come. An OSError there raises DataError naming ``path``
-    (``_naming``); the generator's own errors pass through. On failure the
-    temporary file is removed and the old file keeps its bytes."""
+    (``_naming``), or naming ``{path}.tmp`` if that cannot be opened, and
+    then it stays as it was; the generator's own errors pass through. On any
+    other failure the temporary file is removed and the old file keeps its
+    bytes."""
     tmp = Path(f"{path}.tmp")
     with _naming(path):
         tmp.parent.mkdir(parents=True, exist_ok=True)
+    with _naming(tmp):
+        fh = tmp.open("wb")
+    with _naming(path):
         try:
-            with tmp.open("wb") as fh:
+            with fh:
                 for block in blocks:
                     fh.write(block)
             os.replace(tmp, path)

@@ -30,8 +30,7 @@ from .model import CadModel, ChunkSource, window_errors
 
 MODES = ("raw", "pa", "kpa")
 
-# Windows per eval chunk of ``score_series``, and sampled windows per chunk
-# of ``cadts export-embeddings``. Score chunks run on helper threads, one
+# Windows per eval chunk of ``score_series``, run on helper threads, one
 # per core of the process's budget, so the chunks in flight hold budget x
 # chunk windows. At 38 metrics the chunk's expert stage (conv outputs and
 # embeddings) sets the footprint, as the towers mix one block of metrics at

@@ -304,13 +304,7 @@ def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int, t
     return errors
 
 
-# --- public eval-mode views -------------------------------------------------
-
-
-def expert_embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
-    """Eval-mode embeddings, shape (n_windows, n_experts, embed_dim), as the
-    forward pass embeds them: an isolated variant's expert k reads metric k's row."""
-    return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
+# --- public eval-mode view --------------------------------------------------
 
 
 def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:

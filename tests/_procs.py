@@ -10,9 +10,15 @@ from pathlib import Path
 
 def children(pid: int) -> set[int]:
     """Pids of ``pid``'s children, running or unreaped; an empty set where
-    /proc has no children files."""
-    tasks = Path(f"/proc/{pid}/task")
-    return {int(child) for f in tasks.glob("*/children") for child in f.read_text().split()}
+    /proc has no children files. A thread that ends between the listing and
+    the read is skipped: its children pass to another thread of ``pid``."""
+    found = set()
+    for f in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            found.update(int(child) for child in f.read_text().split())
+        except FileNotFoundError:
+            pass
+    return found
 
 
 def ignores_sigint(pid: int) -> bool:

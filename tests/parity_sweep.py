@@ -7,14 +7,13 @@ Runs this checkout's cadts (its own ``src/``) in process, on three small
 fixed-seed entities (``make_conflict_dataset``, test series of several
 score chunks): two of 6 metrics, and one of 17, whose towers an unrecorded
 forward runs in three blocks (``model.TOWER_BLOCK``). For each of the 7 variants in float32 and float64 it runs
-``train``, ``score``, ``eval``, ``report`` and ``export-embeddings`` into
-``OUT_DIR/<variant>-<dtype>/``: per entity the checkpoint, ``history.tsv``,
-scores, metrics, the single-file ``eval --threshold`` metrics at each of
-``THRESHOLDS`` (``metrics_fixed_<threshold>.tsv``) and embeddings, plus the
-report. The generated inputs go to ``OUT_DIR/data``. To compare two
-checkouts, run each one's copy of this script (or this script copied into
-the other checkout, as it puts its own checkout's ``src/`` first); a change
-keeps every output when
+``train``, ``score``, ``eval`` and ``report`` into ``OUT_DIR/<variant>-<dtype>/``:
+per entity the checkpoint, ``history.tsv``, scores, metrics and the
+single-file ``eval --threshold`` metrics at each of ``THRESHOLDS``
+(``metrics_fixed_<threshold>.tsv``), plus the report. The generated inputs
+go to ``OUT_DIR/data``. To compare two checkouts, run each one's copy of
+this script (or this script copied into the other checkout, as it puts its
+own checkout's ``src/`` first); a change keeps every output when
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -33,7 +32,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cadts.cli import CHECKPOINT_NAME, main  # noqa: E402
+from cadts.cli import main  # noqa: E402
 from cadts.model import VARIANTS  # noqa: E402
 
 from _synth import make_conflict_dataset  # noqa: E402
@@ -78,8 +77,6 @@ def sweep(out: Path) -> None:
                     cadts("eval", "--scores", str(run / entity / "scores.txt"),
                           "--labels", str(data / entity / "test_label.csv"), "--threshold", threshold,
                           "--output", str(run / entity / f"metrics_fixed_{threshold}.tsv"))
-                cadts("export-embeddings", "--checkpoint", str(run / entity / CHECKPOINT_NAME),
-                      "--input", str(data / entity / "test.csv"), "--output", str(run / entity / "embeddings.tsv"))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import Future
@@ -20,8 +19,8 @@ from cadts import cli
 from cadts.cli import main, make_train_config
 from cadts.data import load_labels, load_series, make_windows, fit_minmax, apply_minmax
 from cadts.errors import ConfigError, DataError
-from cadts.evaluate import SCORE_CHUNK, EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
-from cadts.model import VARIANTS, ModelConfig, build_model, expert_embeddings
+from cadts.evaluate import EvalRow, best_f1, read_metrics, read_scores, score_series, write_metrics
+from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.train import (EpochStats, TrainHistory, load_checkpoint, save_checkpoint, train_model,
                          write_history)
 
@@ -606,24 +605,23 @@ def test_entity_names_run_once_per_directory_and_stay_under_the_data_root(tmp_pa
 
 
 def test_an_output_in_a_new_directory_makes_it(tmp_path, capsys):
-    checkpoint, score = score_argv(tmp_path)
-    assert main(score) == 0
-    scores, labels = tmp_path / "scores.txt", tmp_path / "labels.csv"
+    _, score = score_argv(tmp_path)
+    scores, labels = tmp_path / "s" / "scores.txt", tmp_path / "labels.csv"
+    assert main(score[:-1] + [str(scores)]) == 0 and os.listdir(scores.parent) == [scores.name]
     labels.write_text("0\n" * (len(read_scores(scores)) - 5) + "1\n" * 5)
-    metrics, report, rows = tmp_path / "m" / "metrics.tsv", tmp_path / "r" / "a" / "report.tsv", tmp_path / "x" / "rows"
+    metrics, report = tmp_path / "m" / "metrics.tsv", tmp_path / "r" / "a" / "report.tsv"
     for argv, output in (
         (["eval", "--scores", str(scores), "--labels", str(labels), "--mode", "pa", "--output", str(metrics)], metrics),
         (["report", "--metrics", str(metrics), "--output", str(report)], report),
-        (["export-embeddings", "--checkpoint", str(checkpoint), "--input", score[4], "--output", str(rows)], rows),
     ):
         rc, _ = run_main(argv, capsys)
         assert rc == 0 and output.is_file() and os.listdir(output.parent) == [output.name]
     assert read_metrics(metrics)[0].mode == "pa"
 
 
-@pytest.mark.parametrize("command", ["score", "eval", "report", "export-embeddings"])
+@pytest.mark.parametrize("command", ["score", "eval", "report"])
 def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, command):
-    checkpoint, score = score_argv(tmp_path)
+    _, score = score_argv(tmp_path)
     scores, labels, metrics = tmp_path / "s.txt", tmp_path / "l.txt", tmp_path / "metrics.tsv"
     scores.write_text("0.1\n0.9\n0.2\n")
     labels.write_text("0\n1\n0\n")
@@ -633,14 +631,17 @@ def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, co
         "score": score[:-1],
         "eval": eval_,
         "report": ["report", "--metrics", str(metrics), "--output"],
-        "export-embeddings": ["export-embeddings", "--checkpoint", str(checkpoint), "--input", score[4], "--output"],
     }[command]
-    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir, a_file, taken = tmp_path / "a_dir", tmp_path / "a_file", tmp_path / "t.tsv.tmp"
     a_dir.mkdir()
     a_file.write_bytes(b"kept\n")
-    for output, reason in ((a_dir, "is a directory"), (a_file / "m.tsv", "a parent is not a directory")):
-        assert run_main(argv + [str(output)], capsys) == (2, f"error: {output}: {reason}\n")
+    taken.mkdir()  # the temporary path of the output t.tsv
+    for output, named, reason in ((a_dir, a_dir, "is a directory"),
+                                  (a_file / "m.tsv", a_file / "m.tsv", "a parent is not a directory"),
+                                  (tmp_path / "t.tsv", taken, "is a directory")):
+        assert run_main(argv + [str(output)], capsys) == (2, f"error: {named}: {reason}\n")
     assert os.listdir(a_dir) == [] and a_file.read_bytes() == b"kept\n"
+    assert os.listdir(taken) == [] and not (tmp_path / "t.tsv").exists()
 
 
 def test_jobs_worker_failure_keeps_its_exit_code(tmp_path, capsys):
@@ -968,121 +969,6 @@ def test_score_non_finite_prediction_exits_3(tmp_path, capsys):
     assert not (tmp_path / "scores.txt").exists()
 
 
-# --- export-embeddings ------------------------------------------------------------
-
-
-def test_export_embeddings_row_counts(tmp_path, capsys):
-    data = tmp_path / "data"
-    write_entity(data, "e1", seed=10)
-    out = tmp_path / "out"
-    assert main(["train", "--data-root", str(data), "--out", str(out)] + FAST) == 0
-    emb = tmp_path / "emb.tsv"
-    rc = main(["export-embeddings", "--checkpoint", str(out / "e1" / "checkpoint.cadckpt"),
-               "--input", str(data / "e1" / "test.csv"), "--output", str(emb), "--stride", "16"])
-    assert rc == 0
-    lines = emb.read_text().splitlines()
-    model, scaler = load_checkpoint(out / "e1" / "checkpoint.cadckpt")
-    n_windows = len(range(0, 160 - 8 - 1 + 1, 16))
-    assert len(lines) == n_windows * model.params["expert.ff1_w"].shape[0]
-    first = lines[0].split("\t")
-    assert first[0] == "0" and first[1] == "0"
-    assert len(first) == 2 + model.config.embed_dim
-    # expert ids cycle per window
-    assert [line.split("\t")[1] for line in lines[:2]] == ["0", "1"]
-
-
-def test_export_embeddings_metric_mismatch(tmp_path, capsys):
-    data = tmp_path / "data"
-    write_entity(data, "e1", seed=11)
-    out = tmp_path / "out"
-    assert main(["train", "--data-root", str(data), "--out", str(out)] + FAST) == 0
-    narrow = tmp_path / "narrow.csv"
-    np.savetxt(narrow, np.random.default_rng(0).random((40, 2)), fmt="%.17g", delimiter=",")
-    rc = main(["export-embeddings", "--checkpoint", str(out / "e1" / "checkpoint.cadckpt"),
-               "--input", str(narrow), "--output", str(tmp_path / "emb.tsv")])
-    assert rc == 2
-    assert "metrics" in capsys.readouterr().err
-
-
-def whole_batch_export(checkpoint, input_csv, stride) -> bytes:
-    """The export text of every ``stride``-th window, all forwarded at once
-    from the whole scaled series."""
-    model, scaler = load_checkpoint(checkpoint)
-    series = load_series(input_csv)
-    if scaler is not None:
-        series = apply_minmax(scaler, series)
-    windows = make_windows(series, model.config.l, model.config.h)
-    sampled = range(0, len(windows), stride)
-    embedded = expert_embeddings(model, windows.windows[::stride])
-    return "".join(
-        f"{index}\t{expert}\t" + "\t".join(repr(float(v)) for v in embedded[row, expert]) + "\n"
-        for row, index in enumerate(sampled)
-        for expert in range(embedded.shape[1])
-    ).encode()
-
-
-@pytest.mark.parametrize("dtype, scale", [("float32", True), ("float64", False)])
-@pytest.mark.parametrize("windows, stride", [
-    # sampled 1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1: the last chunk
-    # 1, SCORE_CHUNK - 1, SCORE_CHUNK, 1
-    (1, 1), (SCORE_CHUNK - 1, 1), (SCORE_CHUNK, 1), (SCORE_CHUNK + 1, 1),
-    (255, 1), (256, 1), (257, 1),  # the last 128-window chunk 127, 128, 1
-    (511 * 3, 3), (512 * 2, 2), (513 * 5 - 4, 5),  # sampled 511, 512, 513: as 255, 256, 257
-])
-def test_export_in_chunks_is_bytewise_the_whole_batch(tmp_path, capsys, dtype, scale, windows, stride):
-    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"] + [f"dtype={dtype}"])
-    series = make_sines(windows + cfg.l + cfg.h - 1, 3, seed=14)
-    checkpoint, input_csv, out = tmp_path / "model.cadckpt", tmp_path / "test.csv", tmp_path / "emb.tsv"
-    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    save_checkpoint(model, fit_minmax(series) if scale else None, checkpoint, cfg)
-    np.savetxt(input_csv, series.values, fmt="%.17g", delimiter=",")
-    assert main(["export-embeddings", "--checkpoint", str(checkpoint), "--input", str(input_csv),
-                 "--output", str(out), "--stride", str(stride)]) == 0
-    sampled = len(range(0, windows, stride))
-    assert capsys.readouterr().out == f"exported {2 * sampled} embedding rows ({sampled} windows x 2 experts)\n"
-    assert out.read_bytes() == whole_batch_export(checkpoint, input_csv, stride)
-
-
-def test_export_memory_does_not_grow_with_the_series(tmp_path, monkeypatch):
-    """Past the parsed series, doubling a 38-metric series adds nothing to
-    the traced peak of an export at stride 1: one chunk's windows,
-    embeddings and text are held at a time."""
-    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
-    model = build_model(cfg.model_config(), n_metrics=38, rng_seed=cfg.seed)
-    checkpoint = tmp_path / "model.cadckpt"
-    save_checkpoint(model, fit_minmax(make_sines(100, 38, seed=4)), checkpoint, cfg)
-
-    def traced_peak(t):
-        series = make_sines(t, 38, seed=4)
-        monkeypatch.setattr(cli, "load_series", lambda path: series)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(["export-embeddings", "--checkpoint", str(checkpoint), "--input", "series.csv",
-                         "--output", str(tmp_path / "emb.tsv")]) == 0
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    traced_peak(2000)  # first-call allocations
-    growth = traced_peak(4000) - traced_peak(2000)
-    assert growth <= 16 << 10
-    assert growth < 2000 * 38 * 8 / 8
-
-
-def test_export_overflowing_checkpoint_exits_3_naming_it(tmp_path, capsys):
-    # finite weights whose embeddings overflow, as a bit flip in an exponent gives
-    cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
-    model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    model.params["expert.ff2_w"].data[...] = np.finfo(np.float32).max / 2
-    model.params["expert.ff1_b"].data[...] = 100
-    checkpoint, argv = score_argv(tmp_path, model)
-    out = tmp_path / "emb.tsv"
-    rc, err = run_main(["export-embeddings", *argv[1:5], "--output", str(out), "--stride", "10"], capsys)
-    assert (rc, err) == (3, f"error: {argv[4]}: non-finite embedding at window 0 (checkpoint {checkpoint})\n")
-    assert list(tmp_path.glob("emb.tsv*")) == []
-
-
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # float32 forward overflows on huge unscaled inputs -> non-finite loss
@@ -1106,8 +992,10 @@ def test_usage_error_exit_code(capsys):
     assert "data-root" in capsys.readouterr().err
 
 
-def test_unknown_subcommand(capsys):
-    assert main(["explode"]) == 1
+@pytest.mark.parametrize("command", ["explode", "export-embeddings"])
+def test_unknown_subcommand(capsys, command):
+    assert main([command]) == 1
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 # --- inputs that cannot be opened --------------------------------------------------
@@ -1115,11 +1003,11 @@ def test_unknown_subcommand(capsys):
 
 # every reader of an input file, and each (command, flag) that hands it one
 READERS = {
-    "load_series": (load_series, [("score", "--input"), ("export-embeddings", "--input")]),
+    "load_series": (load_series, [("score", "--input")]),
     "load_labels": (load_labels, [("eval", "--labels")]),
     "read_scores": (read_scores, [("eval", "--scores")]),
     "read_metrics": (read_metrics, [("report", "--metrics")]),
-    "load_checkpoint": (load_checkpoint, [("score", "--checkpoint"), ("export-embeddings", "--checkpoint")]),
+    "load_checkpoint": (load_checkpoint, [("score", "--checkpoint")]),
     "make_train_config": (make_train_config, [("train", "--config")]),
 }
 
@@ -1127,9 +1015,8 @@ READERS = {
 def valid_argv(command, root):
     """An argv of ``command`` whose inputs, made under ``root``, all open."""
     root.mkdir()
-    if command in ("score", "export-embeddings"):
-        _, argv = score_argv(root)
-        return [command, *argv[1:]]
+    if command == "score":
+        return score_argv(root)[1]
     if command == "eval":
         (root / "s.txt").write_text("0.1\n0.9\n")
         (root / "l.txt").write_text("0\n1\n")
@@ -1325,29 +1212,27 @@ def test_eval_on_damaged_inputs_exits_0_or_2_cleanly(tmp_path_factory, capsys):
     check()
 
 
-@pytest.mark.parametrize("command", ["score", "export-embeddings"])
-def test_score_and_export_on_a_damaged_input_exit_0_to_3_cleanly(tmp_path_factory, capsys, command):
-    """``score`` and ``export-embeddings`` on a damaged ``--input`` CSV:
-    exit 0 to 3, no traceback or warning, and finite output on 0."""
+def test_score_on_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys):
+    """``score`` on a damaged ``--input`` CSV: exit 0 to 3, no traceback or
+    warning, and finite output on 0."""
     checkpoint, argv = score_argv(tmp_path_factory.mktemp("model"))
     valid = Path(argv[argv.index("--input") + 1]).read_bytes()
 
     @settings(max_examples=100, deadline=None)
     @given(damage(valid))
     def check(blob):
-        root = tmp_path_factory.mktemp(command)
+        root = tmp_path_factory.mktemp("score")
         input_csv, out = root / "test.csv", root / "out.txt"
         if blob is None:
             input_csv.mkdir()
         else:
             input_csv.write_bytes(blob)
-        rc, _ = run_main([command, "--checkpoint", str(checkpoint), "--input", str(input_csv),
+        rc, _ = run_main(["score", "--checkpoint", str(checkpoint), "--input", str(input_csv),
                           "--output", str(out)], capsys)
         assert rc in (0, 1, 2, 3)
         if rc == 0:
             lines = out.read_text().splitlines()
-            cells = [line.split("\t")[2:] for line in lines] if command != "score" else lines
-            assert len(lines) > 0 and np.isfinite(np.array(cells, dtype=np.float64)).all()
+            assert len(lines) > 0 and np.isfinite(np.array(lines, dtype=np.float64)).all()
 
     check()
 

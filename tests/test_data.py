@@ -668,10 +668,12 @@ def test_non_utf8_byte_in_a_part_gives_the_in_process_message(tmp_path, monkeypa
 # --- atomic_write ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fault", ["write", "replace", "block"])
+@pytest.mark.parametrize("fault", ["write", "replace", "block", "taken"])
 def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, fault):
-    p = tmp_path / "scores.txt"
+    p, taken = tmp_path / "scores.txt", tmp_path / "scores.txt.tmp"
     p.write_bytes(b"old\n")
+    if fault == "taken":  # a directory holds the temporary path: named, and left as it was
+        (taken / "inside").mkdir(parents=True)
 
     def replace(src, dst):
         raise OSError(errno.EXDEV, "cross-device link")
@@ -681,13 +683,15 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatc
         raise RuntimeError("chunk failed")
 
     monkeypatch.setattr(os, "replace", replace)
-    blocks = {"write": ["not bytes"], "replace": [b"new\n"], "block": failing_blocks()}[fault]
-    # the move's OSError is a DataError naming the path; the others pass through
-    with pytest.raises({"write": TypeError, "replace": DataError, "block": RuntimeError}[fault]) as raised:
+    blocks = {"write": ["not bytes"], "replace": [b"new\n"], "block": failing_blocks(), "taken": [b"new\n"]}[fault]
+    # an OSError is a DataError naming the path it met; the others pass through
+    with pytest.raises({"write": TypeError, "block": RuntimeError}.get(fault, DataError)) as raised:
         data.atomic_write(p, blocks)
     assert fault != "replace" or str(raised.value) == f"{p}: cross-device link"
+    assert fault != "taken" or str(raised.value) == f"{taken}: is a directory"
     assert p.read_bytes() == b"old\n"
-    assert list(tmp_path.iterdir()) == [p]
+    assert sorted(tmp_path.iterdir()) == [p] + ([taken] if fault == "taken" else [])
+    assert fault != "taken" or list(taken.iterdir()) == [taken / "inside"]
 
 
 def test_atomic_write_replaces_the_file(tmp_path):

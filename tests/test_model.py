@@ -14,7 +14,6 @@ from cadts.model import (
     CadModel,
     ModelConfig,
     build_model,
-    expert_embeddings,
     gate_weights,
 )
 from cadts.numcore.tensor import Tape, Tensor, mul, square, sub, tmean, tsum
@@ -26,6 +25,12 @@ def tiny_config(**kw):
     base = dict(l=6, h=1, experts=3, kernels=4, epsilon=0.7, dtype="float64")
     base.update(kw)
     return ModelConfig(**base)
+
+
+def embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
+    """The forward's own eval-mode embeddings, (n_windows, n_experts,
+    embed_dim): an isolated variant's expert k reads metric k's row."""
+    return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
 
 
 def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
@@ -75,14 +80,14 @@ def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
 def test_expert_embedding_has_width_128():
     model = build_model(ModelConfig(l=16, dtype="float64"), n_metrics=7, rng_seed=0)
     window = np.random.default_rng(0).normal(size=(7, 16))
-    assert expert_embeddings(model, window[None])[0, 0].shape == (128,)
+    assert embeddings(model, window[None])[0, 0].shape == (128,)
 
 
 def test_expert_forward_deterministic_in_eval():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=1)
     window = np.random.default_rng(1).normal(size=(4, 6))
-    first = expert_embeddings(model, window[None])[0, 1]
-    second = expert_embeddings(model, window[None])[0, 1]
+    first = embeddings(model, window[None])[0, 1]
+    second = embeddings(model, window[None])[0, 1]
     assert np.array_equal(first, second)
 
 
@@ -106,19 +111,19 @@ def test_expert_gradient_wrt_kernels():
 def test_expert_embeddings_batch_matches_single_windows():
     model = build_model(tiny_config(embed_dim=16), n_metrics=3, rng_seed=18)
     windows = np.random.default_rng(18).normal(size=(7, 3, 6))
-    stacked = expert_embeddings(model, windows)
+    stacked = embeddings(model, windows)
     assert stacked.shape == (7, 3, 16)
     for i in (0, 3, 6):
         for m in range(3):
             np.testing.assert_allclose(
-                stacked[i, m], expert_embeddings(model, windows[i : i + 1])[0, m], atol=1e-12
+                stacked[i, m], embeddings(model, windows[i : i + 1])[0, m], atol=1e-12
             )
 
 
 def test_expert_rejects_wrong_window_shape():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=0)
     with pytest.raises(ValueError, match="shape"):
-        expert_embeddings(model, np.zeros((1, 4, 5)))
+        embeddings(model, np.zeros((1, 4, 5)))
 
 
 # --- gates --------------------------------------------------------------------
@@ -170,10 +175,10 @@ def test_gate_weights_rejects_gateless_variants_and_bad_shapes():
 
 @pytest.mark.parametrize("variant", ["full", "no_selection", "no_sgate", "no_pgate"])
 def test_gate_weights_blend_the_forward_pass(variant):
-    """Towers on gate_weights @ expert_embeddings reproduce the forward."""
+    """Towers on gate_weights @ the embeddings reproduce the forward."""
     model = build_model(tiny_config(variant=variant), n_metrics=4, rng_seed=20)
     windows = np.random.default_rng(20).normal(size=(5, 4, 6))
-    mixed = gate_weights(model, windows) @ expert_embeddings(model, windows)  # (B, K, W)
+    mixed = gate_weights(model, windows) @ embeddings(model, windows)  # (B, K, W)
     p = {name: t.data for name, t in model.params.items()}
     hid = np.maximum(np.einsum("bkw,kwh->bkh", mixed, p["tower.w1"]) + p["tower.b1"][:, 0], 0.0)
     want = np.einsum("bkh,kh->bk", hid, p["tower.w2"][:, :, 0]) + p["tower.b2"][:, 0, 0]
@@ -195,7 +200,7 @@ def test_single_expert_forces_unit_gate():
     window = np.random.default_rng(8).normal(size=(3, 6))
     assert np.array_equal(gate_weights(model, window[None])[0, 0], [1.0])
     # prediction reduces to Tower_k(f_1(w)) directly
-    embed = expert_embeddings(model, window[None])[0, 0]
+    embed = embeddings(model, window[None])[0, 0]
     p = model.params
     for k in range(3):
         hid = np.maximum(embed @ p["tower.w1"].data[k] + p["tower.b1"].data[k, 0], 0.0)
