@@ -181,7 +181,8 @@ def _run_tasks(worker, tasks, jobs: int) -> Iterator[str]:
     starts last while the other workers sit idle at the end. Each worker
     takes its share of the cores and dies with this process
     (``cores.enter_worker``). A dead worker fails the first unfinished task
-    (DataError); a KeyboardInterrupt kills the workers."""
+    (DataError), also while tasks are still being queued; a
+    KeyboardInterrupt kills the workers."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
@@ -191,15 +192,14 @@ def _run_tasks(worker, tasks, jobs: int) -> Iterator[str]:
     with ProcessPoolExecutor(
         max_workers=workers, initializer=cores.enter_worker, initargs=(workers, os.getpid())
     ) as pool:
-        futures = [None] * len(tasks)
-        for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(tasks[i][0])):
-            futures[i] = pool.submit(worker, *tasks[i])
+        futures, finished = {}, 0
         try:
-            for future, task in zip(futures, tasks):
-                try:
-                    yield future.result()
-                except BrokenProcessPool:
-                    raise DataError(f"{task[0]}: a --jobs worker died before this entity finished") from None
+            for i in sorted(range(len(tasks)), key=lambda i: -os.path.getsize(tasks[i][0])):
+                futures[i] = pool.submit(worker, *tasks[i])  # raises once a worker has died
+            for finished in range(len(tasks)):
+                yield futures[finished].result()
+        except BrokenProcessPool:
+            raise DataError(f"{tasks[finished][0]}: a --jobs worker died before this entity finished") from None
         except (KeyboardInterrupt, GeneratorExit):
             # interrupted here or in the caller: the pool's shutdown would wait for the running tasks
             for process in multiprocessing.active_children():
@@ -207,7 +207,7 @@ def _run_tasks(worker, tasks, jobs: int) -> Iterator[str]:
             raise
         finally:
             # as Executor.map does: a failed task cancels those not started
-            for future in futures:
+            for future in futures.values():
                 future.cancel()
 
 

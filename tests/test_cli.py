@@ -1,5 +1,6 @@
 """Operator surface: subcommands, exit codes, file/in-process parity."""
 
+import multiprocessing
 import os
 import signal
 import struct
@@ -743,6 +744,31 @@ def test_jobs_killed_worker_exits_2_naming_an_entity(tmp_path, command):
         " a --jobs worker died before this entity finished\n"
         for entity in ("e0", "e1", "e2")
     }
+
+
+def test_jobs_worker_dead_while_tasks_are_queued_exits_2_naming_the_first(tmp_path, capsys, monkeypatch):
+    """A worker that dies before ``--jobs`` has queued every task fails the
+    first unfinished task, as a later death does, not with a raw
+    BrokenProcessPool from ``submit``."""
+    data = tmp_path / "data"
+    for i in range(3):
+        write_entity(data, f"e{i}", seed=30 + i)
+    submit, queued = cli.ProcessPoolExecutor.submit, []
+
+    def submit_then_kill_a_worker(pool, *args):
+        queued.append(submit(pool, *args))
+        if len(queued) == 1:  # the workers start with the first task
+            os.kill(min(p.pid for p in multiprocessing.active_children()), signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:  # until the pool has seen it
+                time.sleep(0.01)
+        return queued[-1]
+
+    monkeypatch.setattr(cli.ProcessPoolExecutor, "submit", submit_then_kill_a_worker)
+    argv = ["train", "--data-root", str(data), "--out", str(tmp_path / "out"), "--jobs", "2"] + FAST
+    assert run_main(argv, capsys) == (
+        2, f"error: {data / 'e0' / 'train.csv'}: a --jobs worker died before this entity finished\n")
+    assert len(queued) == 1
 
 
 @needs_proc
