@@ -68,10 +68,11 @@ class Scaler:
 @dataclass
 class WindowSet:
     """Supervised samples: windows[i] covers rows [i, i+l), target is row
-    i + l + h - 1. Window arrays are strided views into the series."""
+    i + l + h - 1. Window arrays are strided views into the series' ``rows``."""
 
     windows: np.ndarray  # (S, K, l)
     targets: np.ndarray  # (S, K)
+    rows: np.ndarray  # (T, K)
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -407,4 +408,4 @@ def make_windows(series: SeriesMatrix, l: int, h: int) -> WindowSet:
         )
     count = t - l - h + 1
     windows = sliding_window_view(series.values, window_shape=l, axis=0)[:count]
-    return WindowSet(windows=windows, targets=series.values[l + h - 1 :])
+    return WindowSet(windows=windows, targets=series.values[l + h - 1 :], rows=series.values)

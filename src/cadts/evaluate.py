@@ -5,6 +5,7 @@ and written through ``data``, like the metrics report. Modes: ``raw``
 (point-wise), ``pa`` (a labeled segment counts as fully detected if any
 point inside it is flagged), and ``kpa`` (only if the first flag arrives
 within ``k`` steps of its onset; else the whole segment is a miss).
+``window_errors`` is the one eval loop, of scoring and of validation.
 
 ``best_f1`` sweeps every distinct score as a candidate threshold in one
 array pass, with no per-candidate loop. Raw mode treats each positive point
@@ -16,6 +17,7 @@ binary search, count-for-count identical to a naive recount.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -26,7 +28,7 @@ from . import cores
 from .data import (Scaler, SeriesMatrix, _read_csv, apply_minmax, atomic_write, make_windows, read_lines,
                    table_text)
 from .errors import DataError, NumericError
-from .model import CadModel, ChunkSource, window_errors
+from .model import CadModel
 
 MODES = ("raw", "pa", "kpa")
 
@@ -77,37 +79,71 @@ class EvalRow(NamedTuple):
     f1: float
 
 
-def eval_windows(model: CadModel, series: SeriesMatrix, scaler: Scaler | None = None) -> tuple[ChunkSource, int]:
-    """The one path from a series to eval windows: a chunk source
-    ``chunk(start, stop)``, giving windows [start, stop) and their targets
-    in the model dtype, and the window count. The metric count and the
-    length are checked first.
+def window_errors(model: CadModel, rows: np.ndarray, scaler: Scaler | None, batch: int, threads: int) -> np.ndarray:
+    """Eval-mode mean squared prediction error, float64, of each of the
+    T - l - h + 1 windows of ``rows`` (T, K); metric count and length checked.
 
-    Each chunk scales its own rows of ``series`` and casts them to the model
-    dtype, so no scaled copy of the whole series is made."""
+    Each thread takes ``batch`` windows at a time, slices their rows, scales
+    them by ``scaler`` if one is given, casts them to the model dtype and
+    windows them (``make_windows``), so memory holds only the chunks in
+    flight. A chunk's errors depend only on the model and its rows, so the
+    chunks run on up to ``threads`` threads: the caller's and helpers that
+    each take the next chunk start and write their own slice. Scoring
+    passes ``cores.eval_threads()``, which sets the process policy first, so
+    each BLAS call runs one thread (unless the environment pins it) and no
+    thread changes the setting while chunks run; validation passes 1 and
+    forwards on the training thread. The helpers are joined before return,
+    and the first error of any thread is raised here. Each thread ignores
+    numpy's floating-point errors: an overflow shows as a non-finite error,
+    for the caller to check."""
+    series = SeriesMatrix(values=rows)
     if series.shape[1] != model.n_metrics:
         raise DataError(f"series has {series.shape[1]} metrics but model expects {model.n_metrics}")
     cfg = model.config
     count = len(make_windows(series, cfg.l, cfg.h))  # raises on a series too short
+    errors = np.empty(count, dtype=np.float64)
+    starts = iter(range(0, count, batch))
+    take = threading.Lock()
+    failures: list[BaseException] = []
 
-    def chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = series.values[start : stop + cfg.l + cfg.h - 1]
-        if scaler is not None:
-            rows = apply_minmax(scaler, SeriesMatrix(values=rows)).values
-        windows = make_windows(SeriesMatrix(values=rows.astype(cfg.np_dtype, copy=False)), cfg.l, cfg.h)
-        return windows.windows, windows.targets
+    def forward_chunks() -> None:
+        try:
+            with np.errstate(all="ignore"):
+                while not failures:
+                    with take:
+                        start = next(starts, None)
+                    if start is None:
+                        return
+                    chunk = rows[start : start + batch + cfg.l + cfg.h - 1]
+                    if scaler is not None:
+                        chunk = apply_minmax(scaler, SeriesMatrix(values=chunk)).values
+                    chunk = chunk.astype(cfg.np_dtype, copy=False)  # drops a scaled float64 copy
+                    windows = make_windows(SeriesMatrix(values=chunk), cfg.l, cfg.h)
+                    err = model.forward_batch(windows.windows, mode="eval").data - windows.targets
+                    errors[start : start + len(err)] = (err * err).mean(axis=1)
+        except BaseException as exc:
+            failures.append(exc)
 
-    return chunk, count
+    threads = min(threads, -(-count // batch))
+    helpers = [threading.Thread(target=forward_chunks) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    forward_chunks()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return errors
 
 
 def score_series(model: CadModel, test: SeriesMatrix, scaler: Scaler | None = None) -> ScoreSeries:
     """Eval-mode prediction error at every predictable timestamp, computed
-    ``SCORE_CHUNK`` windows at a time (``eval_windows``); a non-finite one
+    ``SCORE_CHUNK`` windows at a time (``window_errors``); a non-finite one
     raises NumericError naming the first such timestamp. Memory grows with
     the series by the scores and errors alone, 16 B per timestamp, and
     ``write_scores`` adds none: it writes the text a block at a time. The
     chunks run on ``cores.eval_threads()`` threads."""
-    genuine = window_errors(model, *eval_windows(model, test, scaler), SCORE_CHUNK, cores.eval_threads())
+    genuine = window_errors(model, test.values, scaler, SCORE_CHUNK, cores.eval_threads())
     valid_from = model.config.l + model.config.h - 1
     bad = np.flatnonzero(~np.isfinite(genuine))
     if bad.size:

@@ -23,8 +23,6 @@ pass looks them up by name.
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple, get_args
 
@@ -249,59 +247,6 @@ class CadModel:
             pers = transpose(dense(pers_in, self.params["gate.personalized"]), (1, 0, 2))  # (B, K, M)
             logits = add(mul(logits, cfg.epsilon), mul(pers, 1.0 - cfg.epsilon)) if wiring.shared_gate else pers
         return softmax(logits, axis=-1)
-
-
-# chunk(start, stop): windows [start, stop) (B, K, l) and their targets (B, K)
-ChunkSource = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-
-
-def window_errors(model: CadModel, chunk: ChunkSource, count: int, batch: int, threads: int) -> np.ndarray:
-    """Eval-mode mean squared prediction error of each of ``count`` windows,
-    float64 (count,).
-
-    ``chunk(start, stop)`` gives windows [start, stop) (B, K, l) and their
-    targets (B, K); it is called for ``batch`` windows at a time, by the
-    thread that forwards them, so memory holds only the chunks in flight. A
-    chunk's errors depend only on the model and its windows, so the chunks
-    run on up to ``threads`` threads: the caller's and helpers that each
-    take the next chunk start and write their own slice. The caller chooses
-    the count: scoring passes ``cores.eval_threads()``, which sets the
-    process policy first, so each BLAS call runs one thread (unless the
-    environment pins it) and no thread changes the setting while chunks
-    run; training's validation passes 1 and forwards on its own thread. The
-    helpers are joined before return, and the first error of any thread is
-    raised here. Each thread ignores numpy's floating-point errors: an
-    overflow shows as a non-finite error, for the caller to check."""
-    errors = np.empty(count, dtype=np.float64)
-    starts = iter(range(0, count, batch))
-    take = threading.Lock()
-    failures: list[BaseException] = []
-
-    def forward_chunks() -> None:
-        try:
-            with np.errstate(all="ignore"):
-                while not failures:
-                    with take:
-                        start = next(starts, None)
-                    if start is None:
-                        return
-                    windows, targets = chunk(start, min(start + batch, count))
-                    pred = model.forward_batch(windows, mode="eval")
-                    err = pred.data - targets.astype(model.config.np_dtype)
-                    errors[start : start + len(err)] = (err * err).mean(axis=1)
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = min(threads, -(-count // batch))
-    helpers = [threading.Thread(target=forward_chunks) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
-    forward_chunks()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
-    return errors
 
 
 # --- public eval-mode view --------------------------------------------------

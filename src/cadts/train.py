@@ -29,7 +29,8 @@ import numpy as np
 from . import cores
 from .data import Scaler, WindowSet, atomic_write, open_input, split_lines, table_text
 from .errors import ConfigError, DataError, NumericError
-from .model import CadModel, ModelConfig, parameter_layout, parse_value, window_errors
+from .evaluate import window_errors
+from .model import CadModel, ModelConfig, parameter_layout, parse_value
 from .numcore.optim import AdamState, adam_step, cosine_lr
 from .numcore.tensor import Tape, Tensor, square, sub, tmean
 
@@ -70,6 +71,8 @@ class TrainConfig(ModelConfig):
             bad.append(f"early_stop_patience={self.early_stop_patience} (need >= 1 or none)")
         if not 0.0 <= self.val_fraction <= 0.5:
             bad.append(f"val_fraction={self.val_fraction} (need 0 <= f <= 0.5)")
+        if self.seed < 0:
+            bad.append(f"seed={self.seed} (need >= 0)")
         if bad:
             raise ConfigError("invalid train config: " + "; ".join(bad))
 
@@ -106,10 +109,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
     n_val = int(len(windows) * cfg.val_fraction)
     n_train = len(windows) - n_val
     train_x, train_y = windows.windows[:n_train], windows.targets[:n_train]
-    val_x, val_y = windows.windows[n_train:], windows.targets[n_train:]
-
-    def val_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        return val_x[start:stop], val_y[start:stop]
+    val_rows = windows.rows[n_train:]  # the rows of the last n_val windows
 
     batches_per_epoch = (n_train + cfg.batch - 1) // cfg.batch
     total_steps = batches_per_epoch * cfg.max_epochs
@@ -151,7 +151,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
 
         # on this thread alone: a helper thread would get a malloc arena of
         # its own instead of the heap the train steps just freed
-        val_loss = float(window_errors(model, val_chunk, n_val, cfg.batch, threads=1).mean()) if n_val else None
+        val_loss = float(window_errors(model, val_rows, None, cfg.batch, threads=1).mean()) if n_val else None
         if val_loss is not None and not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.epochs.append(

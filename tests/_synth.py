@@ -1,11 +1,10 @@
-"""Synthetic series for training and ablation tests, and a window set as
-an eval chunk source."""
+"""Synthetic series for training and ablation tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cadts.data import SeriesMatrix, WindowSet
+from cadts.data import SeriesMatrix
 
 
 def make_sines(t: int, n_metrics: int, seed: int = 0) -> SeriesMatrix:
@@ -88,7 +87,3 @@ def make_conflict_dataset(
     test = SeriesMatrix(values=values[t_train:].copy(), labels=labels[t_train:].copy())
     return train, test
 
-
-def chunks_of(windows: WindowSet):
-    """``window_errors``' chunk source and window count for ``windows``."""
-    return (lambda start, stop: (windows.windows[start:stop], windows.targets[start:stop])), len(windows)

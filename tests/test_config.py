@@ -7,11 +7,12 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cadts.cli import make_train_config
+from cadts.cli import main, make_train_config
 from cadts.errors import ConfigError
 from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.train import TrainConfig, load_checkpoint, save_checkpoint
@@ -90,6 +91,17 @@ def test_learning_rates_must_be_finite(key, text):
     need = "> 0" if key == "lr0" else ">= 0"
     with pytest.raises(ConfigError, match=rf"^invalid train config: {key}={float(text)} \(need finite {need}\)$"):
         make_train_config(overrides=[f"{key}={text}"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_negative_seed_is_refused_with_one_error_line(tmp_path, capsys, jobs):
+    (tmp_path / "e1").mkdir()
+    np.savetxt(tmp_path / "e1" / "train.csv", np.random.default_rng(0).random((40, 2)), delimiter=",")
+    rc = main(["train", "--data-root", str(tmp_path), "--out", str(tmp_path / "run"), "--jobs", jobs,
+               "--set", "seed=-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: invalid train config: seed=-1 (need >= 0)\n"
+    assert not (tmp_path / "run").exists()
 
 
 def configuration_section() -> str:

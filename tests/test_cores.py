@@ -15,11 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadts import cli, cores
-from cadts.data import SeriesMatrix, make_windows
-from cadts.evaluate import SCORE_CHUNK, score_series
-from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
-
-from _synth import chunks_of
+from cadts.data import SeriesMatrix, apply_minmax, fit_minmax, make_windows
+from cadts.evaluate import SCORE_CHUNK, score_series, window_errors
+from cadts.model import VARIANTS, ModelConfig, build_model
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -70,15 +68,21 @@ def smd_shaped_model(variant, dtype):
     n_windows=st.one_of(st.integers(1, 3), st.integers(SCORE_CHUNK - 2, SCORE_CHUNK + 2),
                         st.integers(2 * SCORE_CHUNK - 2, 3 * SCORE_CHUNK + 2)),
     budget=st.sampled_from((1, 2, 3)),
+    clip=st.sampled_from((None, True, False)),
 )
-def test_window_errors_on_any_budget_bitwise_equal_to_the_serial_loop(variant, dtype, n_windows, budget):
+def test_window_errors_on_any_budget_bitwise_equal_to_the_serial_loop(variant, dtype, n_windows, budget, clip):
+    """With no scaler (``clip`` None), or one fitted on other rows, so that
+    some of these fall outside its range; the serial loop scales the whole
+    series first."""
     model = smd_shaped_model(variant, dtype)
     cfg = model.config
-    series = SeriesMatrix(values=np.random.default_rng(n_windows).random((n_windows + cfg.l + cfg.h - 1, 38)))
-    windows = make_windows(series, cfg.l, cfg.h)
+    rng = np.random.default_rng(n_windows)
+    series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 38)))
+    scaler = None if clip is None else fit_minmax(SeriesMatrix(values=rng.uniform(0.1, 0.9, (50, 38))), clip)
+    windows = make_windows(series if scaler is None else apply_minmax(scaler, series), cfg.l, cfg.h)
     want = serial_errors(model, windows.windows, windows.targets, SCORE_CHUNK)
     with cores_and_blas(budget):
-        got = window_errors(model, *chunks_of(windows), SCORE_CHUNK, cores.eval_threads())
+        got = window_errors(model, series.values, scaler, SCORE_CHUNK, cores.eval_threads())
     assert got.tobytes() == want.tobytes()
 
 
@@ -107,7 +111,7 @@ def test_many_threads_take_every_chunk_once_under_fast_switching(monkeypatch):
     try:
         with cores_and_blas(8):  # more threads than this host has cores
             run = threading.Thread(
-                target=lambda: got.append(window_errors(model, *chunks_of(windows), 1, cores.eval_threads()))
+                target=lambda: got.append(window_errors(model, series.values, None, 1, cores.eval_threads()))
             )
             run.start()
             run.join(timeout=120)

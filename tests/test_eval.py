@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cadts.data import SeriesMatrix, fit_minmax, make_windows
+from cadts.data import SeriesMatrix, fit_minmax
 from cadts.errors import DataError
 from cadts.evaluate import (
     MODES,
@@ -24,14 +24,15 @@ from cadts.evaluate import (
     read_metrics,
     read_scores,
     score_series,
+    window_errors,
     write_metrics,
     write_scores,
 )
-from cadts.model import VARIANTS, ModelConfig, build_model, window_errors
+from cadts.model import VARIANTS, ModelConfig, build_model
 
 from _oracles import naive_best_f1, naive_kth_point_adjust, naive_point_adjust, naive_prf_at
 from _parity import SCORE_WINDOWS, parity_values
-from _synth import chunks_of, make_sines
+from _synth import make_sines
 
 
 def random_case(rng, n_max=120):
@@ -342,8 +343,7 @@ def test_score_series_chunks_match_one_window_at_a_time(variant):
     for n_windows in (1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 256, 257, 1500):
         series = SeriesMatrix(values=rng.random((n_windows + cfg.l + cfg.h - 1, 3)))
         out = score_series(model, series)
-        windows = make_windows(series, cfg.l, cfg.h)
-        want = window_errors(model, *chunks_of(windows), batch=1, threads=1)
+        want = window_errors(model, series.values, None, batch=1, threads=1)
         assert len(out) == len(series.values)
         assert out.valid_from == cfg.l + cfg.h - 1
         np.testing.assert_allclose(out.scores[out.valid_from :], want, rtol=1e-6)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cadts.data import Scaler, SeriesMatrix, make_windows
+from cadts.data import Scaler, SeriesMatrix, apply_minmax, fit_minmax, make_windows
 from cadts.errors import DataError, NumericError
-from cadts.evaluate import score_series
+from cadts.evaluate import score_series, window_errors
 from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.numcore.optim import AdamState, adam_step
 from cadts.numcore.tensor import Tape, Tensor
@@ -132,6 +132,21 @@ def test_fixed_seed_reproduces_history_exactly():
     assert a.stopping_reason == b.stopping_reason
     for ea, eb in zip(a.epochs, b.epochs):
         assert (ea.train_loss, ea.val_loss, ea.lr) == (eb.train_loss, eb.val_loss, eb.lr)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_last_val_loss_is_window_errors_of_the_raw_validation_rows(dtype):
+    """Training's validation and scoring go through one eval loop: the loss
+    of windows made from scaled rows is that of the raw rows scaled by it."""
+    raw = make_sines(t=400, n_metrics=3, seed=12)
+    raw.values[:] = 40.0 * raw.values - 7.0
+    cfg = small_cfg(seed=13, max_epochs=2, val_fraction=0.3, dtype=dtype)
+    scaler = fit_minmax(raw, clip=cfg.clip)
+    windows = make_windows(apply_minmax(scaler, raw), cfg.l, cfg.h)
+    model, history = train_model(build_for(cfg, 3), windows, cfg)
+    n_train = len(windows) - int(len(windows) * cfg.val_fraction)
+    want = window_errors(model, raw.values[n_train:], scaler, cfg.batch, 1).mean()
+    assert np.float64(history.epochs[-1].val_loss).tobytes() == want.tobytes()
 
 
 def test_each_steps_gradients_die_with_their_adam_step(monkeypatch):
