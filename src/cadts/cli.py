@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_report = sub.add_parser("report", help="aggregate per-entity metrics")
-    p_report.add_argument("--metrics", nargs="*", help="metrics files")
+    p_report.add_argument("--metrics", nargs="*", action="extend", help="metrics files (may be repeated)")
     p_report.add_argument("--run-dir", help="scan <run-dir>/*/metrics.tsv")
     p_report.add_argument("--output", help="aggregate file to write")
     p_report.set_defaults(func=cmd_report)

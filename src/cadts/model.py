@@ -139,7 +139,7 @@ class ModelConfig:
 @dataclass
 class CadModel:
     """A wired model: ``params`` maps every ``parameter_layout`` name to its
-    tensor, in layout order (the checkpoint's record order)."""
+    tensor, in layout order (the checkpoint's value order)."""
 
     config: ModelConfig
     n_metrics: int
@@ -264,7 +264,7 @@ def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:
 def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tuple[int, ...], int]]:
     """The parameter table: ``group.field`` -> (shape, fan-in) of every
     parameter a model wired per ``config.variant`` holds, in checkpoint
-    record order. Expert tensors carry a leading expert axis; their fan-in is
+    value order. Expert tensors carry a leading expert axis; their fan-in is
     that of one expert."""
     config.validate()
     if n_metrics < 1:

@@ -2,16 +2,16 @@
 
 The checkpoint wire format: magic ``CADCKPT1``, a u64-length-prefixed
 UTF-8 key=value header (version, metric count, one line per ``ModelConfig``
-field, seed, parameter record count, scaler arrays; read in any order), then
-each parameter as a u64-length-prefixed UTF-8 name, u64 rank, u64 extents,
-and raw little-endian values in the model dtype (``<f4`` or ``<f8``) in
-row-major order, under the stacked names (``expert.kernels`` with a leading
-expert axis, ...), and last the u32 little-endian ``zlib.crc32`` of every
-byte before it. Only version 3 is read: versions 1 (one ``expert.{i}.*``
-record per expert) and 2 (no CRC) are rejected, to be retrained. Every
-length is checked against the bytes left in the file before it is read, and
-the CRC after every other check. The checkpoint and ``history.tsv`` are
-written by ``data.atomic_write``; header lines split by ``split_lines``.
+field, seed, scaler arrays; read in any order) padded with LFs to a
+multiple of 8 bytes, then every parameter's raw little-endian values in the
+model dtype (``<f4`` or ``<f8``), row-major, in ``parameter_layout`` order,
+and last the u32 little-endian ``zlib.crc32`` of every byte before it. The
+header implies every parameter's shape, so none is stored, and each starts
+at an offset aligned for the dtype. Only version 4 is read: versions 1-3
+are rejected, to be retrained. The header's length is checked against the
+bytes left in the file, the bytes after it against the size its layout
+implies, and then the CRC. The checkpoint and ``history.tsv`` are written
+by ``data.atomic_write``; header lines split by ``split_lines``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .numcore.optim import AdamState, adam_step, cosine_lr
 from .numcore.tensor import Tape, Tensor, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def write_history(history: TrainHistory, path) -> None:
 def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None) -> str:
     pairs = [("version", CHECKPOINT_VERSION), ("n_metrics", model.n_metrics)]
     pairs += [(f.name, getattr(model.config, f.name)) for f in fields(ModelConfig)]
-    pairs += [("seed", cfg.seed if cfg is not None else model.seed), ("params", len(model.params))]
+    pairs.append(("seed", cfg.seed if cfg is not None else model.seed))
     if scaler is None:
         pairs.append(("scaler", "none"))
     else:
@@ -204,15 +204,10 @@ def _header_text(model: CadModel, scaler: Scaler | None, cfg: TrainConfig | None
 def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConfig | None = None) -> None:
     """Write the checkpoint atomically, sealed by the CRC of its blocks."""
     header = _header_text(model, scaler, cfg).encode("utf-8")
-    blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
+    header += b"\n" * (-len(header) % 8)
     wire = model.config.np_dtype.newbyteorder("<")
-    for name, tensor in model.params.items():
-        encoded = name.encode("utf-8")
-        blob.append(struct.pack("<Q", len(encoded)))
-        blob.append(encoded)
-        blob.append(struct.pack("<Q", tensor.ndim))
-        blob.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-        blob.append(np.ascontiguousarray(tensor.data, dtype=wire).tobytes())
+    blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
+    blob += [np.ascontiguousarray(tensor.data, dtype=wire).tobytes() for tensor in model.params.values()]
     crc = 0
     for block in blob:
         crc = zlib.crc32(block, crc)
@@ -220,9 +215,9 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
 
 
 def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
-    """The stored model, checked against the layout its header implies, and
-    its scaler: the magic bytes first, then the rest in one buffer, where
-    ``take`` checks every length; each parameter is a view of that buffer."""
+    """The stored model, in the layout its header implies, and its scaler:
+    the magic bytes first, then the rest in one buffer, where ``take``
+    checks every length; each parameter is a view of that buffer."""
     with open_input(path) as fh:
         if (magic := fh.read(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
             whole = len(magic) == len(CHECKPOINT_MAGIC)
@@ -238,13 +233,11 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         at += n
         return view[at - n : at]
 
-    def text(what: str) -> str:
-        try:
-            return str(take(int.from_bytes(take(8), "little")), "utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: {what} is not UTF-8") from None
-
-    pairs = [line.partition("=") for line in filter(None, split_lines(text("checkpoint header")))]
+    try:
+        text = str(take(int.from_bytes(take(8), "little")), "utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: checkpoint header is not UTF-8") from None
+    pairs = [line.partition("=") for line in filter(None, split_lines(text))]
     for line, sep, _ in pairs:
         if not sep:
             raise DataError(f"{path}: malformed checkpoint header line {line!r}")
@@ -268,7 +261,7 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     hints = get_type_hints(ModelConfig)
     config = ModelConfig(**{key: value(hints[key], key) for key in hints})
-    n_metrics, n_params, seed = (value(int, key) for key in ("n_metrics", "params", "seed"))
+    n_metrics, seed = value(int, "n_metrics"), value(int, "seed")
     scaler = None
     if (kind := value(str, "scaler")) == "minmax":
         mins, maxs = value(list, "scaler_min"), value(list, "scaler_max")
@@ -283,30 +276,13 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
         raise DataError(f"{path}: checkpoint header: {exc}") from None
 
     wire = config.np_dtype.newbyteorder("<")
-    stored = {}
-    for _ in range(n_params):
-        name = text("parameter name")
-        rank = int.from_bytes(take(8), "little")
-        extents = struct.unpack(f"<{rank}Q", take(8 * rank))
-        stored[name] = extents, at
-        take(wire.itemsize * math.prod(extents))
+    params = {
+        name: Tensor(np.frombuffer(take(wire.itemsize * math.prod(shape)), wire).reshape(shape), config.np_dtype, name)
+        for name, (shape, _) in layout.items()
+    }
     sealed = int.from_bytes(take(4), "little") == zlib.crc32(view[:-4], zlib.crc32(CHECKPOINT_MAGIC))
     if at < len(view):
         raise DataError(f"{path}: trailing data after last parameter")
-    if stored.keys() - layout.keys():
-        raise DataError(f"{path}: unexpected parameters {sorted(stored.keys() - layout.keys())}")
-    if layout.keys() - stored.keys():
-        raise DataError(f"{path}: missing parameters {sorted(layout.keys() - stored.keys())}")
-    params = {}
-    for name, (shape, _) in layout.items():
-        extents, start = stored[name]
-        if extents != shape:
-            raise DataError(f"{path}: parameter {name!r} has shape {extents}, expected {shape}")
-        # moved over its record's extents (parsed, and sealed above) to an offset
-        # aligned for the dtype: every product would copy an unaligned array again
-        to, size = start - start % wire.itemsize, wire.itemsize * math.prod(shape)
-        view[to : to + size] = view[start : start + size]
-        params[name] = Tensor(np.frombuffer(view[to : to + size], wire).reshape(shape), config.np_dtype, name)
     if not sealed:
         raise DataError(f"{path}: checksum mismatch")
     return CadModel(config, n_metrics, params, seed), scaler

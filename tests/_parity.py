@@ -7,15 +7,22 @@ fewer windows than one chunk, exactly two full chunks, and two chunks plus
 a one-window last chunk. The 17 validation windows leave a one-window last
 chunk of 8-window batches. The lengths are literals, not derived from
 ``SCORE_CHUNK``, because the fixture's keys name them.
-``tests/fixtures/chunked_scoring.npz`` holds these values as the build
-before per-chunk scaling computed them, in 256-window chunks; to record
-them again with the cadts on the path, run
-``python tests/_parity.py OUT.npz``.
+
+The values' bits depend on the gemm kernels of numpy's OpenBLAS, so
+``RECORDED`` names one fixture per kernel family (``blas_kernels``).
+``tests/fixtures/chunked_scoring.npz`` holds the SkylakeX (AVX-512) values
+as the build before per-chunk scaling computed them, in 256-window chunks;
+``chunked_scoring_haswell.npz`` the Haswell (AVX2) values of the 128-window
+chunks, which ``OPENBLAS_CORETYPE=Zen`` runs too. To record them again with
+the cadts on the path, run ``python tests/_parity.py OUT.npz``, with
+``OPENBLAS_CORETYPE`` set to the family.
 """
 
 from __future__ import annotations
 
+import ctypes
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +34,24 @@ from cadts.train import TrainConfig, train_model
 from _synth import make_sines
 
 SCORE_WINDOWS = (40, 256, 257)
+FIXTURES = Path(__file__).parent / "fixtures"
+RECORDED = {"SkylakeX": FIXTURES / "chunked_scoring.npz", "Haswell": FIXTURES / "chunked_scoring_haswell.npz"}
+
+
+def blas_kernels() -> str | None:
+    """The kernel family numpy's OpenBLAS runs (its ``OPENBLAS_CORETYPE``,
+    else the CPU's), found as ``cadts.cores`` finds that BLAS; None for
+    another BLAS."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    get = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return None
+    get.restype, get.argtypes = ctypes.c_char_p, []
+    return get().decode()
 
 
 def _config(variant: str, dtype: str) -> TrainConfig:

@@ -334,6 +334,9 @@ def test_report_reads_a_metrics_file_given_twice_once(tmp_path, capsys):
     for given in ([e1], [e1, e1], [e1, f"{run}/./e1/metrics.tsv"]):
         assert main(["report", "--run-dir", str(run), "--metrics", *given]) == 0
         assert capsys.readouterr().out == expected
+    # every --metrics list counts: argparse keeps only the last of a plain nargs="*"
+    assert main(["report", "--metrics", e1, "--metrics", str(run / "e2" / "metrics.tsv")]) == 0
+    assert capsys.readouterr().out == expected
     assert main(["report", "--metrics", e1, e1]) == 0
     assert capsys.readouterr().out.splitlines()[1].split("\t")[:3] == ["pa", "-", "1"]
 
@@ -846,7 +849,7 @@ def score_argv(tmp_path, model=None):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("l", "1x"), ("epsilon", "abc"), ("scaler_clip", "x"), ("scaler_min", "oops"), ("params", "")],
+    [("l", "1x"), ("epsilon", "abc"), ("scaler_clip", "x"), ("scaler_min", "oops")],
 )
 def test_score_corrupt_header_value_exits_2(tmp_path, capsys, key, value):
     checkpoint, argv = score_argv(tmp_path)
@@ -974,8 +977,11 @@ def test_score_version_1_checkpoint_exits_2_asking_to_retrain(tmp_path, capsys):
 def test_score_checkpoint_of_an_older_version_or_a_flipped_byte_exits_2_naming_why(tmp_path, capsys):
     checkpoint, argv = score_argv(tmp_path)
     blob = checkpoint.read_bytes()
-    replace_header_value(checkpoint, "version", "2")
-    assert run_main(argv, capsys) == (2, f"error: {checkpoint}: checkpoint version 2 is no longer read; retrain\n")
+    for version in ("2", "3"):
+        checkpoint.write_bytes(blob)
+        replace_header_value(checkpoint, "version", version)
+        assert run_main(argv, capsys) == (
+            2, f"error: {checkpoint}: checkpoint version {version} is no longer read; retrain\n")
     for position in (len(blob) - 5, len(blob) - 1, blob.index(b"\nseed=") + 6):  # a value, the CRC, the header
         flipped = bytearray(blob)
         flipped[position] ^= 0x01

@@ -120,7 +120,7 @@ def test_missing_file(tmp_path):
 
 def test_empty_file(tmp_path):
     p = write(tmp_path, "empty.csv", "")
-    with pytest.raises(DataError, match="empty"):
+    with pytest.raises(DataError, match=": empty file"):
         load_series(p)
 
 

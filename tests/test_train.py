@@ -327,14 +327,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(cut)
 
 
-def test_checkpoint_rejects_shape_mismatch(tmp_path):
+def test_checkpoint_rejects_a_header_implying_another_layout(tmp_path):
+    # the values' size follows from the header, so a wider layout runs out of
+    # bytes and a narrower one leaves some over
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
     assert b"kernels=4" in blob
     tampered = tmp_path / "tampered.ckpt"
-    tampered.write_bytes(blob.replace(b"kernels=4", b"kernels=6", 1))
-    with pytest.raises(DataError, match="shape"):
-        load_checkpoint(tampered)
+    for kernels, reason in ((b"6", "truncated checkpoint"), (b"2", "trailing data after last parameter")):
+        tampered.write_bytes(blob.replace(b"kernels=4", b"kernels=" + kernels, 1))
+        with pytest.raises(DataError) as err:
+            load_checkpoint(tampered)
+        assert str(err.value) == f"{tampered}: {reason}"
 
 
 def test_checkpoint_roundtrip_every_variant(tmp_path):
@@ -354,7 +358,7 @@ def test_checkpoint_roundtrip_every_variant(tmp_path):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_checkpoint_reload_resaves_byte_exactly(tmp_path, variant):
     """save(load(path)) writes the original bytes, so the loaded model's
-    parameters keep the stored record order."""
+    parameters keep the stored layout order."""
     scaler = Scaler(mins=np.array([0.0, 0.1, -1.5]), maxs=np.array([1.0, 2.0, 3.5]), clip=False)
     for dtype in ("float32", "float64"):
         cfg = small_cfg(variant=variant, seed=15, dtype=dtype)
@@ -364,13 +368,31 @@ def test_checkpoint_reload_resaves_byte_exactly(tmp_path, variant):
         assert again.read_bytes() == path.read_bytes(), dtype
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_parameters_load_as_aligned_views_of_one_buffer(tmp_path, variant):
+    for dtype in ("float32", "float64"):
+        cfg = small_cfg(variant=variant, seed=15, dtype=dtype)
+        path = tmp_path / f"{dtype}.ckpt"
+        save_checkpoint(build_for(cfg, 3), None, path, cfg)
+        buffers = set()
+        for param in load_checkpoint(path)[0].parameters():
+            assert param.data.flags.aligned and param.data.flags.c_contiguous and not param.data.flags.owndata
+            base = param.data
+            while isinstance(base, np.ndarray):
+                base = base.base
+            buffers.add(id(base.obj))  # the memoryview's exporter
+        assert len(buffers) == 1, dtype
+
+
 def test_checkpoint_rejects_bad_version(tmp_path):
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
     tampered = tmp_path / "v9.ckpt"
-    tampered.write_bytes(blob.replace(b"version=3", b"version=9", 1))
-    with pytest.raises(DataError, match="version"):
+    assert b"version=4\n" in blob
+    tampered.write_bytes(blob.replace(b"version=4", b"version=9", 1))
+    with pytest.raises(DataError) as err:
         load_checkpoint(tampered)
+    assert str(err.value) == f"{tampered}: unsupported checkpoint version 9"
 
 
 def test_checkpoint_rejects_non_utf8_header(tmp_path):
@@ -430,15 +452,13 @@ def tiny_checkpoint(tmp_path_factory):
 def _byte_offset(blob: bytes, field: str) -> int:
     """Byte offset of ``field`` in ``blob``; for a u64 length, the offset of
     its top byte, where one flipped bit asks for exabytes."""
-    header_len = struct.unpack("<Q", blob[8:16])[0]
-    record = 16 + header_len  # first parameter: name length, name, rank
-    name_len = struct.unpack("<Q", blob[record : record + 8])[0]
+    values = 16 + struct.unpack("<Q", blob[8:16])[0]  # first parameter's first byte
     return {
         "start": 0,
         "header_len": 8 + 7,
-        "name_len": record + 7,
-        "name": record + 8,
-        "rank": record + 8 + name_len + 7,
+        "padding": blob.index(b"\n\n", 16, values) + 1,  # an LF after the last header line
+        "values": values,
+        "crc": len(blob) - 4,
         "l": blob.index(b"\nl=") + 3,
         "scaler": blob.index(b"\nscaler=") + 8,
     }[field]
@@ -447,12 +467,13 @@ def _byte_offset(blob: bytes, field: str) -> int:
 @settings(max_examples=300, deadline=None)
 @given(field=st.just("start"), bit=st.integers(0, 2**16), truncate=st.booleans())
 @example(field="header_len", bit=6, truncate=False)
-@example(field="name_len", bit=6, truncate=False)
-@example(field="name", bit=7, truncate=False)  # a byte that is not UTF-8
-@example(field="rank", bit=6, truncate=False)
+@example(field="padding", bit=7, truncate=False)  # a byte that is not UTF-8
+@example(field="padding", bit=5, truncate=False)  # LF -> '*', a line without '='
+@example(field="values", bit=6, truncate=False)
+@example(field="crc", bit=0, truncate=False)
 @example(field="l", bit=2, truncate=False)  # l=4 -> l=0
 @example(field="scaler", bit=0, truncate=False)  # minmax -> linmax
-@example(field="rank", bit=0, truncate=True)
+@example(field="values", bit=0, truncate=True)
 def test_corrupt_checkpoint_raises_data_error(tiny_checkpoint, field, bit, truncate):
     """A single flipped bit, or a cut, at any position raises DataError: no
     MemoryError, OverflowError, UnicodeDecodeError or ConfigError, and no
