@@ -149,6 +149,8 @@ def _cell(cell) -> str:
     text = "-" if cell is None else str(cell)
     if "\t" in text or "\n" in text or "\r" in text:
         raise DataError(f"table cell {text!r} holds a tab or a line break")
+    if re.search("[\ud800-\udfff]", text):  # a surrogate: a file name's undecodable byte
+        raise DataError(f"table cell {text!r} is not UTF-8 text")
     return text
 
 
@@ -206,31 +208,27 @@ def _diagnose_csv(path: Path, skip: int) -> None:
     raise DataError(f"{path}: unparseable CSV")
 
 
-def _parse(fh, start: int, stop: int) -> np.ndarray:
-    """The one parse of CSV values: bytes [start, stop) of the binary file
-    ``fh``, decoded as UTF-8 with universal newlines, whitespace lines blank.
-    A range that runs to the end of the file streams from it; a shorter one
-    (a forked child's part) is read first. Closes ``fh``."""
-    with fh:
-        fh.seek(start)
-        data = fh if stop >= os.fstat(fh.fileno()).st_size else io.BytesIO(fh.read(stop - start))
-        with warnings.catch_warnings(), io.TextIOWrapper(data, "utf-8") as text:
-            # no rows is reported by _read_csv, through _diagnose_csv
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = (line for line in text if not line.isspace())
-            return np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+def _parse(data) -> np.ndarray:
+    """The one parse of CSV values: the binary stream ``data`` from where it
+    stands to its end, decoded as UTF-8 with universal newlines, whitespace
+    lines blank. Closes ``data``."""
+    with warnings.catch_warnings(), io.TextIOWrapper(data, "utf-8") as text:
+        # no rows is reported by _read_csv, through _diagnose_csv
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = (line for line in text if not line.isspace())
+        return np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
 
 
-def _part_bounds(path: Path, start: int) -> list[int]:
-    """Byte offsets cutting the data bytes from ``start`` on into one part
-    per core of the process's budget (``cores.budget``), each of at least
-    MIN_PART_BYTES and each ending just after an LF byte; a single part when
-    that cannot be done."""
-    size = path.stat().st_size
+def _part_bounds(fd: int, start: int) -> list[int]:
+    """Byte offsets cutting the data bytes from ``start`` on, in the open
+    file ``fd`` as it is sized now, into one part per core of the process's
+    budget (``cores.budget``), each of at least MIN_PART_BYTES and each
+    ending just after an LF byte; a single part when that cannot be done."""
+    size = os.fstat(fd).st_size
     parts = min(cores.budget(), (size - start) // MIN_PART_BYTES)
     bounds = [start]
     if parts > 1:
-        with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as mm:
             for i in range(1, parts):
                 cut = mm.find(b"\n", start + i * (size - start) // parts - 1) + 1
                 if bounds[-1] < cut < size:
@@ -249,30 +247,33 @@ def _read_into(pipe, buf: np.ndarray) -> bool:
     return True
 
 
-def _parse_part(path: Path, start: int, stop: int, fd: int, parent: int, inherited) -> None:
+def _parse_part(fd: int, start: int, stop: int, out: int, parent: int, inherited) -> None:
     """In a forked child: close the pipe read ends ``inherited`` from the
-    parent, so a pipe ends with the process that reads it; parse bytes
-    [start, stop) of ``path``, write the rows' shape and then their raw
-    float64 values to ``fd``, and leave the process. The child dies with
-    ``parent``."""
+    parent, so a pipe ends with the process that reads it; read bytes
+    [start, stop) of the open file ``fd`` by ``os.pread`` (its shared offset
+    stays), parse them, write the rows' shape and then their raw float64
+    values to ``out``, and leave. A short read fails; the child dies with ``parent``."""
     code = 1
     try:
         for pipe in inherited:
             pipe.close()
         cores.die_with(parent)
-        values = _parse(path.open("rb"), start, stop)
-        with open(fd, "wb") as out:
-            out.write(np.array(values.shape, dtype=np.int64).tobytes())
-            out.write(values.data)
+        part = os.pread(fd, stop - start, start)
+        if len(part) < stop - start:
+            return  # the file was cut after it was sized: exit 1
+        values = _parse(io.BytesIO(part))
+        with open(out, "wb") as sink:
+            sink.write(np.array(values.shape, dtype=np.int64).tobytes())
+            sink.write(values.data)
         code = 0
     finally:
         os._exit(code)
 
 
-def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
-    """Parse each part between ``bounds`` in its own forked child and read
-    the rows into one array. None, for the caller to parse in process, when
-    a fork or a child fails, or the parts disagree on the column count."""
+def _load_parts(fd: int, bounds: list[int]) -> np.ndarray | None:
+    """Parse each part between ``bounds`` of the open file ``fd`` in its own
+    forked child and read the rows into one array. None, for the caller to parse
+    in process, when a fork or a child fails, or the parts disagree on columns."""
     pids, pipes, parent = [], [], os.getpid()
     try:
         for start, stop in zip(bounds, bounds[1:]):
@@ -284,7 +285,7 @@ def _load_parts(path: Path, bounds: list[int]) -> np.ndarray | None:
                 os.close(w)
                 return None
             if pid == 0:
-                _parse_part(path, start, stop, w, parent, pipes)
+                _parse_part(fd, start, stop, w, parent, pipes)
             os.close(w)
             pids.append(pid)
         shapes = [np.empty(2, dtype=np.int64) for _ in pipes]
@@ -320,14 +321,14 @@ def _read_csv(path: Path) -> np.ndarray:
     lone CR (a blank first line counts as a header), less a leading
     byte-order mark; the data bytes start after the header line, or else
     after the mark. Data of at least two MIN_PART_BYTES parts is cut after LF
-    bytes into parts, one per core; one forked child per part parses it
-    with ``_parse`` and pipes back its raw rows, which land in the result in
-    place, so the values are bitwise those of one in-process parse.
-    Otherwise, or on any failure of the parts (a fork refused, a child's
-    error, a short read, disagreeing column counts), ``_parse`` streams the
-    data from the open file. Either way no copy of the text is held. Only
-    the error paths re-read the file, to name an empty file or the
-    offending cell, so every error message is the in-process one.
+    bytes into parts, one per core; one forked child per part reads it from
+    the open file and pipes back its raw ``_parse``d rows, which land in the
+    result in place, bitwise those of one in-process parse. Otherwise, or on
+    any failure of the parts (a fork refused, a child's error, a short read,
+    disagreeing column counts), ``_parse`` streams the data from the open
+    file. No copy of the text is held, and only the error paths read the
+    path again: they re-read it to name an empty file or the offending cell,
+    so every error message is the in-process one.
     """
     with io.TextIOWrapper(open_input(path), "utf-8", newline="") as fh:
         try:
@@ -337,11 +338,12 @@ def _read_csv(path: Path) -> np.ndarray:
         # a leading byte-order mark is not text: the data starts after it
         mark = "\ufeff" if first.startswith("\ufeff") else ""
         skip = 1 if _looks_like_header(first[len(mark) :]) else 0
-        bounds = _part_bounds(path, len((first if skip else mark).encode()))
-        values = _load_parts(path, bounds) if len(bounds) > 2 else None
+        bounds = _part_bounds(fh.fileno(), len((first if skip else mark).encode()))
+        values = _load_parts(fh.fileno(), bounds) if len(bounds) > 2 else None
         if values is None:
             try:
-                values = _parse(fh.buffer, bounds[0], bounds[-1])
+                fh.buffer.seek(bounds[0])
+                values = _parse(fh.buffer)
             except ValueError:  # a bad cell, or a byte that is not UTF-8
                 _diagnose_csv(path, skip)
     if values.size == 0 or not np.isfinite(values).all():

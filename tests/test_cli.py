@@ -109,16 +109,22 @@ def test_eval_huge_k_equals_pa(tmp_path, capsys, threshold):
     assert rows[2][4:] == pa and rows[3][4:] == pa
 
 
-@pytest.mark.parametrize("entity", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
-def test_eval_entity_that_breaks_its_table_exits_2(tmp_path, capsys, entity):
-    # such a metrics file used to be written, and report then refused it
+BREAK, NOT_UTF8 = "holds a tab or a line break", "is not UTF-8 text"
+
+
+@pytest.mark.parametrize("entity, fault", [("a\tb", BREAK), ("a\nb", BREAK), ("a\rb", BREAK),
+                                           (os.fsdecode(b"bad\xff"), NOT_UTF8)],
+                         ids=["tab", "lf", "cr", "not-utf8"])
+def test_eval_entity_that_breaks_its_table_exits_2(tmp_path, capsys, entity, fault):
+    # a tab's metrics file used to be written, and report then refused it; a
+    # name that is not UTF-8 ended in a traceback when the file was encoded
     scores = tmp_path / "s.txt"
     labels = tmp_path / "l.txt"
     out = tmp_path / "m.tsv"
     scores.write_text("0.1\n0.9\n0.2\n")
     labels.write_text("0\n1\n0\n")
     rc, err = run_eval(scores, labels, capsys, "--entity", entity, "--mode", "pa", "--output", str(out))
-    assert rc == 2 and err == f"error: table cell {entity!r} holds a tab or a line break\n"
+    assert rc == 2 and err == f"error: table cell {entity!r} {fault}\n"
     assert sorted(tmp_path.iterdir()) == [labels, scores]
 
 
@@ -131,6 +137,18 @@ def test_eval_entity_directory_that_breaks_its_table_exits_2(tmp_path, capsys):
     rc, err = run_main(["eval", "--run-dir", str(run_dir), "--data-root", str(data_root)], capsys)
     assert rc == 2 and err == "error: table cell 'a\\tb' holds a tab or a line break\n"
     assert list((run_dir / "a\tb").iterdir()) == [run_dir / "a\tb" / "scores.txt"]
+
+
+def test_eval_entity_directory_that_is_not_utf8_text_exits_2(tmp_path, capsys):
+    # such a directory trains and scores; its metrics file cannot be written as UTF-8
+    data_root, run_dir, entity = tmp_path / "data", tmp_path / "runs", os.fsdecode(b"bad\xff")
+    for path, text in ((data_root / entity / "test_label.csv", "0\n1\n0\n"),
+                       (run_dir / entity / "scores.txt", "0.1\n0.9\n0.2\n")):
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+    rc, err = run_main(["eval", "--run-dir", str(run_dir), "--data-root", str(data_root)], capsys)
+    assert rc == 2 and err == "error: table cell 'bad\\udcff' is not UTF-8 text\n"
+    assert list((run_dir / entity).iterdir()) == [run_dir / entity / "scores.txt"]
 
 
 def test_eval_prints_each_entity_before_a_later_one_fails(tmp_path, capsys):

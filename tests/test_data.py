@@ -324,6 +324,50 @@ def test_refused_fork_parses_in_process(tmp_path, monkeypatch):
     assert_bitwise_equal(load_series(p).values, expected)
 
 
+@pytest.mark.parametrize("change", ["same-header", "no-header", "removed"])
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_path_changed_after_its_open_loads_the_opened_file(tmp_path, monkeypatch, change, forked):
+    """A file moved over the path, or the path removed, right after the one
+    open: the load reads the open file, not whatever the path names now."""
+    p, other = write_matrix(tmp_path), tmp_path / "other.csv"
+    expected = load_in_process(p).values
+    header = ",".join("m" * 7) if change == "same-header" else ""
+    np.savetxt(other, np.random.default_rng(301).normal(size=(300, 7)) * 1e5,
+               delimiter=",", fmt="%.17g", header=header, comments="")
+    real_open = data.open_input
+
+    def open_then_change(path):  # the first open only
+        monkeypatch.setattr(data, "open_input", real_open)
+        fh = real_open(path)
+        if change == "removed":
+            p.unlink()
+        else:
+            os.replace(other, p)
+        return fh
+
+    pids = parse_in_parts(monkeypatch, p.stat().st_size // 5 if forked else 1 << 62)
+    monkeypatch.setattr(data, "open_input", open_then_change)
+    assert_bitwise_equal(load_series(p).values, expected)
+    assert len(pids) == (4 if forked else 0)
+
+
+def test_short_read_of_a_part_parses_in_process(tmp_path, monkeypatch):
+    """Each part reads its bytes with ``os.pread``; one that comes back short
+    (here cut after a whole line, so its rows would parse) fails the part."""
+    p = write_matrix(tmp_path)
+    expected = load_in_process(p).values
+    real_pread = os.pread
+
+    def short_pread(fd, n, offset):
+        part = real_pread(fd, n, offset)
+        return part[: part.rindex(b"\n", 0, n // 2) + 1]
+
+    pids = parse_in_parts(monkeypatch, p.stat().st_size // 5)
+    monkeypatch.setattr(os, "pread", short_pread)
+    assert_bitwise_equal(load_series(p).values, expected)
+    assert len(pids) == 4
+
+
 # a load that forks its two parsers, prints their pids and then stalls
 # before it reads a byte from them
 _STALLED_LOAD = """
@@ -711,8 +755,13 @@ def test_table_text_writes_each_cell_by_its_one_rule():
     assert data.table_text([]) == ""
 
 
-@pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb", "\r\n"], ids=["tab", "lf", "cr", "crlf"])
-def test_table_text_refuses_a_cell_that_breaks_its_table(text):
+BREAK, NOT_UTF8 = "holds a tab or a line break", "is not UTF-8 text"
+
+
+@pytest.mark.parametrize("text, fault", [("a\tb", BREAK), ("a\nb", BREAK), ("a\rb", BREAK), ("\r\n", BREAK),
+                                         (os.fsdecode(b"bad\xff"), NOT_UTF8)],
+                         ids=["tab", "lf", "cr", "crlf", "not-utf8"])
+def test_table_text_refuses_a_cell_that_breaks_its_table(text, fault):
     with pytest.raises(DataError) as err:
         data.table_text([("e1", 0.5), (text, 0.5)])
-    assert str(err.value) == f"table cell {text!r} holds a tab or a line break"
+    assert str(err.value) == f"table cell {text!r} {fault}"
