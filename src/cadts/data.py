@@ -108,11 +108,16 @@ def open_input(path):
 
 
 def read_lines(path, error: type[Exception] = DataError) -> list[str]:
-    """A UTF-8 text file's lines (``split_lines``), opened by ``open_input``,
-    without a leading byte-order mark; a byte that does not decode raises
-    ``error`` naming the file and the byte's line."""
+    """A UTF-8 text file's lines, opened by ``open_input`` (``_decode``)."""
     with open_input(path) as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is not text
+        return _decode(path, fh.read(), error)
+
+
+def _decode(path, raw: bytes, error: type[Exception] = DataError) -> list[str]:
+    """The lines (``split_lines``) of the bytes ``raw`` of the file ``path``
+    as UTF-8 text without a leading byte-order mark; a byte that does not
+    decode raises ``error`` naming the file and the byte's line."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is not text
     try:
         return split_lines(raw.decode())
     except UnicodeDecodeError as exc:
@@ -173,11 +178,13 @@ def _looks_like_header(line: str) -> bool:
     return not any(_NUMBER_START.match(cell) for cell in line.split(","))
 
 
-def _diagnose_csv(path: Path, skip: int) -> None:
-    """Slow re-read and re-parse to name the fault: an empty file, no line
-    past the ``skip`` header lines but blank ones, or the offending cell
-    (ragged, non-numeric or non-finite); always raises."""
-    lines = read_lines(path)
+def _diagnose_csv(path: Path, fh, skip: int) -> None:
+    """Slow re-read and re-parse of the open binary file ``fh`` of ``path``,
+    from its start, to name the fault: an empty file, no line past the
+    ``skip`` header lines but blank ones, or the offending cell (ragged,
+    non-numeric or non-finite); always raises."""
+    fh.seek(0)
+    lines = _decode(path, fh.read())
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -211,12 +218,16 @@ def _diagnose_csv(path: Path, skip: int) -> None:
 def _parse(data) -> np.ndarray:
     """The one parse of CSV values: the binary stream ``data`` from where it
     stands to its end, decoded as UTF-8 with universal newlines, whitespace
-    lines blank. Closes ``data``."""
-    with warnings.catch_warnings(), io.TextIOWrapper(data, "utf-8") as text:
-        # no rows is reported by _read_csv, through _diagnose_csv
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = (line for line in text if not line.isspace())
-        return np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    lines blank. Leaves ``data`` open."""
+    text = io.TextIOWrapper(data, "utf-8")
+    try:
+        with warnings.catch_warnings():
+            # no rows is reported by _read_csv, through _diagnose_csv
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = (line for line in text if not line.isspace())
+            return np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    finally:
+        text.detach()  # closing the wrapper would close data
 
 
 def _part_bounds(fd: int, start: int) -> list[int]:
@@ -326,15 +337,15 @@ def _read_csv(path: Path) -> np.ndarray:
     result in place, bitwise those of one in-process parse. Otherwise, or on
     any failure of the parts (a fork refused, a child's error, a short read,
     disagreeing column counts), ``_parse`` streams the data from the open
-    file. No copy of the text is held, and only the error paths read the
-    path again: they re-read it to name an empty file or the offending cell,
-    so every error message is the in-process one.
+    file. No copy of the text is held, and the path is never read again:
+    the error paths re-read the open file from its start to name an empty
+    file or the offending cell, so every error message is the in-process one.
     """
     with io.TextIOWrapper(open_input(path), "utf-8", newline="") as fh:
         try:
             first = fh.readline()
         except UnicodeDecodeError:
-            _diagnose_csv(path, 0)  # names the line that does not decode
+            _diagnose_csv(path, fh.buffer, 0)  # names the line that does not decode
         # a leading byte-order mark is not text: the data starts after it
         mark = "\ufeff" if first.startswith("\ufeff") else ""
         skip = 1 if _looks_like_header(first[len(mark) :]) else 0
@@ -345,9 +356,9 @@ def _read_csv(path: Path) -> np.ndarray:
                 fh.buffer.seek(bounds[0])
                 values = _parse(fh.buffer)
             except ValueError:  # a bad cell, or a byte that is not UTF-8
-                _diagnose_csv(path, skip)
-    if values.size == 0 or not np.isfinite(values).all():
-        _diagnose_csv(path, skip)
+                _diagnose_csv(path, fh.buffer, skip)
+        if values.size == 0 or not np.isfinite(values).all():
+            _diagnose_csv(path, fh.buffer, skip)
     return values
 
 

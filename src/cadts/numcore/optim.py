@@ -42,10 +42,10 @@ class AdamState:
         )
 
 
-def adam_step(state: AdamState, params: list[Tensor], grads, lr: float) -> None:
+def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
     """One Adam update, in place on the parameter tensors.
 
-    ``grads`` mirrors ``params`` (Tensors or ndarrays) in shape and dtype;
+    ``grads`` mirrors ``params`` as ndarrays of their shapes and dtypes;
     parameters and moments are C-contiguous, as built and loaded, and ``lr``
     is taken as a Python float. A parameter's whole gradient is checked
     before it is touched: non-finite values abort with the offending
@@ -61,16 +61,15 @@ def adam_step(state: AdamState, params: list[Tensor], grads, lr: float) -> None:
     bc2 = 1.0 - BETA2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         name = p.name or f"param[{i}]"
-        gd = g.data if isinstance(g, Tensor) else np.asarray(g)
-        if gd.shape != p.data.shape:
-            raise ValueError(f"gradient shape {gd.shape} != parameter shape {p.data.shape} for {name}")
-        if gd.dtype != p.data.dtype:
-            raise ValueError(f"gradient dtype {gd.dtype} != parameter dtype {p.data.dtype} for {name}")
-        if not np.all(np.isfinite(gd)):
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
+        if g.dtype != p.data.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.data.dtype} for {name}")
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name}")
         if not all(a.flags.c_contiguous for a in (p.data, state.m[i], state.v[i])):
             raise ValueError(f"parameter {name} and its moments must be C-contiguous")
-        pf, mf, vf, gf = (a.reshape(-1) for a in (p.data, state.m[i], state.v[i], gd))
+        pf, mf, vf, gf = (a.reshape(-1) for a in (p.data, state.m[i], state.v[i], g))
         scratch = np.empty((2, min(pf.size, BLOCK)), pf.dtype)
         for start in range(0, pf.size, BLOCK):
             blk = slice(start, start + BLOCK)

@@ -3,7 +3,7 @@
 A ``Tensor`` is a thin wrapper around a float32/float64 ndarray. Every
 primitive is a forward expression plus one gradient function per operand,
 and records through ``_op``: while a ``Tape`` is active on the current
-thread, ``_op`` records the operands the tape tracks (watched tensors and
+thread, ``_op`` records the operands the tape tracks (its parameters and
 anything derived from one) with their gradient functions. ``Tape.grad``
 replays those records in reverse to accumulate adjoints, popping each
 record as it runs that record's backward, so a record's output, its
@@ -80,17 +80,17 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive ops, consumed by one ``grad`` call.
+    """Ordered record of primitive ops on ``params``, consumed by one ``grad``.
 
-    Records are appended in execution order, which is already a topological
-    order of the graph. A tape is single-threaded; independent tapes may run
-    concurrently on different threads (the active tape is thread-local).
+    Records follow execution order, a topological order of the graph. A tape
+    is single-threaded; independent tapes may run concurrently on different
+    threads (the active tape is thread-local).
     """
 
-    def __init__(self):
+    def __init__(self, params: Sequence[Tensor]):
+        self._params = list(params)
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._tracked: set[int] = set()
-        self._watched: dict[int, Tensor] = {}
+        self._tracked = {id(p) for p in self._params}
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -103,42 +103,27 @@ class Tape:
         _TLS.tape = None
         return False
 
-    def watch(self, *tensors: Tensor) -> None:
-        """Register parameters. Must happen before they are used in ops."""
-        for t in tensors:
-            self._watched[id(t)] = t
-            self._tracked.add(id(t))
-
-    def tracks(self, t) -> bool:
-        return isinstance(t, Tensor) and id(t) in self._tracked
-
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> None:
         if self._consumed:
             raise RuntimeError("tape already consumed by grad(); build a new tape")
         self._records.append((out, parents, bwd))
         self._tracked.add(id(out))
 
-    def grad(self, loss: Tensor, params: Sequence[Tensor]) -> list[Tensor]:
-        """d(loss)/d(param) for every param, shapes mirroring the params.
-
-        The loss must be scalar and every param must have been watched.
-        Watched params the loss does not depend on get zero gradients.
-        Each record is dropped as its backward runs; the tape is consumed
-        from the first one on and cannot be reused, even after an error.
+    def grad(self, loss: Tensor) -> list[np.ndarray]:
+        """d(loss)/d(param) for the tape's params, in order, as arrays of their
+        shapes; zeros for a param the loss does not reach. The loss must be
+        scalar. Each record is dropped as its backward runs; the tape is
+        consumed from the first one on and cannot be reused, even after an error.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by grad(); build a new tape")
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        for p in params:
-            if id(p) not in self._watched:
-                raise ValueError(
-                    f"parameter {p.name or '<unnamed>'} was not watched on this tape"
-                )
 
         # before the first record goes: a backward that raises leaves a
         # partial record list that no second call may replay
         self._consumed = True
+        self._tracked.clear()
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         while self._records:
             out, parents, bwd = self._records.pop()
@@ -154,12 +139,8 @@ class Tape:
                 # never accumulate in place: pg may be a view of g
                 adjoints[pid] = pg if prev is None else prev + pg
 
-        grads = []
-        for p in params:
-            pg = adjoints.get(id(p))
-            grads.append(Tensor(pg if pg is not None else np.zeros_like(p.data)))
-        self._tracked.clear()
-        return grads
+        # zeros only where the loss did not reach; asarray, as a sum of 0-d arrays is a numpy scalar
+        return [np.asarray(adjoints[id(p)]) if id(p) in adjoints else np.zeros_like(p.data) for p in self._params]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -189,7 +170,7 @@ def _op(value, *pairs: tuple[object, Callable], adjoint: Callable | None = None)
     out = Tensor(value)
     tape = _active_tape()
     if tape is not None:
-        live = [(t, fn) for t, fn in pairs if tape.tracks(t)]
+        live = [(t, fn) for t, fn in pairs if isinstance(t, Tensor) and id(t) in tape._tracked]
         if live:
             parents, fns = zip(*live)
 

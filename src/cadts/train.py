@@ -135,8 +135,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
             xb = train_x[idx]
             yb = Tensor(train_y[idx].astype(model.config.np_dtype))
             lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
-            with Tape() as tape:
-                tape.watch(*params)
+            with Tape(params) as tape:
                 pred = model.forward_batch(xb, mode="train", rng=dropout_rng)
                 loss = mse_loss(yb, pred)
             loss_value = float(loss.data)
@@ -145,7 +144,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch + 1}"
                 )
             # unnamed, so the gradients are freed before the next forward
-            adam_step(state, params, tape.grad(loss, params), lr)
+            adam_step(state, params, tape.grad(loss), lr)
             step += 1
             loss_sum += loss_value * len(idx)
 

@@ -45,7 +45,6 @@ def max_rel_err(analytic, numeric, floor: float = 1e-3) -> float:
     """
     worst = 0.0
     for a, n in zip(analytic, numeric):
-        ad = a.data if hasattr(a, "data") else np.asarray(a)
-        denom = np.maximum(np.maximum(np.abs(ad), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(ad - n) / denom)))
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst

@@ -52,10 +52,9 @@ def test_criterion_1_gradient_correctness():
     def forward():
         return mse_loss(target, model.forward_batch(window))
 
-    with Tape() as tape:
-        tape.watch(*params)
+    with Tape(params) as tape:
         loss = forward()
-    analytic = tape.grad(loss, params)
+    analytic = tape.grad(loss)
     numeric = central_diff(lambda: forward().item(), params)
     worst = max(
         max_rel_err([a], [n]) for a, n in zip(analytic, numeric)

@@ -351,6 +351,33 @@ def test_path_changed_after_its_open_loads_the_opened_file(tmp_path, monkeypatch
     assert len(pids) == (4 if forked else 0)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("m1,m2\n1,2\n3,x\n", "value 'x' at line 3, column 2 is not a finite number"),
+    ("m1,m2\n1,2\n3\n", "ragged row at line 3: expected 2 columns, got 1"),
+    ("m1,m2\n1,2\n3,nan\n", "value 'nan' at line 3, column 2 is not a finite number"),
+    ("m1,m2\n\n\n", "no data rows"),
+], ids=["bad-cell", "ragged", "nan", "no-rows"])
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_fault_is_named_from_the_opened_file_after_the_path_changes(tmp_path, monkeypatch, text, message, forked):
+    """A good file moved over the path right after the one open: the fault of
+    the opened file is still named, from that file, not the path."""
+    p, good = write(tmp_path, "a.csv", text), write(tmp_path, "good.csv", "m1,m2\n1,2\n3,4\n")
+    real_open = data.open_input
+
+    def open_then_replace(path):  # the first open only
+        monkeypatch.setattr(data, "open_input", real_open)
+        fh = real_open(path)
+        os.replace(good, p)
+        return fh
+
+    pids = parse_in_parts(monkeypatch, 1 if forked else 1 << 62)
+    monkeypatch.setattr(data, "open_input", open_then_replace)
+    with pytest.raises(DataError) as raised:
+        load_series(p)
+    assert str(raised.value) == f"{p}: {message}"
+    assert len(pids) == (2 if forked else 0)
+
+
 def test_short_read_of_a_part_parses_in_process(tmp_path, monkeypatch):
     """Each part reads its bytes with ``os.pread``; one that comes back short
     (here cut after a whole line, so its rows would parse) fails the part."""

@@ -95,10 +95,9 @@ def test_single_step_descends():
             return mse_loss(target, model.forward_batch(window)).item()
 
         before = loss_now()
-        with Tape() as tape:
-            tape.watch(*params)
+        with Tape(params) as tape:
             loss = mse_loss(target, model.forward_batch(window))
-        grads = tape.grad(loss, params)
+        grads = tape.grad(loss)
         adam_step(AdamState.for_params(params), params, grads, lr=1e-5)
         assert loss_now() <= before + 1e-12
 
@@ -161,7 +160,7 @@ def test_each_steps_gradients_die_with_their_adam_step(monkeypatch):
     forward = type(model).forward_batch
 
     def watched_adam(state, params, grads, lr):
-        given.extend(weakref.ref(g.data) for g in grads)
+        given.extend(weakref.ref(g) for g in grads)
         adam_step(state, params, grads, lr)
 
     def watched_forward(self, windows, mode="eval", rng=None):
