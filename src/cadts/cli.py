@@ -216,10 +216,10 @@ def _run_tasks(worker, tasks, jobs: int) -> Iterator[str]:
 
 def _train_entity(train_csv: Path, entity_dir: Path, cfg: TrainConfig) -> str:
     series = load_series(train_csv)
-    scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
-    if scaler is not None:  # training holds the scaled rows only
-        series = apply_minmax(scaler, series)
     try:
+        scaler = fit_minmax(series, clip=cfg.clip) if cfg.scale else None
+        if scaler is not None:  # training holds the scaled rows only
+            series = apply_minmax(scaler, series)
         windows = make_windows(series, cfg.l, cfg.h)
         model = build_model(cfg.model_config(), n_metrics=series.shape[1], rng_seed=cfg.seed)
         model, history = train_model(model, windows, cfg)

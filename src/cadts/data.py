@@ -58,11 +58,21 @@ class SeriesMatrix:
 
 @dataclass
 class Scaler:
-    """Per-column min/max fitted on training data."""
+    """Per-column min/max fitted on training data. Whether fitted or read
+    from a checkpoint, each column's ``max - min`` must be finite and not
+    negative, or DataError names the first column where it is not."""
 
     mins: np.ndarray
     maxs: np.ndarray
     clip: bool = True
+
+    def __post_init__(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            span = np.subtract(self.maxs, self.mins)
+        bad = np.flatnonzero(~(np.isfinite(span) & (span >= 0)))
+        if bad.size:
+            lo, hi = float(self.mins[bad[0]]), float(self.maxs[bad[0]])
+            raise DataError(f"column {bad[0] + 1}: min {lo!r} and max {hi!r} bound no finite range")
 
 
 @dataclass

@@ -29,8 +29,7 @@ from typing import NamedTuple, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .numcore.tensor import (Tensor, add, conv_rows, dense, dropout, mul, recording, reshape, softmax, tmean,
-                             transpose)
+from .numcore.tensor import Tensor, add, dense, dropout, mul, recording, reshape, softmax, tmean, transpose
 
 
 class Wiring(NamedTuple):
@@ -161,10 +160,11 @@ class CadModel:
         metrics at once: in blocks, the embeddings' gradient would sum per
         block, then across blocks, and round otherwise. Unrecorded, they run
         over ``ceil(K / TOWER_BLOCK)`` blocks of metrics into one (B, K)
-        array, so one block's (B, k, W) mix is alive at a time. The blocks'
-        sizes differ by at most one, so none holds a single metric when
-        K > 1: numpy blends one metric by gemv, which rounds otherwise. Both
-        ways give the same bits and the same dropout draws.
+        array, so one block's (B, k, W) mix, and an isolated variant's
+        experts of one block, are alive at a time. The blocks' sizes differ
+        by at most one, so none holds a single metric when K > 1: numpy
+        blends one metric by gemv, which rounds otherwise. Both ways give
+        the same bits and the same dropout draws.
         """
         cfg = self.config
         if mode not in ("train", "eval"):
@@ -176,41 +176,39 @@ class CadModel:
         rng = rng if use_dropout else None
         batch, k = win.shape[0], self.n_metrics
 
-        # expert outputs are computed once and reused across all metrics
-        embeddings = self._embed(win)  # (E, B, W)
+        # shared experts run once for all metrics; isolated ones with their metric's tower
+        embeddings = None if cfg.wiring.isolated else self._embed(win)  # (E, B, W)
         gate = self._gate_weights_batch(win) if cfg.wiring.shared_gate or cfg.wiring.personalized_gate else None
         if recording():
-            raw = self._towers(embeddings, gate, None, rng)  # (K, B, 1)
+            raw = self._towers(win, embeddings, gate, None, rng)  # (K, B, 1)
             return transpose(reshape(raw, (k, batch)), (1, 0))
         preds = np.empty((batch, k), dtype=cfg.np_dtype)
         blocks = -(-k // TOWER_BLOCK)
         bounds = [i * k // blocks for i in range(blocks + 1)]
         for start, stop in zip(bounds, bounds[1:]):
-            raw = self._towers(embeddings, gate, slice(start, stop), rng)
+            raw = self._towers(win, embeddings, gate, slice(start, stop), rng)
             preds[:, start:stop] = raw.data.reshape(stop - start, batch).T
         return Tensor(preds)
 
-    def _towers(self, embeddings: Tensor, gate: Tensor | None, metrics: slice | None, rng) -> Tensor:
+    def _towers(self, win: Tensor, embeddings: Tensor | None, gate: Tensor | None, metrics: slice | None,
+                rng) -> Tensor:
         """Tower outputs (k, B, 1) of ``metrics``, all when None: each
         metric's mix of the embeddings (E, B, W) by its gate (B, K, M), the
-        experts' mean or its own expert, then tower 1, dropout if ``rng``,
-        tower 2. A slice works on the tensors' data, which no tape sees."""
-
-        def take(t: Tensor, axis: int = 0) -> Tensor:
-            return t if metrics is None else Tensor(t.data[(slice(None),) * axis + (metrics,)])
-
+        experts' mean or its own expert run on ``win``, then tower 1,
+        dropout if ``rng``, tower 2."""
         p = self.params
         if self.config.wiring.isolated:
-            mixed = take(embeddings)  # expert k is metric k's own
+            mixed = self._embed(win, metrics)  # expert k is metric k's own
         elif gate is None:
             mixed = tmean(embeddings, axis=0)  # (B, W), broadcast over the towers
         else:
-            blended = dense(take(gate, 1), transpose(embeddings, (1, 0, 2)))  # (B, k, W)
+            blended = dense(_take(gate, metrics, 1), transpose(embeddings, (1, 0, 2)))  # (B, k, W)
             mixed = transpose(blended, (1, 0, 2))  # (k, B, W)
-        hidden = dense(mixed, take(p["tower.w1"]), take(p["tower.b1"]), relu=True)  # (k, B, hidden)
+        w1, b1, w2, b2 = (_take(p[f"tower.{name}"], metrics) for name in ("w1", "b1", "w2", "b2"))
+        hidden = dense(mixed, w1, b1, relu=True)  # (k, B, hidden)
         if rng is not None:
             hidden = dropout(hidden, self.config.dropout_rate, rng)
-        return dense(hidden, take(p["tower.w2"]), take(p["tower.b2"]))
+        return dense(hidden, w2, b2)
 
     def _as_windows(self, windows) -> Tensor:
         """``windows`` as a (B, K, l) tensor in the model dtype."""
@@ -221,16 +219,20 @@ class CadModel:
             )
         return Tensor(np.ascontiguousarray(windows, dtype=self.config.np_dtype))
 
-    def _embed(self, win: Tensor) -> Tensor:
-        """Embeddings (E, B, W) of windows (B, K, l), all experts at once."""
+    def _embed(self, win: Tensor, metrics: slice | None = None) -> Tensor:
+        """Embeddings (E, B, W) of windows (B, K, l), all experts at once;
+        an isolated variant's experts only of ``metrics``, all when None."""
         batch, k, l = win.shape
         p = self.params
         if self.config.wiring.isolated:
-            rows = transpose(win, (1, 0, 2))  # (K, B, l): expert k reads metric k's row
+            rows = transpose(_take(win, metrics, 1), (1, 0, 2))  # (k, B, l): expert k reads metric k's row
+            p = {name: _take(p[name], metrics) for name in p if name.startswith("expert.")}
         else:
             rows = reshape(win, (batch * k, l))  # every expert reads every row
         if self.config.wiring.conv:
-            rows = conv_rows(rows, p["expert.kernels"], relu=True)  # (E, B*K, N) or (K, B, N)
+            # a kernel spans the whole window, so it meets a row at one
+            # position: the convolution is one dot product per row and kernel
+            rows = dense(rows, transpose(p["expert.kernels"], (0, 2, 1)), relu=True)  # (E, B*K, N) or (k, B, N)
         flat = reshape(rows, (-1, batch, p["expert.ff1_w"].shape[1]))  # (E or 1, B, ff1 input)
         hidden = dense(flat, p["expert.ff1_w"], p["expert.ff1_b"], relu=True)
         return dense(hidden, p["expert.ff2_w"], p["expert.ff2_b"])
@@ -249,16 +251,10 @@ class CadModel:
         return softmax(logits, axis=-1)
 
 
-# --- public eval-mode view --------------------------------------------------
-
-
-def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:
-    """Eval-mode gate weights, shape (n_windows, n_metrics, n_experts): each
-    metric's simplex over the experts, as the forward pass blends them. A
-    variant with neither gate matrix raises ValueError."""
-    if not (model.config.wiring.shared_gate or model.config.wiring.personalized_gate):
-        raise ValueError(f"variant {model.config.variant!r} has no gate")
-    return model._gate_weights_batch(model._as_windows(windows)).data
+def _take(t: Tensor, metrics: slice | None, axis: int = 0) -> Tensor:
+    """``t``'s ``metrics`` along ``axis``, all when None. A slice works on
+    the data, which no tape sees."""
+    return t if metrics is None else Tensor(t.data[(slice(None),) * axis + (metrics,)])
 
 
 def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tuple[int, ...], int]]:

@@ -311,23 +311,3 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep /= np.asarray(1.0 - rate, dtype=a.data.dtype)
     return mul(a, Tensor(keep))
 
-
-def conv_rows(window: Tensor, kernels: Tensor, relu: bool = False) -> Tensor:
-    """Row-wise full-width convolution of a kernel bank (experts, count,
-    width): out[e, k, n] = dot(window[k], kernels[e, n]), followed by
-    ``max(., 0)`` if ``relu`` (one fused ``dense`` op).
-
-    Kernel width must equal the window length, so each (metric, kernel)
-    pair collapses to a single dot product and the whole layer is
-    ``window @ kernels.T``. Leading axes broadcast as in ``dense``: a batch
-    axis on ``window`` meets the bank's expert axis.
-    """
-    if kernels.ndim != 3:
-        raise ValueError(f"kernels must be (experts, count, width), got shape {kernels.shape}")
-    if window.ndim < 2:
-        raise ValueError(f"window must be at least 2-D, got shape {window.shape}")
-    if window.shape[-1] != kernels.shape[-1]:
-        raise ValueError(
-            f"kernel width {kernels.shape[-1]} != window length {window.shape[-1]}"
-        )
-    return dense(window, transpose(kernels, (0, 2, 1)), relu=relu)

@@ -263,10 +263,13 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     n_metrics, seed = value(int, "n_metrics"), value(int, "seed")
     scaler = None
     if (kind := value(str, "scaler")) == "minmax":
-        mins, maxs = value(list, "scaler_min"), value(list, "scaler_max")
+        mins, maxs, clip = value(list, "scaler_min"), value(list, "scaler_max"), value(bool, "scaler_clip")
         if not len(mins) == len(maxs) == n_metrics:
             raise DataError(f"{path}: scaler has {len(mins)} mins and {len(maxs)} maxs for {n_metrics} metrics")
-        scaler = Scaler(mins=mins, maxs=maxs, clip=value(bool, "scaler_clip"))
+        try:
+            scaler = Scaler(mins=mins, maxs=maxs, clip=clip)
+        except DataError as exc:
+            raise DataError(f"{path}: checkpoint header: scaler {exc}") from None
     elif kind != "none":
         raise DataError(f"{path}: unknown scaler {kind!r} (none or minmax)")
     try:

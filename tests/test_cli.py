@@ -9,12 +9,13 @@ import sys
 import time
 import warnings
 import weakref
+import zlib
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cadts import cli
 from cadts.cli import main, make_train_config
@@ -841,14 +842,17 @@ def test_checkpoint_header_records_config(tmp_path, capsys):
 
 def replace_header_value(path, key, value):
     """Rewrite one key=value line of a checkpoint header, keeping the
-    length prefix consistent so only the value itself is corrupt."""
+    length prefix and the CRC consistent so only the value itself is
+    corrupt."""
     blob = path.read_bytes()
     (n,) = struct.unpack("<Q", blob[8:16])
     lines = blob[16 : 16 + n].decode("utf-8").splitlines()
     assert any(line.startswith(f"{key}=") for line in lines)
     lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n :])
+    header += b"\n" * (-len(header) % 8)  # the values stay aligned
+    sealed = blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n : -4]
+    path.write_bytes(sealed + struct.pack("<I", zlib.crc32(sealed)))
 
 
 def score_argv(tmp_path, model=None):
@@ -883,15 +887,27 @@ def test_score_corrupt_header_value_exits_2(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "key, value, reason",
     [("l", "0", "l=0"), ("epsilon", "0.3", "epsilon=0.3"), ("variant", "fUll", "fUll"),
-     ("scaler", "linmax", "linmax"), ("scaler_max", "1.0,2.0", "2 maxs for 3 metrics")],
+     ("scaler", "linmax", "linmax"), ("scaler_max", "1.0,2.0", "2 maxs for 3 metrics"),
+     ("scaler_min", "nan,0.0,0.0", "scaler column 1: min nan and max "),
+     ("scaler_max", "0.5,inf,0.5", "scaler column 2: min "),
+     ("scaler_min", "0.0,0.0,1e300", "scaler column 3: min 1e+300 and max ")],
 )
 def test_score_invalid_header_value_exits_2(tmp_path, capsys, key, value, reason):
     # the values parse, but no model (or scaler) has them
     checkpoint, argv = score_argv(tmp_path)
     replace_header_value(checkpoint, key, value)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert str(checkpoint) in err and reason in err
+    rc, err = run_main(argv, capsys)
+    assert rc == 2 and err.startswith(f"error: {checkpoint}: ") and reason in err
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_checkpoint_scaler_range_that_overflows_exits_2(tmp_path, capsys):
+    # finite bounds, but max - min is more than float64 holds
+    checkpoint, argv = score_argv(tmp_path)
+    replace_header_value(checkpoint, "scaler_min", "-1e308,0.0,0.0")
+    replace_header_value(checkpoint, "scaler_max", "1e308,1.0,1.0")
+    assert run_main(argv, capsys) == (2, f"error: {checkpoint}: checkpoint header: scaler column 1: "
+                                         "min -1e+308 and max 1e+308 bound no finite range\n")
     assert not (tmp_path / "scores.txt").exists()
 
 
@@ -1320,6 +1336,9 @@ def test_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys, target, 
                                    EvalRow("e1", "kpa", 10, 0.5, 1.0, 0.5, 2 / 3)])
     valid = {"train.csv": (data / "e1" / "train.csv").read_bytes(), "--config": config.encode(),
              "--checkpoint": checkpoint.read_bytes(), "--metrics": (base / "m.tsv").read_bytes()}
+    rows = np.loadtxt(data / "e1" / "train.csv", delimiter=",")
+    rows[:, 1] = np.where(np.arange(len(rows)) % 2, 1e308, -1e308)  # finite values whose range overflows
+    wide = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
 
     def argv(path, out):
         train = ["train", "--entities", "e1", "--out", str(out)]
@@ -1338,6 +1357,7 @@ def test_a_damaged_input_exits_0_to_3_cleanly(tmp_path_factory, capsys, target, 
 
     @settings(max_examples=examples, deadline=None)
     @given(damage(valid[target]))
+    @example(wide if target == "train.csv" else valid[target])
     def check(blob):
         root = tmp_path_factory.mktemp("damaged")
         path = root / "data" / "e1" / "train.csv" if target == "train.csv" else root / "input"

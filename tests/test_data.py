@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cadts import cores, data
 from cadts.data import (
+    Scaler,
     SeriesMatrix,
     apply_minmax,
     fit_minmax,
@@ -649,6 +650,17 @@ def test_column_count_mismatch():
     scaler = fit_minmax(mat([[1.0, 2.0]]))
     with pytest.raises(DataError, match="columns"):
         apply_minmax(scaler, mat([[1.0]]))
+
+
+def test_a_column_without_a_finite_ordered_range_is_refused():
+    """``max - min`` must be finite and not negative, fitted or given: a
+    column of finite values can still span more than float64 holds."""
+    with pytest.raises(DataError, match=r"^column 2: min -1e\+308 and max 1e\+308 bound no finite range$"):
+        fit_minmax(mat([[0.0, -1e308], [1.0, 1e308]]))
+    for lo, hi in [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (2.0, 1.0)]:
+        with pytest.raises(DataError, match=f"^column 1: min {lo!r} and max {hi!r} bound no finite range$"):
+            Scaler(mins=np.array([lo, 0.0]), maxs=np.array([hi, 1.0]))
+    assert Scaler(mins=np.array([-1e308, 3.0]), maxs=np.array([0.0, 3.0])).maxs[1] == 3.0
 
 
 def test_training_data_always_lands_in_unit_interval():

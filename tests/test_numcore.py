@@ -16,7 +16,6 @@ from cadts.numcore.tensor import (
     Tensor,
     _op,
     add,
-    conv_rows,
     dense,
     dropout,
     mul,
@@ -288,13 +287,13 @@ def _primitive_cases():
         w = Tensor(rng.normal(size=(4, 6)), name="w")
         k = Tensor(rng.normal(size=(1, 3, 6)), name="k")
         r = Tensor(rng.normal(size=(1, 4, 3)))
-        return [w, k], lambda: tsum(mul(conv_rows(w, k), r))
+        return [w, k], lambda: tsum(mul(dense(w, transpose(k, (0, 2, 1))), r))
 
     def case_conv_rows_experts(rng):
         w = Tensor(rng.normal(size=(4, 6)), name="w")
         k = Tensor(rng.normal(size=(2, 3, 6)), name="k")
         r = Tensor(rng.normal(size=(2, 4, 3)))
-        return [w, k], lambda: tsum(mul(conv_rows(w, k), r))
+        return [w, k], lambda: tsum(mul(dense(w, transpose(k, (0, 2, 1))), r))
 
     return [
         case_add,
@@ -553,16 +552,22 @@ def test_softmax_empty_vector_rejected():
         softmax(Tensor(np.empty(0)))
 
 
-# --- conv_rows contract -----------------------------------------------------
+# --- the expert convolution: dense on the transposed kernel bank -----------
+
+
+def conv_bank(window, kernels):
+    """A full-width kernel bank (experts, count, width) over the rows of
+    ``window``, as the model runs it: ``window @ kernelsᵀ`` per expert."""
+    return dense(Tensor(window), transpose(Tensor(kernels), (0, 2, 1)))
 
 
 def test_conv_rows_dot_products():
-    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[[1.0, 1.0]]]))
+    out = conv_bank([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 1.0]]])
     assert out.data.tolist() == [[[3.0], [7.0]]]
 
 
 def test_conv_rows_selector_kernel():
-    out = conv_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[[1.0, 0.0]]]))
+    out = conv_bank([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 0.0]]])
     assert out.data.tolist() == [[[1.0], [3.0]]]
 
 
@@ -587,7 +592,7 @@ def test_conv_rows_matches_naive_convolution_oracle():
     rng = np.random.default_rng(5)
     window = rng.normal(size=(5, 16))
     kernels = rng.normal(size=(16, 16))
-    got = conv_rows(Tensor(window), Tensor(kernels[None])).data[0]
+    got = conv_bank(window, kernels[None]).data[0]
     want = _naive_sliding_convolution(window, kernels)[:, :, 0]
     assert got.shape == (5, 16)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -597,7 +602,7 @@ def test_conv_rows_equals_matrix_product_exactly():
     rng = np.random.default_rng(6)
     window = rng.normal(size=(7, 9))
     kernels = rng.normal(size=(4, 9))
-    got = conv_rows(Tensor(window), Tensor(kernels[None])).data[0]
+    got = conv_bank(window, kernels[None]).data[0]
     assert np.array_equal(got, window @ kernels.T)
 
 
@@ -605,18 +610,15 @@ def test_conv_rows_expert_axis_matches_each_expert():
     rng = np.random.default_rng(7)
     window = rng.normal(size=(7, 9))
     kernels = rng.normal(size=(3, 4, 9))
-    got = conv_rows(Tensor(window), Tensor(kernels)).data
+    got = conv_bank(window, kernels).data
     assert got.shape == (3, 7, 4)
     for e in range(3):
         np.testing.assert_allclose(got[e], window @ kernels[e].T, rtol=1e-12)
-    for bank in (kernels[None], kernels[0]):  # 4-D, and the 2-D (count, width) layout
-        with pytest.raises(ValueError, match="kernels"):
-            conv_rows(Tensor(window), Tensor(bank))
 
 
 def test_conv_rows_width_mismatch_rejected():
-    with pytest.raises(ValueError, match="width"):
-        conv_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 3, 5))))
+    with pytest.raises(ValueError, match="mismatch"):
+        conv_bank(np.ones((2, 4)), np.ones((1, 3, 5)))
 
 
 # --- Adam -------------------------------------------------------------------
