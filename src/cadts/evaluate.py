@@ -119,7 +119,7 @@ def window_errors(model: CadModel, rows: np.ndarray, scaler: Scaler | None, batc
                         chunk = apply_minmax(scaler, SeriesMatrix(values=chunk)).values
                     chunk = chunk.astype(cfg.np_dtype, copy=False)  # drops a scaled float64 copy
                     windows = make_windows(SeriesMatrix(values=chunk), cfg.l, cfg.h)
-                    err = model.forward_batch(windows.windows, mode="eval").data - windows.targets
+                    err = model.forward_batch(windows.windows, mode="eval") - windows.targets
                     errors[start : start + len(err)] = (err * err).mean(axis=1)
         except BaseException as exc:
             failures.append(exc)

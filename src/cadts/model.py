@@ -14,9 +14,9 @@ validator, the parameter table and the forward read the row's features,
 never the name.
 
 ``parameter_layout`` is the one parameter table: the name, shape and fan-in
-of every tensor a variant holds (``expert.*``, ``gate.shared``,
+of every array a variant holds (``expert.*``, ``gate.shared``,
 ``gate.personalized``, ``tower.*``). A ``CadModel`` is its config plus a
-dict of tensors keyed and ordered by that table; ``build_model`` draws them,
+dict of arrays keyed and ordered by that table; ``build_model`` draws them,
 the checkpoint loader fills them from the stored records, and the forward
 pass looks them up by name.
 """
@@ -29,7 +29,7 @@ from typing import NamedTuple, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .numcore.tensor import Tensor, add, dense, dropout, mul, recording, reshape, softmax, tmean, transpose
+from .numcore.tensor import add, dense, dropout, mul, recording, reshape, softmax, tmean, transpose
 
 
 class Wiring(NamedTuple):
@@ -138,20 +138,19 @@ class ModelConfig:
 @dataclass
 class CadModel:
     """A wired model: ``params`` maps every ``parameter_layout`` name to its
-    tensor, in layout order (the checkpoint's value order)."""
+    array, in layout order (the checkpoint's value order). The arrays are
+    C-contiguous, writable and in the model dtype; Adam updates them in place."""
 
     config: ModelConfig
     n_metrics: int
-    params: dict[str, Tensor]
+    params: dict[str, np.ndarray]
     seed: int = 0
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
 
     # --- forward --------------------------------------------------------
 
-    def forward_batch(self, windows: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None) -> Tensor:
-        """Predictions (B, K) for a batch of windows (B, K, l).
+    def forward_batch(self, windows: np.ndarray, mode: str = "eval",
+                      rng: np.random.Generator | None = None) -> np.ndarray:
+        """Predictions, a (B, K) array, for a batch of windows (B, K, l).
 
         ``mode='train'`` enables tower dropout and requires ``rng``; eval
         mode is a pure function of (parameters, input).
@@ -187,11 +186,11 @@ class CadModel:
         bounds = [i * k // blocks for i in range(blocks + 1)]
         for start, stop in zip(bounds, bounds[1:]):
             raw = self._towers(win, embeddings, gate, slice(start, stop), rng)
-            preds[:, start:stop] = raw.data.reshape(stop - start, batch).T
-        return Tensor(preds)
+            preds[:, start:stop] = raw.reshape(stop - start, batch).T
+        return preds
 
-    def _towers(self, win: Tensor, embeddings: Tensor | None, gate: Tensor | None, metrics: slice | None,
-                rng) -> Tensor:
+    def _towers(self, win: np.ndarray, embeddings: np.ndarray | None, gate: np.ndarray | None,
+                metrics: slice | None, rng) -> np.ndarray:
         """Tower outputs (k, B, 1) of ``metrics``, all when None: each
         metric's mix of the embeddings (E, B, W) by its gate (B, K, M), the
         experts' mean or its own expert run on ``win``, then tower 1,
@@ -210,16 +209,16 @@ class CadModel:
             hidden = dropout(hidden, self.config.dropout_rate, rng)
         return dense(hidden, w2, b2)
 
-    def _as_windows(self, windows) -> Tensor:
-        """``windows`` as a (B, K, l) tensor in the model dtype."""
+    def _as_windows(self, windows) -> np.ndarray:
+        """``windows`` as a C-contiguous (B, K, l) array in the model dtype."""
         windows = np.asarray(windows)
         if windows.ndim != 3 or windows.shape[1:] != (self.n_metrics, self.config.l):
             raise ValueError(
                 f"windows must have shape (B, {self.n_metrics}, {self.config.l}), got {windows.shape}"
             )
-        return Tensor(np.ascontiguousarray(windows, dtype=self.config.np_dtype))
+        return np.ascontiguousarray(windows, dtype=self.config.np_dtype)
 
-    def _embed(self, win: Tensor, metrics: slice | None = None) -> Tensor:
+    def _embed(self, win: np.ndarray, metrics: slice | None = None) -> np.ndarray:
         """Embeddings (E, B, W) of windows (B, K, l), all experts at once;
         an isolated variant's experts only of ``metrics``, all when None."""
         batch, k, l = win.shape
@@ -237,7 +236,7 @@ class CadModel:
         hidden = dense(flat, p["expert.ff1_w"], p["expert.ff1_b"], relu=True)
         return dense(hidden, p["expert.ff2_w"], p["expert.ff2_b"])
 
-    def _gate_weights_batch(self, win: Tensor) -> Tensor:
+    def _gate_weights_batch(self, win: np.ndarray) -> np.ndarray:
         """Gate weights (B, K, M) of windows (B, K, l)."""
         cfg, wiring = self.config, self.config.wiring
         # (B, K, l): each metric's own window, or (B, 1, K*l): the flattened whole window
@@ -251,16 +250,16 @@ class CadModel:
         return softmax(logits, axis=-1)
 
 
-def _take(t: Tensor, metrics: slice | None, axis: int = 0) -> Tensor:
-    """``t``'s ``metrics`` along ``axis``, all when None. A slice works on
-    the data, which no tape sees."""
-    return t if metrics is None else Tensor(t.data[(slice(None),) * axis + (metrics,)])
+def _take(t: np.ndarray, metrics: slice | None, axis: int = 0) -> np.ndarray:
+    """``t``'s ``metrics`` along ``axis``, all when None. A slice is a new
+    object, which no tape tracks, so None must return ``t`` itself."""
+    return t if metrics is None else t[(slice(None),) * axis + (metrics,)]
 
 
 def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tuple[int, ...], int]]:
     """The parameter table: ``group.field`` -> (shape, fan-in) of every
     parameter a model wired per ``config.variant`` holds, in checkpoint
-    value order. Expert tensors carry a leading expert axis; their fan-in is
+    value order. Expert arrays carry a leading expert axis; their fan-in is
     that of one expert."""
     config.validate()
     if n_metrics < 1:
@@ -295,7 +294,7 @@ def parameter_layout(config: ModelConfig, n_metrics: int) -> dict[str, tuple[tup
 def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadModel:
     """Wire a model per ``config.variant``; every parameter is drawn from
     uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in float64, then cast to the
-    model dtype, in a fixed order from the seed."""
+    model dtype, in a fixed order from the seed, into the arrays the model holds."""
     layout = parameter_layout(config, n_metrics)
     rng = np.random.default_rng(rng_seed)
     params = {name: np.empty(shape, config.np_dtype) for name, (shape, _) in layout.items()}
@@ -305,7 +304,7 @@ def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadMo
         return rng.uniform(-bound, bound, size=shape)
 
     experts = [name for name in layout if name.startswith("expert.")]
-    # all of expert 0's tensors, then expert 1's, ...: the order of the
+    # all of expert 0's arrays, then expert 1's, ...: the order of the
     # unstacked layout, so a seed keeps drawing the same parameter values
     for e in range(len(params["expert.ff1_w"])):
         for name in experts:
@@ -314,4 +313,4 @@ def build_model(config: ModelConfig, n_metrics: int, rng_seed: int = 0) -> CadMo
     for name, (shape, fan_in) in layout.items():
         if name not in experts:
             params[name][...] = draw(shape, fan_in)
-    return CadModel(config, n_metrics, {name: Tensor(v, name=name) for name, v in params.items()}, rng_seed)
+    return CadModel(config, n_metrics, params, rng_seed)

@@ -1,6 +1,7 @@
 """Adam with bias correction and the cosine learning-rate schedule.
 
-``adam_step`` updates parameters and moments in place, ``BLOCK`` elements at
+Parameters are a name -> array dict (``CadModel.params``). ``adam_step``
+updates them and their moments in place, ``BLOCK`` elements at
 a time through two block-sized scratch arrays, so it allocates no full-size
 temporary. Per element it runs the textbook sequence in the parameter's
 dtype, ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + (1-b2)*(g*g)``,
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError
-from .tensor import Tensor
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -28,28 +28,29 @@ BLOCK = 32_768
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """Per-parameter first/second moments, in parameter order, plus the
+    shared step counter."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
         return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
+            m=[np.zeros_like(p) for p in params.values()],
+            v=[np.zeros_like(p) for p in params.values()],
         )
 
 
-def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
-    """One Adam update, in place on the parameter tensors.
+def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    """One Adam update, in place on the parameter arrays.
 
-    ``grads`` mirrors ``params`` as ndarrays of their shapes and dtypes;
+    ``grads`` mirrors ``params``' values as arrays of their shapes and dtypes;
     parameters and moments are C-contiguous, as built and loaded, and ``lr``
     is taken as a Python float. A parameter's whole gradient is checked
     before it is touched: non-finite values abort with the offending
-    parameter named, leaving it and its moments as they were.
+    parameter named by its key, leaving it and its moments as they were.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -59,17 +60,16 @@ def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray], l
     lr = float(lr)
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        name = p.name or f"param[{i}]"
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-        if g.dtype != p.data.dtype:
-            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.data.dtype} for {name}")
+    for i, ((name, p), g) in enumerate(zip(params.items(), grads)):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
+        if g.dtype != p.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype} for {name}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name}")
-        if not all(a.flags.c_contiguous for a in (p.data, state.m[i], state.v[i])):
+        if not all(a.flags.c_contiguous for a in (p, state.m[i], state.v[i])):
             raise ValueError(f"parameter {name} and its moments must be C-contiguous")
-        pf, mf, vf, gf = (a.reshape(-1) for a in (p.data, state.m[i], state.v[i], g))
+        pf, mf, vf, gf = (a.reshape(-1) for a in (p, state.m[i], state.v[i], g))
         scratch = np.empty((2, min(pf.size, BLOCK)), pf.dtype)
         for start in range(0, pf.size, BLOCK):
             blk = slice(start, start + BLOCK)

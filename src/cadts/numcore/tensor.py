@@ -1,14 +1,14 @@
-"""Dense tensors over numpy with a dynamic reverse-mode tape.
+"""Reverse-mode autodiff over plain numpy arrays with a dynamic tape.
 
-A ``Tensor`` is a thin wrapper around a float32/float64 ndarray. Every
-primitive is a forward expression plus one gradient function per operand,
-and records through ``_op``: while a ``Tape`` is active on the current
-thread, ``_op`` records the operands the tape tracks (its parameters and
-anything derived from one) with their gradient functions. ``Tape.grad``
-replays those records in reverse to accumulate adjoints, popping each
-record as it runs that record's backward, so a record's output, its
-gradient functions and the activations they hold are freed once no earlier
-record needs them. The tape is rebuilt on every forward pass and consumed
+Every primitive takes and returns ``np.ndarray`` (float32/float64; a full
+reduction gives a 0-d array) and is a forward expression plus one gradient
+function per operand. It records through ``_op``: while a ``Tape`` is
+active on the current thread, ``_op`` records the operands the tape tracks
+(its parameters and every array an op derived from one, by object
+identity) with their gradient functions. ``Tape.grad`` replays those
+records in reverse to accumulate adjoints, popping each record as it runs
+that record's backward, so a record's output, its gradient functions and
+the activations they hold are freed once no earlier record needs them. The tape is rebuilt on every forward pass and consumed
 by a single ``grad`` call, even one that raises.
 
 Only first-order derivatives are supported. Backward computes gradients
@@ -18,18 +18,16 @@ masks, Python scalars) cost nothing on the backward pass.
 Dense layers are one primitive, ``dense(x, w, b=None, relu=False)``: the
 product, the bias add and the relu share one output buffer and one record,
 with values and gradients bitwise those of the three taken apart; a plain
-matrix product is ``dense`` alone. ``Tensor`` has no arithmetic operators:
-each op has one name.
+matrix product is ``dense`` alone. Each op has one name; numpy's own
+operators on a tracked array give an array the tape does not see.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
-
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _TLS = threading.local()
 
@@ -43,53 +41,21 @@ def recording() -> bool:
     return _active_tape() is not None
 
 
-class Tensor:
-    """Shape + flat row-major values; all graph state lives on the tape."""
-
-    __slots__ = ("data", "name")
-
-    def __init__(self, data, dtype=None, name: str | None = None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        self.data = arr
-        self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data.item())
-
-    def __repr__(self) -> str:
-        label = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{label})"
-
-
 class Tape:
     """Ordered record of primitive ops on ``params``, consumed by one ``grad``.
+
+    ``params`` are arrays; the tape tracks them, and each op's output that
+    derives from one, by ``id`` and holds every array it tracks, so no id
+    is reused while it lives.
 
     Records follow execution order, a topological order of the graph. A tape
     is single-threaded; independent tapes may run concurrently on different
     threads (the active tape is thread-local).
     """
 
-    def __init__(self, params: Sequence[Tensor]):
+    def __init__(self, params: Iterable[np.ndarray]):
         self._params = list(params)
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[np.ndarray, tuple[np.ndarray, ...], Callable]] = []
         self._tracked = {id(p) for p in self._params}
         self._consumed = False
 
@@ -103,13 +69,13 @@ class Tape:
         _TLS.tape = None
         return False
 
-    def _record(self, out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> None:
+    def _record(self, out: np.ndarray, parents: tuple[np.ndarray, ...], bwd: Callable) -> None:
         if self._consumed:
             raise RuntimeError("tape already consumed by grad(); build a new tape")
         self._records.append((out, parents, bwd))
         self._tracked.add(id(out))
 
-    def grad(self, loss: Tensor) -> list[np.ndarray]:
+    def grad(self, loss: np.ndarray) -> list[np.ndarray]:
         """d(loss)/d(param) for the tape's params, in order, as arrays of their
         shapes; zeros for a param the loss does not reach. The loss must be
         scalar. Each record is dropped as its backward runs; the tape is
@@ -124,7 +90,7 @@ class Tape:
         # partial record list that no second call may replay
         self._consumed = True
         self._tracked.clear()
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
         while self._records:
             out, parents, bwd = self._records.pop()
             g = adjoints.pop(id(out), None)
@@ -140,7 +106,7 @@ class Tape:
                 adjoints[pid] = pg if prev is None else prev + pg
 
         # zeros only where the loss did not reach; asarray, as a sum of 0-d arrays is a numpy scalar
-        return [np.asarray(adjoints[id(p)]) if id(p) in adjoints else np.zeros_like(p.data) for p in self._params]
+        return [np.asarray(adjoints[id(p)]) if id(p) in adjoints else np.zeros_like(p) for p in self._params]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -156,21 +122,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _data(x):
-    return x.data if isinstance(x, Tensor) else x
-
-
-def _op(value, *pairs: tuple[object, Callable], adjoint: Callable | None = None) -> Tensor:
-    """Wrap ``value`` in a Tensor and, while a tape is active, record the
-    ``(operand, grad_fn)`` pairs whose operand the tape tracks. Backward calls
-    only those ``grad_fn(g)``, so scalars and untracked tensors (data, masks,
-    targets) never get a gradient computed. ``adjoint``, if given, maps the
-    output's adjoint once before every ``grad_fn`` sees it (a fused relu
-    mask)."""
-    out = Tensor(value)
+def _op(value, *pairs: tuple[object, Callable], adjoint: Callable | None = None) -> np.ndarray:
+    """``value`` as an array and, while a tape is active, a record of the
+    ``(operand, grad_fn)`` pairs whose operand the tape tracks. Tracking is
+    by identity: an operand counts only if it is the very object the tape
+    holds (a parameter or an op's output), never an equal copy or a slice
+    of one, and a Python scalar never does. Backward calls only those
+    ``grad_fn(g)``, so scalars and untracked arrays (data, masks, targets)
+    never get a gradient computed. ``adjoint``, if given, maps the output's
+    adjoint once before every ``grad_fn`` sees it (a fused relu mask)."""
+    out = np.asarray(value)
     tape = _active_tape()
     if tape is not None:
-        live = [(t, fn) for t, fn in pairs if isinstance(t, Tensor) and id(t) in tape._tracked]
+        live = [(t, fn) for t, fn in pairs if id(t) in tape._tracked]
         if live:
             parents, fns = zip(*live)
 
@@ -182,34 +146,31 @@ def _op(value, *pairs: tuple[object, Callable], adjoint: Callable | None = None)
     return out
 
 
-def add(a, b) -> Tensor:
-    av, bv = _data(a), _data(b)
+def add(a, b) -> np.ndarray:
     return _op(
-        av + bv,
-        (a, lambda g: _unbroadcast(g, np.shape(av))),
-        (b, lambda g: _unbroadcast(g, np.shape(bv))),
+        a + b,
+        (a, lambda g: _unbroadcast(g, np.shape(a))),
+        (b, lambda g: _unbroadcast(g, np.shape(b))),
     )
 
 
-def sub(a, b) -> Tensor:
-    av, bv = _data(a), _data(b)
+def sub(a, b) -> np.ndarray:
     return _op(
-        av - bv,
-        (a, lambda g: _unbroadcast(g, np.shape(av))),
-        (b, lambda g: _unbroadcast(-g, np.shape(bv))),
+        a - b,
+        (a, lambda g: _unbroadcast(g, np.shape(a))),
+        (b, lambda g: _unbroadcast(-g, np.shape(b))),
     )
 
 
-def mul(a, b) -> Tensor:
-    av, bv = _data(a), _data(b)
+def mul(a, b) -> np.ndarray:
     return _op(
-        av * bv,
-        (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
-        (b, lambda g: _unbroadcast(g * av, np.shape(bv))),
+        a * b,
+        (a, lambda g: _unbroadcast(g * b, np.shape(a))),
+        (b, lambda g: _unbroadcast(g * a, np.shape(b))),
     )
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
     """``x @ w`` (leading axes broadcast as numpy's), then ``+ b`` and
     ``max(., 0)`` if asked, in place on the product's buffer: one output
     array and one record for three ops. Values and gradients are bitwise
@@ -217,33 +178,31 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> 
     in its dtype, for all three operands. ``b`` must broadcast to the product."""
     if x.ndim < 2 or w.ndim < 2:
         raise ValueError("dense operands must have ndim >= 2")
-    xd, wd = x.data, w.data
-    y = xd @ wd
+    y = x @ w
     if b is not None:
-        y += b.data
+        y += b
     if relu:
         np.maximum(y, 0, out=y)
 
     def grad_x(g):
-        wt = wd.swapaxes(-1, -2)
+        wt = w.swapaxes(-1, -2)
         # With one output column, g @ wᵀ has a unit inner dimension: each
         # element is one product and no sum, so the broadcast multiply is
         # bitwise equal and skips a degenerate gemm (a tower's last layer).
-        return _unbroadcast(g * wt if wd.shape[-1] == 1 else g @ wt, xd.shape)
+        return _unbroadcast(g * wt if w.shape[-1] == 1 else g @ wt, x.shape)
 
     def relu_mask(g):
         mask = (y > 0).astype(g.dtype)
         return np.multiply(g, mask, out=mask)
 
-    pairs = [(x, grad_x), (w, lambda g: _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))]
+    pairs = [(x, grad_x), (w, lambda g: _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))]
     if b is not None:
         pairs.append((b, lambda g: _unbroadcast(g, b.shape)))
     return _op(y, *pairs, adjoint=relu_mask if relu else None)
 
 
-def square(a: Tensor) -> Tensor:
-    ad = a.data
-    return _op(ad * ad, (a, lambda g: 2.0 * ad * g))
+def square(a: np.ndarray) -> np.ndarray:
+    return _op(a * a, (a, lambda g: 2.0 * a * g))
 
 
 # Below this width numpy's pairwise sum is a plain left-to-right loop, so
@@ -264,41 +223,41 @@ def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Probability simplex along ``axis``; max-subtracted for stability."""
     if a.size == 0:
-        raise ValueError("softmax of an empty tensor is undefined")
-    shifted = a.data - _reduce(np.maximum, a.data, axis)
+        raise ValueError("softmax of an empty array is undefined")
+    shifted = a - _reduce(np.maximum, a, axis)
     e = np.exp(shifted)
     y = e / _reduce(np.add, e, axis)
     # d/dx softmax: y * (g - sum(g*y))
     return _op(y, (a, lambda g: y * (g - _reduce(np.add, g * y, axis))))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(orig)))
+def reshape(a: np.ndarray, shape) -> np.ndarray:
+    orig = a.shape
+    return _op(a.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
+def transpose(a: np.ndarray, axes) -> np.ndarray:
     axes = tuple(axes)
-    return _op(a.data.transpose(axes), (a, lambda g: g.transpose(tuple(np.argsort(axes)))))
+    return _op(a.transpose(axes), (a, lambda g: g.transpose(tuple(np.argsort(axes)))))
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    shape = a.data.shape
+def tsum(a: np.ndarray, axis=None) -> np.ndarray:
+    shape = a.shape
     return _op(
-        a.data.sum(axis=axis),
+        a.sum(axis=axis),
         (a, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)),
     )
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
+def tmean(a: np.ndarray, axis=None) -> np.ndarray:
     n = a.size if axis is None else a.shape[axis]
     return mul(tsum(a, axis), 1.0 / n)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(a: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted dropout: keep with prob 1-rate, scale kept units by 1/(1-rate).
 
     Train-time only; eval-mode forwards simply skip this op.
@@ -307,7 +266,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
-    keep /= np.asarray(1.0 - rate, dtype=a.data.dtype)
-    return mul(a, Tensor(keep))
+    keep = (rng.random(a.shape) >= rate).astype(a.dtype)
+    keep /= np.asarray(1.0 - rate, dtype=a.dtype)
+    return mul(a, keep)
 

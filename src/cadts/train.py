@@ -32,7 +32,7 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluate import window_errors
 from .model import CadModel, ModelConfig, parameter_layout, parse_value
 from .numcore.optim import AdamState, adam_step, cosine_lr
-from .numcore.tensor import Tape, Tensor, square, sub, tmean
+from .numcore.tensor import Tape, square, sub, tmean
 
 CHECKPOINT_MAGIC = b"CADCKPT1"
 CHECKPOINT_VERSION = 4
@@ -92,7 +92,7 @@ class TrainHistory:
     stopping_reason: str = "max_epochs"
 
 
-def mse_loss(y: Tensor, yhat: Tensor) -> Tensor:
+def mse_loss(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """Mean of squared per-metric errors; doubles as the anomaly score."""
     if y.shape != yhat.shape:
         raise ValueError(f"shape mismatch: y {y.shape} vs yhat {yhat.shape}")
@@ -117,7 +117,7 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2)
     )
 
-    params = model.parameters()
+    params = model.params
     state = AdamState.for_params(params)
     history = TrainHistory()
     best_val = np.inf
@@ -133,12 +133,12 @@ def train_model(model: CadModel, windows: WindowSet, cfg: TrainConfig) -> tuple[
         for start in range(0, n_train, cfg.batch):
             idx = order[start : start + cfg.batch]
             xb = train_x[idx]
-            yb = Tensor(train_y[idx].astype(model.config.np_dtype))
+            yb = train_y[idx].astype(model.config.np_dtype)
             lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
-            with Tape(params) as tape:
+            with Tape(params.values()) as tape:
                 pred = model.forward_batch(xb, mode="train", rng=dropout_rng)
                 loss = mse_loss(yb, pred)
-            loss_value = float(loss.data)
+            loss_value = float(loss)
             if not np.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch + 1}"
@@ -206,7 +206,7 @@ def save_checkpoint(model: CadModel, scaler: Scaler | None, path, cfg: TrainConf
     header += b"\n" * (-len(header) % 8)
     wire = model.config.np_dtype.newbyteorder("<")
     blob = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header]
-    blob += [np.ascontiguousarray(tensor.data, dtype=wire).tobytes() for tensor in model.params.values()]
+    blob += [np.ascontiguousarray(p, dtype=wire).tobytes() for p in model.params.values()]
     crc = 0
     for block in blob:
         crc = zlib.crc32(block, crc)
@@ -277,9 +277,11 @@ def load_checkpoint(path) -> tuple[CadModel, Scaler | None]:
     except ConfigError as exc:
         raise DataError(f"{path}: checkpoint header: {exc}") from None
 
-    wire = config.np_dtype.newbyteorder("<")
+    native = config.np_dtype
+    wire = native.newbyteorder("<")
+    # on a little-endian host the wire dtype is the native one: no copy
     params = {
-        name: Tensor(np.frombuffer(take(wire.itemsize * math.prod(shape)), wire).reshape(shape), config.np_dtype, name)
+        name: np.frombuffer(take(wire.itemsize * math.prod(shape)), wire).reshape(shape).astype(native, copy=False)
         for name, (shape, _) in layout.items()
     }
     sealed = int.from_bytes(take(4), "little") == zlib.crc32(view[:-4], zlib.crc32(CHECKPOINT_MAGIC))

@@ -16,14 +16,14 @@ TOLERANCE = 1e-4
 def central_diff(loss_fn, params, step: float = STEP) -> list[np.ndarray]:
     """d(loss)/d(param) by central differences, element by element.
 
-    ``loss_fn`` takes no arguments and must read the params' current
-    ``.data`` buffers (float64 for the differences to be meaningful).
+    ``loss_fn`` takes no arguments and must read the param arrays, which
+    are perturbed in place (float64 for the differences to be meaningful).
     """
     grads = []
     for p in params:
-        assert p.data.dtype == np.float64, "finite differences need float64 builds"
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
+        assert p.dtype == np.float64, "finite differences need float64 builds"
+        g = np.zeros_like(p)
+        flat = p.reshape(-1)
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

@@ -24,7 +24,7 @@ from cadts.evaluate import (
     score_series,
 )
 from cadts.model import ModelConfig, build_model
-from cadts.numcore.tensor import Tape, Tensor
+from cadts.numcore.tensor import Tape
 from cadts.train import TrainConfig, load_checkpoint, mse_loss, save_checkpoint, train_model
 
 from _gradcheck import central_diff, max_rel_err
@@ -42,9 +42,9 @@ def test_criterion_1_gradient_correctness():
     model = build_model(config, n_metrics=4, rng_seed=17)
     rng = np.random.default_rng(17)
     window = rng.normal(size=(1, 4, 8))
-    target = Tensor(rng.normal(size=(1, 4)))
+    target = rng.normal(size=(1, 4))
     names = list(model.params)
-    params = model.parameters()
+    params = list(model.params.values())
     groups = {name.split(".")[0] for name in names}
     assert groups == {"expert", "gate", "tower"}
     assert any("kernels" in n for n in names) and any("personalized" in n for n in names)

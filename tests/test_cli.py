@@ -916,7 +916,7 @@ def test_score_overflowing_checkpoint_exits_3_naming_it(tmp_path, capsys, dtype)
     # finite weights whose products overflow, as a bit flip in an exponent gives
     cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"] + [f"dtype={dtype}"])
     model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    model.params["tower.w2"].data[...] = np.finfo(dtype).max / 4
+    model.params["tower.w2"][...] = np.finfo(dtype).max / 4
     checkpoint, argv = score_argv(tmp_path, model)
     rc, err = run_main(argv, capsys)  # no RuntimeWarning either
     assert rc == 3
@@ -1027,7 +1027,7 @@ def test_score_checkpoint_of_an_older_version_or_a_flipped_byte_exits_2_naming_w
 def test_score_non_finite_prediction_exits_3(tmp_path, capsys):
     cfg = make_train_config(None, [kv for kv in FAST if kv != "--set"])
     model = build_model(cfg.model_config(), n_metrics=3, rng_seed=cfg.seed)
-    model.params["tower.b2"].data[1] = np.inf
+    model.params["tower.b2"][1] = np.inf
     checkpoint, argv = score_argv(tmp_path, model)
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -1310,7 +1310,7 @@ def trained_numbers(out) -> np.ndarray:
     rows = (out / "e1" / "history.tsv").read_text().splitlines()[1:-1]
     cells = [c for row in rows for c in row.split("\t") if c != "-"]
     return np.concatenate([np.asarray(cells, dtype=np.float64)]
-                          + [p.data.astype(np.float64).ravel() for p in model.params.values()])
+                          + [p.astype(np.float64).ravel() for p in model.params.values()])
 
 
 def report_numbers(out) -> np.ndarray:

@@ -51,7 +51,7 @@ def serial_errors(model, windows, targets, batch):
     errors = np.empty(len(windows), dtype=np.float64)
     for start in range(0, len(windows), batch):
         pred = model.forward_batch(windows[start : start + batch], mode="eval")
-        err = pred.data - targets[start : start + batch].astype(model.config.np_dtype)
+        err = pred - targets[start : start + batch].astype(model.config.np_dtype)
         errors[start : start + len(err)] = (err * err).mean(axis=1)
     return errors
 

@@ -289,9 +289,9 @@ def constant_predictor(n_metrics, level, l=2, h=1):
         ModelConfig(l=l, h=h, experts=1, kernels=1, epsilon=0.7, dtype="float64"),
         n_metrics=n_metrics,
     )
-    for p in model.parameters():
-        p.data[:] = 0.0
-    model.params["tower.b2"].data[:, 0, 0] = level
+    for p in model.params.values():
+        p[:] = 0.0
+    model.params["tower.b2"][:, 0, 0] = level
     return model
 
 
@@ -319,7 +319,7 @@ def test_score_series_matches_hand_rolled_forward():
     series = SeriesMatrix(values=rng.random((8, 1)))
     out = score_series(model, series)
 
-    p = {name: t.data for name, t in model.params.items()}
+    p = model.params
     for t in range(2, 8):
         window = series.values[t - 2 : t]  # rows t-2, t-1; target row t (h=1)
         conv = np.maximum(window.T @ p["expert.kernels"][0].T, 0.0).reshape(-1)

@@ -15,7 +15,7 @@ from cadts.model import (
     ModelConfig,
     build_model,
 )
-from cadts.numcore.tensor import Tape, Tensor, mul, square, sub, tmean, tsum
+from cadts.numcore.tensor import Tape, mul, square, sub, tmean, tsum
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
 
@@ -29,20 +29,20 @@ def tiny_config(**kw):
 def embeddings(model: CadModel, windows: np.ndarray) -> np.ndarray:
     """The forward's own eval-mode embeddings, (n_windows, n_experts,
     embed_dim): an isolated variant's expert k reads metric k's row."""
-    return model._embed(model._as_windows(windows)).data.transpose(1, 0, 2)
+    return model._embed(model._as_windows(windows)).transpose(1, 0, 2)
 
 
 def gate_weights(model: CadModel, windows: np.ndarray) -> np.ndarray:
     """The forward's own eval-mode gate weights, (n_windows, n_metrics,
     n_experts): each metric's simplex over the experts."""
-    return model._gate_weights_batch(model._as_windows(windows)).data
+    return model._gate_weights_batch(model._as_windows(windows))
 
 
 def naive_forward(model: CadModel, window: np.ndarray) -> np.ndarray:
     """Plain-numpy re-composition, expert embeddings recomputed per metric,
     one expert at a time."""
     cfg = model.config
-    p = {name: t.data for name, t in model.params.items()}
+    p = model.params
     shared, personalized = p.get("gate.shared"), p.get("gate.personalized")
 
     def embed(e, rows):
@@ -99,11 +99,11 @@ def test_expert_forward_deterministic_in_eval():
 def test_expert_gradient_wrt_kernels():
     model = build_model(tiny_config(embed_dim=16), n_metrics=3, rng_seed=2)
     window = np.random.default_rng(2).normal(size=(3, 6))
-    readout = Tensor(np.random.default_rng(3).normal(size=(3, 1, 16)))
+    readout = np.random.default_rng(3).normal(size=(3, 1, 16))
     params = [model.params[f"expert.{f}"] for f in ("kernels", "ff1_w", "ff1_b", "ff2_w", "ff2_b")]
 
     def forward():
-        return tsum(mul(model._embed(Tensor(window[None])), readout))
+        return tsum(mul(model._embed(window[None]), readout))
 
     with Tape(params) as tape:
         loss = forward()
@@ -148,15 +148,15 @@ def test_gate_epsilon_one_uses_shared_only():
     rng = np.random.default_rng(5)
     windows = rng.normal(size=(1, 4, 6))
     got = gate_weights(model, windows)[0, 2]
-    logits = (windows[0] @ model.params["gate.shared"].data)[2]
+    logits = (windows[0] @ model.params["gate.shared"])[2]
     e = np.exp(logits - logits.max())
     assert np.array_equal(got, e / e.sum())
 
 
 def test_gate_identical_matrices_collapse_to_shared():
     model = build_model(tiny_config(epsilon=0.8), n_metrics=4, rng_seed=6)
-    shared = model.params["gate.shared"].data
-    model.params["gate.personalized"].data[:] = shared[None]
+    shared = model.params["gate.shared"]
+    model.params["gate.personalized"][:] = shared[None]
     windows = np.random.default_rng(6).normal(size=(3, 4, 6))
     gates = gate_weights(model, windows)
     for k in range(4):
@@ -179,10 +179,10 @@ def test_gate_weights_blend_the_forward_pass(variant):
     model = build_model(tiny_config(variant=variant), n_metrics=4, rng_seed=20)
     windows = np.random.default_rng(20).normal(size=(5, 4, 6))
     mixed = gate_weights(model, windows) @ embeddings(model, windows)  # (B, K, W)
-    p = {name: t.data for name, t in model.params.items()}
+    p = model.params
     hid = np.maximum(np.einsum("bkw,kwh->bkh", mixed, p["tower.w1"]) + p["tower.b1"][:, 0], 0.0)
     want = np.einsum("bkh,kh->bk", hid, p["tower.w2"][:, :, 0]) + p["tower.b2"][:, 0, 0]
-    np.testing.assert_allclose(model.forward_batch(windows).data, want, atol=1e-12)
+    np.testing.assert_allclose(model.forward_batch(windows), want, atol=1e-12)
 
 
 # --- model forward ------------------------------------------------------------
@@ -203,9 +203,9 @@ def test_single_expert_forces_unit_gate():
     embed = embeddings(model, window[None])[0, 0]
     p = model.params
     for k in range(3):
-        hid = np.maximum(embed @ p["tower.w1"].data[k] + p["tower.b1"].data[k, 0], 0.0)
-        want = hid @ p["tower.w2"].data[k, :, 0] + p["tower.b2"].data[k, 0, 0]
-        got = model.forward_batch(window[None]).data[0, k]
+        hid = np.maximum(embed @ p["tower.w1"][k] + p["tower.b1"][k, 0], 0.0)
+        want = hid @ p["tower.w2"][k, :, 0] + p["tower.b2"][k, 0, 0]
+        got = model.forward_batch(window[None])[0, k]
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -217,7 +217,7 @@ def test_gate_gradients_match_finite_differences():
     )
     rng = np.random.default_rng(9)
     window = rng.normal(size=(3, 4))
-    target = Tensor(rng.normal(size=(3,)))
+    target = rng.normal(size=(3,))
     params = [model.params["gate.shared"], model.params["gate.personalized"]]
 
     def forward():
@@ -246,7 +246,7 @@ def test_seeded_build_reproduces_the_recorded_forward(variant):
     cfg = ModelConfig(l=4, h=1, experts=2, kernels=3, embed_dim=8, tower_hidden=4, variant=variant)
     with np.load(RECORDED_FORWARD) as recorded:
         windows, want = recorded["windows"], recorded[variant]
-    got = build_model(cfg, n_metrics=3, rng_seed=7).forward_batch(windows).data
+    got = build_model(cfg, n_metrics=3, rng_seed=7).forward_batch(windows)
     # single_task's conv is now one batched product instead of per-window
     # vector products, so its float32 outputs may differ by a rounding step
     np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(np.float32).eps)
@@ -275,7 +275,7 @@ def test_parameter_census_full_variant():
     expert = n * l + (k * n * w + w) + (w * w + w)
     gates = l * m + k * l * m
     towers = k * (w * hid + hid + hid * 1 + 1)
-    assert sum(t.size for t in model.parameters()) == m * expert + gates + towers == 634838
+    assert sum(t.size for t in model.params.values()) == m * expert + gates + towers == 634838
 
 
 def test_parameter_census_other_variants():
@@ -293,7 +293,7 @@ def test_parameter_census_other_variants():
     }
     for variant, want in counts.items():
         model = build_model(ModelConfig(variant=variant, **cfg), n_metrics=k)
-        assert sum(t.size for t in model.parameters()) == want, variant
+        assert sum(t.size for t in model.params.values()) == want, variant
 
 
 def test_invalid_config_lists_offending_fields():
@@ -314,11 +314,11 @@ def test_pgate_and_sgate_agree_when_matrices_equal():
     # align everything: same experts/towers, personalized rows := shared matrix
     for pa, pb in zip(a.params.values(), b.params.values()):
         if pa.shape == pb.shape:
-            pa.data[:] = pb.data
-    a.params["gate.personalized"].data[:] = b.params["gate.shared"].data[None]
+            pa[:] = pb
+    a.params["gate.personalized"][:] = b.params["gate.shared"][None]
     windows = np.random.default_rng(10).normal(size=(5, 4, 6))
     np.testing.assert_allclose(
-        a.forward_batch(windows).data, b.forward_batch(windows).data, atol=1e-12
+        a.forward_batch(windows), b.forward_batch(windows), atol=1e-12
     )
 
 
@@ -326,10 +326,10 @@ def test_single_task_isolates_metrics():
     model = build_model(tiny_config(variant="single_task"), n_metrics=4, rng_seed=11)
     rng = np.random.default_rng(11)
     window = rng.normal(size=(4, 6))
-    base = model.forward_batch(window[None]).data[0]
+    base = model.forward_batch(window[None])[0]
     perturbed = window.copy()
     perturbed[1] += rng.normal(scale=5.0, size=6)
-    after = model.forward_batch(perturbed[None]).data[0]
+    after = model.forward_batch(perturbed[None])[0]
     assert np.array_equal(base[[0, 2, 3]], after[[0, 2, 3]])
     assert base[1] != after[1]
 
@@ -338,10 +338,10 @@ def test_full_variant_has_inter_metric_dependency():
     model = build_model(tiny_config(), n_metrics=4, rng_seed=12)
     rng = np.random.default_rng(12)
     window = rng.normal(size=(4, 6))
-    base = model.forward_batch(window[None]).data[0]
+    base = model.forward_batch(window[None])[0]
     perturbed = window.copy()
     perturbed[1] += rng.normal(scale=5.0, size=6)
-    after = model.forward_batch(perturbed[None]).data[0]
+    after = model.forward_batch(perturbed[None])[0]
     assert np.all(base[[0, 2, 3]] != after[[0, 2, 3]])
 
 
@@ -350,18 +350,18 @@ def test_eval_forward_is_pure():
         model = build_model(tiny_config(variant=variant), n_metrics=3, rng_seed=13)
         windows = np.random.default_rng(13).normal(size=(4, 3, 6))
         assert np.array_equal(
-            model.forward_batch(windows).data, model.forward_batch(windows).data
+            model.forward_batch(windows), model.forward_batch(windows)
         ), variant
 
 
 def test_train_mode_dropout_changes_outputs_eval_does_not():
     model = build_model(tiny_config(), n_metrics=3, rng_seed=14)
     windows = np.random.default_rng(14).normal(size=(4, 3, 6))
-    train_a = model.forward_batch(windows, mode="train", rng=np.random.default_rng(1)).data
-    train_b = model.forward_batch(windows, mode="train", rng=np.random.default_rng(2)).data
+    train_a = model.forward_batch(windows, mode="train", rng=np.random.default_rng(1))
+    train_b = model.forward_batch(windows, mode="train", rng=np.random.default_rng(2))
     assert not np.array_equal(train_a, train_b)
-    eval_out = model.forward_batch(windows).data
-    assert np.array_equal(eval_out, model.forward_batch(windows).data)
+    eval_out = model.forward_batch(windows)
+    assert np.array_equal(eval_out, model.forward_batch(windows))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -370,7 +370,7 @@ def test_vectorized_forward_matches_per_metric_recompute(variant):
     model = build_model(tiny_config(variant=variant), n_metrics=5, rng_seed=15)
     rng = np.random.default_rng(15)
     windows = rng.normal(size=(3, 5, 6))
-    got = model.forward_batch(windows).data
+    got = model.forward_batch(windows)
     want = np.stack([naive_forward(model, w) for w in windows])
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -393,7 +393,7 @@ def test_unrecorded_forward_equals_the_recorded_one_bitwise(variant, dtype):
 
             def forward():
                 rng = None if seed is None else np.random.default_rng(seed)
-                return model.forward_batch(windows, mode=mode, rng=rng).data
+                return model.forward_batch(windows, mode=mode, rng=rng)
 
             unrecorded = forward()
             with Tape([]):
@@ -440,7 +440,7 @@ def test_forward_stays_finite_on_extreme_inputs(variant):
     model = build_model(tiny_config(variant=variant), n_metrics=3, rng_seed=19)
     rng = np.random.default_rng(19)
     windows = rng.normal(scale=1e3, size=(4, 3, 6))
-    out = model.forward_batch(windows).data
+    out = model.forward_batch(windows)
     assert np.isfinite(out).all()
 
 
@@ -450,10 +450,9 @@ def test_no_dead_wiring(variant):
     model = build_model(tiny_config(variant=variant), n_metrics=5, rng_seed=16)
     rng = np.random.default_rng(16)
     windows = rng.normal(size=(8, 5, 6))
-    target = Tensor(rng.normal(size=(8, 5)))
+    target = rng.normal(size=(8, 5))
     names = list(model.params)
-    params = model.parameters()
-    with Tape(params) as tape:
+    with Tape(model.params.values()) as tape:
         pred = model.forward_batch(windows, mode="train", rng=rng)
         loss = tmean(square(sub(pred, target)))
     grads = tape.grad(loss)

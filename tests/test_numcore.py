@@ -13,7 +13,6 @@ from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.numcore.optim import BLOCK, AdamState, adam_step, cosine_lr
 from cadts.numcore.tensor import (
     Tape,
-    Tensor,
     _op,
     add,
     dense,
@@ -27,14 +26,14 @@ from cadts.numcore.tensor import (
     transpose,
     tsum,
 )
-from cadts.train import mse_loss
+from cadts.train import load_checkpoint, mse_loss, save_checkpoint
 
 from _gradcheck import TOLERANCE, central_diff, max_rel_err
 from _oracles import reference_adam_step, reference_softmax, reference_softmax_backward
 
 
 def test_grad_of_square():
-    x = Tensor(np.array([[3.0]]), name="x")
+    x = np.array([[3.0]])
     with Tape([x]) as tape:
         loss = tsum(mul(x, x))
     (g,) = tape.grad(loss)
@@ -42,8 +41,8 @@ def test_grad_of_square():
 
 
 def test_grad_of_constant_function_is_zero():
-    x = Tensor(np.ones((2, 3)), name="x")
-    c = Tensor(np.full((1, 1), 5.0))
+    x = np.ones((2, 3))
+    c = np.full((1, 1), 5.0)
     with Tape([x]) as tape:
         loss = tsum(square(c))
     (g,) = tape.grad(loss)
@@ -52,7 +51,7 @@ def test_grad_of_constant_function_is_zero():
 
 
 def test_grad_rejects_non_scalar_loss():
-    x = Tensor(np.ones((2, 2)), name="x")
+    x = np.ones((2, 2))
     with Tape([x]) as tape:
         out = mul(x, x)
     with pytest.raises(ValueError, match="scalar"):
@@ -63,9 +62,9 @@ def test_grad_returns_arrays_in_param_order_with_zeros_for_an_unreached_param():
     """One array per tape parameter, in order: exact gradients for those the
     loss reaches (a 0-d one summed from two uses too), zeros of the shape and
     dtype of one it does not."""
-    x = Tensor(np.array([1.5, -2.0]), name="x")
-    unused = Tensor(np.ones((3, 2), np.float32), name="unused")
-    s = Tensor(np.array(3.0), name="s")
+    x = np.array([1.5, -2.0])
+    unused = np.ones((3, 2), np.float32)
+    s = np.array(3.0)
     with Tape([x, unused, s]) as tape:
         loss = add(tsum(mul(x, x)), mul(s, s))
     gx, gu, gs = tape.grad(loss)
@@ -76,7 +75,7 @@ def test_grad_returns_arrays_in_param_order_with_zeros_for_an_unreached_param():
 
 
 def test_tape_is_single_use():
-    x = Tensor(np.ones((1, 1)), name="x")
+    x = np.ones((1, 1))
     with Tape([x]) as tape:
         loss = tsum(mul(x, x))
     tape.grad(loss)
@@ -85,13 +84,13 @@ def test_tape_is_single_use():
 
 
 def test_backward_that_raises_leaves_the_tape_consumed():
-    x = Tensor(np.ones((2, 2)), name="x")
+    x = np.ones((2, 2))
 
     def failing(g):
         raise ZeroDivisionError("backward failed")
 
     with Tape([x]) as tape:
-        loss = tsum(_op(x.data * 2.0, (mul(x, x), failing)))
+        loss = tsum(_op(x * 2.0, (mul(x, x), failing)))
     with pytest.raises(ZeroDivisionError, match="backward failed"):
         tape.grad(loss)
     with pytest.raises(RuntimeError, match="consumed"):
@@ -103,8 +102,8 @@ def test_backward_frees_each_record_before_the_earlier_ones_run():
     the first record's backward runs, and the gradients still match finite
     differences."""
     rng = np.random.default_rng(17)
-    x = Tensor(rng.normal(size=(5, 4)))
-    ws = [Tensor(rng.normal(size=shape), name=f"w{i}") for i, shape in enumerate([(4, 6), (6, 6), (6, 3)])]
+    x = rng.normal(size=(5, 4))
+    ws = [rng.normal(size=shape) for shape in [(4, 6), (6, 6), (6, 3)]]
     freed = {}
 
     def forward(watch_late=False):
@@ -113,7 +112,7 @@ def test_backward_frees_each_record_before_the_earlier_ones_run():
             h = dense(h, w, relu=i < len(ws) - 1)
             if watch_late and i > 0:
                 freed[i] = False
-                weakref.finalize(h.data, freed.__setitem__, i, True)
+                weakref.finalize(h, freed.__setitem__, i, True)
         return tmean(square(h))
 
     with Tape(ws) as tape:
@@ -146,7 +145,7 @@ def test_independent_tapes_on_separate_threads():
     results = {}
 
     def worker(name, value):
-        x = Tensor(np.array([[value]]), name=name)
+        x = np.array([[value]])
         with Tape([x]) as tape:
             loss = tsum(mul(x, x))
         results[name] = tape.grad(loss)[0].item()
@@ -162,10 +161,10 @@ def test_independent_tapes_on_separate_threads():
 def test_three_layer_composite_matches_finite_differences():
     """affine -> relu -> softmax -> MSE, gradients vs central differences."""
     rng = np.random.default_rng(7)
-    w = Tensor(rng.normal(size=(4, 5)), name="w")
-    b = Tensor(rng.normal(size=(5,)), name="b")
-    x = Tensor(rng.normal(size=(3, 4)))
-    target = Tensor(rng.random(size=(3, 5)))
+    w = rng.normal(size=(4, 5))
+    b = rng.normal(size=(5,))
+    x = rng.normal(size=(3, 4))
+    target = rng.random(size=(3, 5))
 
     def forward():
         h = dense(x, w, b, relu=True)
@@ -187,47 +186,47 @@ def _primitive_cases():
         return np.where(np.abs(x) < 1e-2, x + np.sign(x + 1e-12) * 0.1, x)
 
     def case_add(rng):
-        a = Tensor(rng.normal(size=(3, 4)), name="a")
-        b = Tensor(rng.normal(size=(4,)), name="b")
-        r = Tensor(rng.normal(size=(3, 4)))
+        a = rng.normal(size=(3, 4))
+        b = rng.normal(size=(4,))
+        r = rng.normal(size=(3, 4))
         return [a, b], lambda: tsum(mul(add(a, b), r))
 
     def case_sub(rng):
-        a = Tensor(rng.normal(size=(2, 3)), name="a")
-        b = Tensor(rng.normal(size=(2, 3)), name="b")
-        r = Tensor(rng.normal(size=(2, 3)))
+        a = rng.normal(size=(2, 3))
+        b = rng.normal(size=(2, 3))
+        r = rng.normal(size=(2, 3))
         return [a, b], lambda: tsum(mul(sub(a, b), r))
 
     def case_mul(rng):
-        a = Tensor(rng.normal(size=(3, 2)), name="a")
-        b = Tensor(rng.normal(size=(1, 2)), name="b")
-        r = Tensor(rng.normal(size=(3, 2)))
+        a = rng.normal(size=(3, 2))
+        b = rng.normal(size=(1, 2))
+        r = rng.normal(size=(3, 2))
         return [a, b], lambda: tsum(mul(mul(a, b), r))
 
     def case_matmul(rng):
-        a = Tensor(rng.normal(size=(3, 4)), name="a")
-        b = Tensor(rng.normal(size=(4, 2)), name="b")
-        r = Tensor(rng.normal(size=(3, 2)))
+        a = rng.normal(size=(3, 4))
+        b = rng.normal(size=(4, 2))
+        r = rng.normal(size=(3, 2))
         return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def case_matmul_broadcast(rng):
-        a = Tensor(rng.normal(size=(5, 3, 4)), name="a")
-        b = Tensor(rng.normal(size=(4, 2)), name="b")
-        r = Tensor(rng.normal(size=(5, 3, 2)))
+        a = rng.normal(size=(5, 3, 4))
+        b = rng.normal(size=(4, 2))
+        r = rng.normal(size=(5, 3, 2))
         return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def case_matmul_unit_inner(rng):
-        a = Tensor(rng.normal(size=(3, 4, 5)), name="a")
-        b = Tensor(rng.normal(size=(3, 5, 1)), name="b")
-        r = Tensor(rng.normal(size=(3, 4, 1)))
+        a = rng.normal(size=(3, 4, 5))
+        b = rng.normal(size=(3, 5, 1))
+        r = rng.normal(size=(3, 4, 1))
         return [a, b], lambda: tsum(mul(dense(a, b), r))
 
     def dense_case(x_shape, w_shape, b_shape, relu):
         def case(rng):
-            x = Tensor(rng.normal(size=x_shape), name="x")
-            w = Tensor(rng.normal(size=w_shape), name="w")
-            b = Tensor(rng.normal(size=b_shape), name="b") if b_shape else None
-            r = Tensor(rng.normal(size=dense(x, w, b).shape))
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=w_shape)
+            b = rng.normal(size=b_shape) if b_shape else None
+            r = rng.normal(size=dense(x, w, b).shape)
             params = [x, w] + ([b] if b is not None else [])
             return params, lambda: tsum(mul(dense(x, w, b, relu=relu), r))
 
@@ -236,63 +235,63 @@ def _primitive_cases():
 
     def case_dense_conv(rng):
         # 2-D rows against a stacked (experts, width, count) weight, as the conv
-        x = Tensor(rng.normal(size=(4, 6)), name="x")
-        w = Tensor(rng.normal(size=(2, 6, 3)), name="w")
-        r = Tensor(rng.normal(size=(2, 4, 3)))
+        x = rng.normal(size=(4, 6))
+        w = rng.normal(size=(2, 6, 3))
+        r = rng.normal(size=(2, 4, 3))
         return [x, w], lambda: tsum(mul(dense(x, w, relu=True), r))
 
     def case_dense_unit_output(rng):
-        x = Tensor(rng.normal(size=(3, 4, 5)), name="x")
-        w = Tensor(rng.normal(size=(3, 5, 1)), name="w")
-        b = Tensor(rng.normal(size=(3, 1, 1)), name="b")
-        r = Tensor(rng.normal(size=(3, 4, 1)))
+        x = rng.normal(size=(3, 4, 5))
+        w = rng.normal(size=(3, 5, 1))
+        b = rng.normal(size=(3, 1, 1))
+        r = rng.normal(size=(3, 4, 1))
         return [x, w, b], lambda: tsum(mul(dense(x, w, b), r))
 
     def case_square(rng):
-        a = Tensor(rng.normal(size=(3, 3)), name="a")
-        r = Tensor(rng.normal(size=(3, 3)))
+        a = rng.normal(size=(3, 3))
+        r = rng.normal(size=(3, 3))
         return [a], lambda: tsum(mul(square(a), r))
 
     def case_softmax(rng):
-        a = Tensor(rng.normal(size=(3, 5)), name="a")
-        r = Tensor(rng.normal(size=(3, 5)))
+        a = rng.normal(size=(3, 5))
+        r = rng.normal(size=(3, 5))
         return [a], lambda: tsum(mul(softmax(a, axis=-1), r))
 
     def case_softmax_middle_axis(rng):
-        a = Tensor(rng.normal(size=(3, 4, 2)), name="a")
-        r = Tensor(rng.normal(size=(3, 4, 2)))
+        a = rng.normal(size=(3, 4, 2))
+        r = rng.normal(size=(3, 4, 2))
         return [a], lambda: tsum(mul(softmax(a, axis=1), r))
 
     def case_softmax_wide(rng):
-        a = Tensor(rng.normal(size=(2, 10)), name="a")
-        r = Tensor(rng.normal(size=(2, 10)))
+        a = rng.normal(size=(2, 10))
+        r = rng.normal(size=(2, 10))
         return [a], lambda: tsum(mul(softmax(a, axis=-1), r))
 
     def case_reshape_transpose(rng):
-        a = Tensor(rng.normal(size=(2, 6)), name="a")
-        r = Tensor(rng.normal(size=(3, 4)))
+        a = rng.normal(size=(2, 6))
+        r = rng.normal(size=(3, 4))
         return [a], lambda: tsum(mul(transpose(reshape(a, (4, 3)), (1, 0)), r))
 
     def case_sum_axis(rng):
-        a = Tensor(rng.normal(size=(3, 4)), name="a")
-        r = Tensor(rng.normal(size=(4,)))
+        a = rng.normal(size=(3, 4))
+        r = rng.normal(size=(4,))
         return [a], lambda: tsum(mul(tsum(a, axis=0), r))
 
     def case_mean(rng):
-        a = Tensor(rng.normal(size=(4, 2)), name="a")
-        r = Tensor(rng.normal(size=(2,)))
+        a = rng.normal(size=(4, 2))
+        r = rng.normal(size=(2,))
         return [a], lambda: tsum(mul(tmean(a, axis=0), r))
 
     def case_conv_rows(rng):
-        w = Tensor(rng.normal(size=(4, 6)), name="w")
-        k = Tensor(rng.normal(size=(1, 3, 6)), name="k")
-        r = Tensor(rng.normal(size=(1, 4, 3)))
+        w = rng.normal(size=(4, 6))
+        k = rng.normal(size=(1, 3, 6))
+        r = rng.normal(size=(1, 4, 3))
         return [w, k], lambda: tsum(mul(dense(w, transpose(k, (0, 2, 1))), r))
 
     def case_conv_rows_experts(rng):
-        w = Tensor(rng.normal(size=(4, 6)), name="w")
-        k = Tensor(rng.normal(size=(2, 3, 6)), name="k")
-        r = Tensor(rng.normal(size=(2, 4, 3)))
+        w = rng.normal(size=(4, 6))
+        k = rng.normal(size=(2, 3, 6))
+        r = rng.normal(size=(2, 4, 3))
         return [w, k], lambda: tsum(mul(dense(w, transpose(k, (0, 2, 1))), r))
 
     return [
@@ -339,13 +338,13 @@ def test_primitive_gradients_match_finite_differences(builder):
 def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b_shape):
     """With one output column the input gradient is g * bᵀ, bitwise g @ bᵀ."""
     rng = np.random.default_rng(17)
-    a = Tensor(rng.normal(size=a_shape).astype(dtype), name="a")
-    b = Tensor(rng.normal(size=b_shape).astype(dtype), name="b")
+    a = rng.normal(size=a_shape).astype(dtype)
+    b = rng.normal(size=b_shape).astype(dtype)
     r = rng.normal(size=a_shape[:-1] + (1,)).astype(dtype)
     with Tape([a]) as tape:
-        loss = tsum(mul(dense(a, b), Tensor(r)))
+        loss = tsum(mul(dense(a, b), r))
     (grad,) = tape.grad(loss)
-    expected = r @ b.data.swapaxes(-1, -2)
+    expected = r @ b.swapaxes(-1, -2)
     assert grad.dtype == expected.dtype and grad.shape == expected.shape
     assert np.array_equal(grad, expected)
 
@@ -353,7 +352,7 @@ def test_matmul_unit_output_grad_is_bitwise_the_matrix_product(dtype, a_shape, b
 def _relu_op(a):
     """relu as a tape op of its own: the last op of the three-op layer
     ``relu(add(dense(x, w), b))`` that ``dense`` fuses."""
-    y = np.maximum(a.data, 0)
+    y = np.maximum(a, 0)
     return _op(y, (a, lambda g: g * (y > 0)))
 
 
@@ -367,8 +366,8 @@ def _relu_op(a):
 )
 def test_dense_is_bitwise_the_three_op_form(x_shape, w_shape, b_shape, dtype, relu):
     rng = np.random.default_rng(29)
-    x, w, b = (Tensor(rng.normal(size=s).astype(dtype)) for s in (x_shape, w_shape, b_shape))
-    adjoint = Tensor(rng.normal(size=(x.data @ w.data).shape).astype(dtype))
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape, b_shape))
+    adjoint = rng.normal(size=(x @ w).shape).astype(dtype)
 
     def three_op():
         y = add(dense(x, w), b)
@@ -379,7 +378,7 @@ def test_dense_is_bitwise_the_three_op_form(x_shape, w_shape, b_shape, dtype, re
         with Tape([x, w, b]) as tape:
             y = forward()
             loss = tsum(mul(y, adjoint))
-        results.append([y.data] + tape.grad(loss))
+        results.append([y] + tape.grad(loss))
     for got, want in zip(*results):
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -390,11 +389,13 @@ def test_dense_is_bitwise_the_three_op_form(x_shape, w_shape, b_shape, dtype, re
 
 def _contract_cases():
     """(op, lhs, rhs): each operand is one of the tape's parameters
-    ("watched"), a tensor off the tape ("const") or a Python scalar
-    (elementwise ops only)."""
+    ("watched"), an array off the tape ("const"), a value-equal copy of a
+    parameter the op is not given ("copy") or a Python scalar (elementwise
+    ops only)."""
     cases = []
     for name, op in (("add", add), ("sub", sub), ("mul", mul), ("matmul", dense)):
-        kinds = [("watched", "const"), ("const", "watched"), ("watched", "watched"), ("const", "const")]
+        kinds = [("watched", "const"), ("const", "watched"), ("watched", "watched"), ("const", "const"),
+                 ("copy", "const"), ("watched", "copy")]
         if op is not dense:
             kinds += [("watched", "scalar"), ("scalar", "watched"), ("const", "scalar")]
         cases += [pytest.param(op, lhs, rhs, id=f"{name}-{lhs}-{rhs}") for lhs, rhs in kinds]
@@ -406,37 +407,50 @@ def test_op_records_exactly_the_tracked_operands(op, lhs, rhs):
     rng = np.random.default_rng(23)
     shapes = ((2, 3), (3, 4)) if op is dense else ((2, 3), (1, 3))
 
+    copied = []  # the parameters a "copy" operand equals
+
     def operand(kind, shape):
-        return 1.5 if kind == "scalar" else Tensor(rng.normal(size=shape))
+        if kind == "scalar":
+            return 1.5
+        value = rng.normal(size=shape)
+        if kind == "copy":
+            copied.append(value)
+            return value.copy()
+        return value
 
     a, b = operand(lhs, shapes[0]), operand(rhs, shapes[1])
     tracked = [t for t, kind in ((a, lhs), (b, rhs)) if kind == "watched"]
-    with Tape(tracked) as tape:
+    with Tape(tracked + copied) as tape:
         out = op(a, b)
+        records = list(tape._records)
+        loss = tsum(out)
+    # the tape tracks objects, not values: an equal copy records nothing,
+    # and the parameter it equals gets zeros
+    assert all(not g.any() for g in tape.grad(loss)[len(tracked):])
     if not tracked:
-        assert tape._records == []
+        assert records == []
         return
-    (record,) = tape._records
+    (record,) = records
     rec_out, parents, bwd = record
     assert rec_out is out
     assert [id(p) for p in parents] == [id(t) for t in tracked]
-    grads = bwd(np.ones_like(out.data))
+    grads = bwd(np.ones_like(out))
     assert len(grads) == len(parents)
     assert [g.shape for g in grads] == [p.shape for p in parents]
 
 
 def test_op_backward_calls_only_the_tracked_grad_fns():
-    x, c = Tensor(np.ones(3)), Tensor(np.ones(3))
+    x, c = np.ones(3), np.ones(3)
     calls = []
 
     def grad_fn(name):
         return lambda g: calls.append(name) or g
 
     with Tape([x]) as tape:
-        out = _op(x.data + c.data, (c, grad_fn("c")), (x, grad_fn("x")), (2.0, grad_fn("scalar")))
+        out = _op(x + c, (c, grad_fn("c")), (x, grad_fn("x")), (2.0, grad_fn("scalar")))
     _, parents, bwd = tape._records[-1]
-    assert parents == (x,)
-    bwd(np.ones_like(out.data))
+    assert len(parents) == 1 and parents[0] is x
+    bwd(np.ones_like(out))
     assert calls == ["x"]
 
 
@@ -453,15 +467,60 @@ def test_tape_records_per_train_step(variant):
     cfg = ModelConfig(variant=variant)
     model = build_model(cfg, 38, rng_seed=0)
     x = np.random.default_rng(0).random((4, 38, cfg.l)).astype(cfg.np_dtype)
-    y = Tensor(np.zeros((4, 38), cfg.np_dtype))
-    with Tape(model.parameters()) as tape:
+    y = np.zeros((4, 38), cfg.np_dtype)
+    with Tape(model.params.values()) as tape:
         mse_loss(y, model.forward_batch(x, mode="train", rng=np.random.default_rng(1)))
     assert len(tape._records) == TAPE_RECORDS_PER_STEP[variant]
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tape_values_are_plain_arrays_in_the_operand_dtype(tmp_path, dtype):
+    """Every primitive, on and off a tape, the forward in each mode and
+    ``Tape.grad`` give exactly ``np.ndarray`` in the operand dtype, a full
+    reduction a 0-d one. Parameters, built or loaded, are C-contiguous,
+    writable native arrays, as ``adam_step`` updates them in place."""
+    rng = np.random.default_rng(31)
+    a, b = (rng.normal(size=(2, 3)).astype(dtype) for _ in range(2))
+    w = rng.normal(size=(3, 4)).astype(dtype)
+
+    def plain(x, shape=None):
+        return type(x) is np.ndarray and x.dtype == np.dtype(dtype) and (shape is None or x.shape == shape)
+
+    def primitives():
+        return {
+            "add": add(a, b), "sub": sub(a, b), "mul": mul(a, 2.0), "dense": dense(a, w, w[0], relu=True),
+            "square": square(a), "softmax": softmax(a), "reshape": reshape(a, (3, 2)),
+            "transpose": transpose(a, (1, 0)), "tsum": tsum(a, axis=0), "tmean": tmean(a, axis=1),
+            "dropout": dropout(a, 0.5, rng), "full tsum": tsum(a), "full tmean": tmean(a),
+        }
+
+    with Tape([a, w]) as tape:
+        recorded = primitives()
+    for outs in (primitives(), recorded):
+        assert [name for name, x in outs.items() if not plain(x)] == []
+        assert outs["full tsum"].shape == outs["full tmean"].shape == ()
+    assert all(plain(g) for g in tape.grad(recorded["full tmean"]))
+
+    cfg = ModelConfig(l=6, h=1, experts=2, kernels=3, embed_dim=8, tower_hidden=4, dtype=dtype)
+    model = build_model(cfg, n_metrics=3, rng_seed=31)
+    windows = rng.normal(size=(5, 3, 6))  # float64, cast to the model dtype
+    assert plain(model.forward_batch(windows), (5, 3))
+    assert plain(model.forward_batch(windows, mode="train", rng=rng), (5, 3))
+    with Tape(model.params.values()) as tape:
+        pred = model.forward_batch(windows, mode="train", rng=rng)
+        loss = mse_loss(np.zeros((5, 3), dtype), pred)
+    assert plain(pred, (5, 3)) and plain(loss, ())
+    assert all(plain(g, p.shape) for g, p in zip(tape.grad(loss), model.params.values()))
+
+    save_checkpoint(model, None, tmp_path / "model.ckpt")
+    for params in (model.params, load_checkpoint(tmp_path / "model.ckpt")[0].params):
+        for name, p in params.items():
+            assert plain(p) and p.dtype.isnative and p.flags.c_contiguous and p.flags.writeable, name
+
+
 def test_dropout_gradient_with_frozen_mask():
-    a = Tensor(np.random.default_rng(3).normal(size=(6, 5)), name="a")
-    r = Tensor(np.random.default_rng(4).normal(size=(6, 5)))
+    a = np.random.default_rng(3).normal(size=(6, 5))
+    r = np.random.default_rng(4).normal(size=(6, 5))
 
     def forward():
         # reseeding per call freezes the mask, so differences are valid
@@ -475,15 +534,15 @@ def test_dropout_gradient_with_frozen_mask():
 
 
 def test_dropout_scales_kept_units():
-    a = Tensor(np.ones((1000,)))
+    a = np.ones((1000,))
     out = dropout(a, 0.25, np.random.default_rng(0))
-    kept = out.data[out.data != 0]
+    kept = out[out != 0]
     assert np.allclose(kept, 1.0 / 0.75)
     assert 0.6 < kept.size / 1000 < 0.9
 
 
 def test_dropout_rate_zero_is_identity():
-    a = Tensor(np.ones((4,)))
+    a = np.ones((4,))
     assert dropout(a, 0.0, np.random.default_rng(0)) is a
 
 
@@ -491,12 +550,12 @@ def test_dropout_rate_zero_is_identity():
 
 
 def test_softmax_symmetric_pair():
-    assert softmax(Tensor([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
+    assert softmax(np.array([0.0, 0.0])) == pytest.approx([0.5, 0.5])
 
 
 def test_softmax_exact_exponentials():
-    v = Tensor([math.log(1.0), math.log(3.0)])
-    assert softmax(v).data == pytest.approx([0.25, 0.75])
+    v = np.array([math.log(1.0), math.log(3.0)])
+    assert softmax(v) == pytest.approx([0.25, 0.75])
 
 
 def test_softmax_shift_invariance():
@@ -504,8 +563,8 @@ def test_softmax_shift_invariance():
     for _ in range(20):
         v = rng.normal(size=8)
         c = rng.normal() * 50
-        base = softmax(Tensor(v)).data
-        shifted = softmax(Tensor(v + c)).data
+        base = softmax(v)
+        shifted = softmax(v + c)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -513,7 +572,7 @@ def test_softmax_outputs_on_simplex():
     rng = np.random.default_rng(12)
     for _ in range(50):
         v = rng.normal(size=rng.integers(1, 12)) * rng.choice([1.0, 10.0, 100.0])
-        y = softmax(Tensor(v)).data
+        y = softmax(v)
         assert np.all(y > 0)
         assert abs(y.sum() - 1.0) < 1e-9
 
@@ -536,20 +595,19 @@ def softmax_inputs(draw):
 @given(softmax_inputs())
 def test_softmax_is_bitwise_the_reference_formula(case):
     logits, adjoint, axis = case
-    x = Tensor(logits)
-    with Tape([x]) as tape:
-        y = softmax(x, axis=axis)
-        loss = tsum(mul(y, Tensor(adjoint)))  # d(loss)/dy is exactly the adjoint
+    with Tape([logits]) as tape:
+        y = softmax(logits, axis=axis)
+        loss = tsum(mul(y, adjoint))  # d(loss)/dy is exactly the adjoint
     (grad,) = tape.grad(loss)
     want = reference_softmax(logits, axis)
-    assert y.data.dtype == grad.dtype == logits.dtype
-    np.testing.assert_array_equal(y.data, want)
+    assert y.dtype == grad.dtype == logits.dtype
+    np.testing.assert_array_equal(y, want)
     np.testing.assert_array_equal(grad, reference_softmax_backward(want, adjoint, axis))
 
 
 def test_softmax_empty_vector_rejected():
     with pytest.raises(ValueError, match="empty"):
-        softmax(Tensor(np.empty(0)))
+        softmax(np.empty(0))
 
 
 # --- the expert convolution: dense on the transposed kernel bank -----------
@@ -558,17 +616,17 @@ def test_softmax_empty_vector_rejected():
 def conv_bank(window, kernels):
     """A full-width kernel bank (experts, count, width) over the rows of
     ``window``, as the model runs it: ``window @ kernelsᵀ`` per expert."""
-    return dense(Tensor(window), transpose(Tensor(kernels), (0, 2, 1)))
+    return dense(np.asarray(window), transpose(np.asarray(kernels), (0, 2, 1)))
 
 
 def test_conv_rows_dot_products():
     out = conv_bank([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 1.0]]])
-    assert out.data.tolist() == [[[3.0], [7.0]]]
+    assert out.tolist() == [[[3.0], [7.0]]]
 
 
 def test_conv_rows_selector_kernel():
     out = conv_bank([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 0.0]]])
-    assert out.data.tolist() == [[[1.0], [3.0]]]
+    assert out.tolist() == [[[1.0], [3.0]]]
 
 
 def _naive_sliding_convolution(window, kernels):
@@ -592,7 +650,7 @@ def test_conv_rows_matches_naive_convolution_oracle():
     rng = np.random.default_rng(5)
     window = rng.normal(size=(5, 16))
     kernels = rng.normal(size=(16, 16))
-    got = conv_bank(window, kernels[None]).data[0]
+    got = conv_bank(window, kernels[None])[0]
     want = _naive_sliding_convolution(window, kernels)[:, :, 0]
     assert got.shape == (5, 16)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -602,7 +660,7 @@ def test_conv_rows_equals_matrix_product_exactly():
     rng = np.random.default_rng(6)
     window = rng.normal(size=(7, 9))
     kernels = rng.normal(size=(4, 9))
-    got = conv_bank(window, kernels[None]).data[0]
+    got = conv_bank(window, kernels[None])[0]
     assert np.array_equal(got, window @ kernels.T)
 
 
@@ -610,7 +668,7 @@ def test_conv_rows_expert_axis_matches_each_expert():
     rng = np.random.default_rng(7)
     window = rng.normal(size=(7, 9))
     kernels = rng.normal(size=(3, 4, 9))
-    got = conv_bank(window, kernels).data
+    got = conv_bank(window, kernels)
     assert got.shape == (3, 7, 4)
     for e in range(3):
         np.testing.assert_allclose(got[e], window @ kernels[e].T, rtol=1e-12)
@@ -626,24 +684,24 @@ def test_conv_rows_width_mismatch_rejected():
 
 def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(21)
-    params = [Tensor(rng.normal(size=(3, 2)), name="p0"), Tensor(rng.normal(size=(4,)), name="p1")]
-    before = [p.data.copy() for p in params]
+    params = {"p0": rng.normal(size=(3, 2)), "p1": rng.normal(size=(4,))}
+    before = [p.copy() for p in params.values()]
     state = AdamState.for_params(params)
     for _ in range(5):
-        adam_step(state, params, [np.zeros_like(p.data) for p in params], 0.01)
-    for p, b in zip(params, before):
-        assert np.array_equal(p.data, b)
+        adam_step(state, params, [np.zeros_like(p) for p in params.values()], 0.01)
+    for p, b in zip(params.values(), before):
+        assert np.array_equal(p, b)
     assert all(np.all(m == 0) for m in state.m)
     assert all(np.all(v == 0) for v in state.v)
     assert state.t == 5
 
 
 def test_adam_first_step_closed_form():
-    p = Tensor(np.array(0.5))
-    state = AdamState.for_params([p])
-    adam_step(state, [p], [np.array(1.0)], 0.001)
+    p = np.array(0.5)
+    state = AdamState.for_params({"p": p})
+    adam_step(state, {"p": p}, [np.array(1.0)], 0.001)
     # bias-corrected m_hat = v_hat = 1 on the first unit-gradient step
-    assert p.data == pytest.approx(0.5 - 0.001 / (1.0 + 1e-8), abs=1e-15)
+    assert p == pytest.approx(0.5 - 0.001 / (1.0 + 1e-8), abs=1e-15)
     assert state.t == 1
 
 
@@ -653,53 +711,54 @@ def test_adam_updates_params_independently():
     ga = [rng.normal(size=(3,)) for _ in range(4)]
     gb = [rng.normal(size=(2, 2)) for _ in range(4)]
 
-    joint = [Tensor(a0.copy(), name="a"), Tensor(b0.copy(), name="b")]
+    joint = {"a": a0.copy(), "b": b0.copy()}
     state = AdamState.for_params(joint)
     for sa, sb in zip(ga, gb):
         adam_step(state, joint, [sa, sb], 0.01)
 
     # per-parameter oracle: run each parameter alone
-    for init, seq, got in ((a0, ga, joint[0]), (b0, gb, joint[1])):
-        alone = Tensor(init.copy())
-        solo = AdamState.for_params([alone])
+    for init, seq, got in ((a0, ga, joint["a"]), (b0, gb, joint["b"])):
+        alone = {"alone": init.copy()}
+        solo = AdamState.for_params(alone)
         for s in seq:
-            adam_step(solo, [alone], [s], 0.01)
-        np.testing.assert_array_equal(alone.data, got.data)
+            adam_step(solo, alone, [s], 0.01)
+        np.testing.assert_array_equal(alone["alone"], got)
 
 
 def test_adam_rejects_shape_mismatch():
-    p = Tensor(np.zeros((2, 2)), name="w")
-    state = AdamState.for_params([p])
-    with pytest.raises(ValueError, match="shape"):
-        adam_step(state, [p], [np.zeros(3)], 0.01)
+    params = {"w": np.zeros((2, 2))}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValueError, match="shape .* for w"):
+        adam_step(state, params, [np.zeros(3)], 0.01)
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = Tensor(np.zeros((2,)), name="tower_w1")
-    state = AdamState.for_params([p])
+    params = {"tower_w1": np.zeros((2,))}
+    state = AdamState.for_params(params)
     with pytest.raises(NumericError, match="tower_w1"):
-        adam_step(state, [p], [np.array([1.0, np.nan])], 0.01)
+        adam_step(state, params, [np.array([1.0, np.nan])], 0.01)
 
 
 def test_adam_rejects_dtype_mismatch():
-    p = Tensor(np.zeros(3, np.float32), name="gate.shared")
-    state = AdamState.for_params([p])
+    p = np.zeros(3, np.float32)
+    state = AdamState.for_params({"gate.shared": p})
     with pytest.raises(ValueError, match="dtype float64 != parameter dtype float32 for gate.shared"):
-        adam_step(state, [p], [np.ones(3, np.float64)], 0.01)
-    assert not p.data.any() and not state.m[0].any() and not state.v[0].any()
+        adam_step(state, {"gate.shared": p}, [np.ones(3, np.float64)], 0.01)
+    assert not p.any() and not state.m[0].any() and not state.v[0].any()
 
 
 def test_adam_non_finite_in_a_later_block_leaves_the_parameter_untouched():
     rng = np.random.default_rng(24)
-    p = Tensor(rng.normal(size=(5, BLOCK // 2)), name="expert.ff1_w")  # 2.5 blocks
-    state = AdamState.for_params([p])
-    adam_step(state, [p], [rng.normal(size=p.shape)], 0.01)
-    before = [a.copy() for a in (p.data, state.m[0], state.v[0])]
+    p = rng.normal(size=(5, BLOCK // 2))  # 2.5 blocks
+    params = {"expert.ff1_w": p}
+    state = AdamState.for_params(params)
+    adam_step(state, params, [rng.normal(size=p.shape)], 0.01)
+    before = [a.copy() for a in (p, state.m[0], state.v[0])]
     grad = rng.normal(size=p.shape)
     grad.reshape(-1)[2 * BLOCK + 7] = np.nan
     with pytest.raises(NumericError, match="expert.ff1_w"):
-        adam_step(state, [p], [grad], 0.01)
-    for got, want in zip((p.data, state.m[0], state.v[0]), before):
+        adam_step(state, params, [grad], 0.01)
+    for got, want in zip((p, state.m[0], state.v[0]), before):
         assert got.tobytes() == want.tobytes()
 
 
@@ -713,14 +772,14 @@ def test_adam_non_finite_in_a_later_block_leaves_the_parameter_untouched():
 def test_adam_is_bitwise_the_textbook_update(shape, dtype, lrs, seed):
     """Sizes around the block boundary, 0-d to 2.5 blocks, 1-5 steps."""
     rng = np.random.default_rng(seed)
-    p = Tensor(np.asarray(rng.normal(size=shape), dtype=dtype))
-    state = AdamState.for_params([p])
-    want = (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+    p = np.asarray(rng.normal(size=shape), dtype=dtype)
+    state = AdamState.for_params({"p": p})
+    want = (p.copy(), np.zeros_like(p), np.zeros_like(p))
     for t, lr in enumerate(lrs, start=1):
         grad = np.asarray(rng.normal(size=shape), dtype=dtype)
-        adam_step(state, [p], [grad], lr)
+        adam_step(state, {"p": p}, [grad], lr)
         want = reference_adam_step(*want, grad, t, lr)
-    for got, expected in zip((p.data, state.m[0], state.v[0]), want):
+    for got, expected in zip((p, state.m[0], state.v[0]), want):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 

@@ -14,7 +14,7 @@ from cadts.errors import DataError, NumericError
 from cadts.evaluate import score_series, window_errors
 from cadts.model import VARIANTS, ModelConfig, build_model
 from cadts.numcore.optim import AdamState, adam_step
-from cadts.numcore.tensor import Tape, Tensor
+from cadts.numcore.tensor import Tape
 from cadts.train import (
     TrainConfig,
     load_checkpoint,
@@ -53,20 +53,20 @@ def test_default_config_is_the_reference_setting():
 
 
 def test_mse_zero_residual():
-    assert mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
+    assert mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])).item() == 0.0
 
 
 def test_mse_two_metrics():
-    assert mse_loss(Tensor([1.0, 0.0]), Tensor([0.0, 0.0])).item() == 0.5
+    assert mse_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0])).item() == 0.5
 
 
 def test_mse_single_metric():
-    assert mse_loss(Tensor([2.0]), Tensor([5.0])).item() == 9.0
+    assert mse_loss(np.array([2.0]), np.array([5.0])).item() == 9.0
 
 
 def test_mse_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        mse_loss(Tensor([1.0, 2.0]), Tensor([1.0]))
+        mse_loss(np.array([1.0, 2.0]), np.array([1.0]))
 
 
 def test_mse_permutation_invariant():
@@ -74,8 +74,8 @@ def test_mse_permutation_invariant():
     for _ in range(20):
         y, yhat = rng.normal(size=(2, 9))
         perm = rng.permutation(9)
-        assert mse_loss(Tensor(y[perm]), Tensor(yhat[perm])).item() == pytest.approx(
-            mse_loss(Tensor(y), Tensor(yhat)).item(), rel=1e-12
+        assert mse_loss(y[perm], yhat[perm]).item() == pytest.approx(
+            mse_loss(y, yhat).item(), rel=1e-12
         )
 
 
@@ -88,14 +88,14 @@ def test_single_step_descends():
         )
         model = build_model(cfg, n_metrics=3, rng_seed=100 + trial)
         window = rng.normal(size=(1, 3, 6))
-        target = Tensor(rng.normal(size=(1, 3)))
-        params = model.parameters()
+        target = rng.normal(size=(1, 3))
+        params = model.params
 
         def loss_now():
             return mse_loss(target, model.forward_batch(window)).item()
 
         before = loss_now()
-        with Tape(params) as tape:
+        with Tape(params.values()) as tape:
             loss = mse_loss(target, model.forward_batch(window))
         grads = tape.grad(loss)
         adam_step(AdamState.for_params(params), params, grads, lr=1e-5)
@@ -174,7 +174,7 @@ def test_each_steps_gradients_die_with_their_adam_step(monkeypatch):
     train_model(model, windows, cfg)
     n_train = len(windows) - int(len(windows) * cfg.val_fraction)
     assert alive_at_forward == [0] * (cfg.max_epochs * -(-n_train // cfg.batch))
-    assert len(given) == len(alive_at_forward) * len(model.parameters())
+    assert len(given) == len(alive_at_forward) * len(model.params)
 
 
 def test_early_stop_after_patience_without_improvement():
@@ -222,7 +222,7 @@ def test_non_finite_loss_reports_epoch_and_batch():
     series = make_sines(t=300, n_metrics=2, seed=9)
     cfg = small_cfg(seed=5)
     model = build_for(cfg, 2)
-    model.params["tower.w2"].data[:] = np.inf
+    model.params["tower.w2"][:] = np.inf
     with pytest.raises(NumericError, match="epoch 1, batch 1"):
         train_model(model, make_windows(series, cfg.l, cfg.h), cfg)
 
@@ -282,7 +282,7 @@ def test_checkpoint_roundtrip_parameters_bitwise(tmp_path):
         for (name_a, a), (name_b, b) in zip(model.params.items(), loaded.params.items()):
             assert name_a == name_b
             assert a.dtype == b.dtype == np.dtype(dtype)
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
         np.testing.assert_array_equal(loaded_scaler.maxs, scaler.maxs)
         assert loaded_scaler.clip == scaler.clip
@@ -350,7 +350,7 @@ def test_checkpoint_roundtrip_every_variant(tmp_path):
         save_checkpoint(model, None, path, cfg)
         loaded, _ = load_checkpoint(path)
         np.testing.assert_array_equal(
-            model.forward_batch(windows).data, loaded.forward_batch(windows).data
+            model.forward_batch(windows), loaded.forward_batch(windows)
         )
 
 
@@ -374,9 +374,9 @@ def test_checkpoint_parameters_load_as_aligned_views_of_one_buffer(tmp_path, var
         path = tmp_path / f"{dtype}.ckpt"
         save_checkpoint(build_for(cfg, 3), None, path, cfg)
         buffers = set()
-        for param in load_checkpoint(path)[0].parameters():
-            assert param.data.flags.aligned and param.data.flags.c_contiguous and not param.data.flags.owndata
-            base = param.data
+        for param in load_checkpoint(path)[0].params.values():
+            assert param.flags.aligned and param.flags.c_contiguous and not param.flags.owndata
+            base = param
             while isinstance(base, np.ndarray):
                 base = base.base
             buffers.add(id(base.obj))  # the memoryview's exporter
@@ -416,7 +416,7 @@ def test_checkpoint_header_line_order_is_free(tmp_path):
     assert loaded.config == model.config
     np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
     for a, b in zip(model.params.values(), loaded.params.values()):
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_a_large_file_that_is_not_a_checkpoint_is_refused_after_its_magic(tmp_path):
